@@ -1,0 +1,471 @@
+"""Monotone (quantile) couplings, Knothe couplings, and fiber structure.
+
+The monotone coupling of two finitely supported probability measures on
+an ordered block pairs equal quantiles.  It is built deterministically:
+sort both supports by the order, form the half-open quantile intervals
+[F(previous), F(x)) of each atom, and give the pair (x, y) the exact
+length of the overlap of their intervals.  No sampling happens anywhere;
+half-open intervals make breakpoint ties unambiguous.  The support of
+the result is a chain in the product order and has at most
+|supp mu| + |supp nu| - 1 atoms.
+
+The Knothe coupling relative to a block decomposition couples the first
+block marginals monotonically, then recurses on the conditional measures
+of each support prefix pair, block by block in decomposition order.
+
+For a monotone coupling on a single ordered block and a complementing
+operation pair, :func:`check_fiber_structure` verifies the following
+shape claims about the fibers S(a) = {(x, y) in supp pi : T(x, y) = a}:
+
+* every fiber has at most two elements;
+* a two-element fiber is {(x0, y0), (x0, y0+u)} or {(x0, y0), (x0+u, y0)}
+  with u the minimal positive element of the order, and the complementary
+  map then moves by exactly u across the fiber;
+* whenever the minus- and plus-fibers through a support pair both have
+  two elements they are aligned: each element of one lies within a
+  diagonal unit step of an element of the other.
+
+The claims are checked, not assumed, because they are not theorems for
+every monotone pair: the cardinality clause holds for strictly
+sum-monotone pairs such as the floor/ceiling average (distinct chain
+pairs have distinct coordinate sums, and each fiber covers at most two
+consecutive sums) but fails for min/max, where min(x, y) ignores however
+far y rises above x; the alignment clause can fail even for the
+floor-average pair when both fibers step in the same argument.
+Violations are reported with the offending fiber as witness.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterator
+
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    EmptySupportError,
+    InvalidWeightError,
+    MarginalMismatch,
+)
+from .lattice import (
+    AdditiveTotalOrder,
+    Decomposition,
+    Ordering,
+    Point,
+    point_add,
+    point_sub,
+    zero_point,
+)
+from .measures import ProbabilityMeasure, cumulative_weights
+from .operations import LatticeOperation, block_section
+from .report import INAPPLICABLE, VERIFIED, VIOLATED, VerificationReport
+
+ZERO = Fraction(0)
+
+
+class Coupling:
+    """Probability measure on Z^n x Z^n with certified marginals.
+
+    Atom keys are (x, y) pairs, stored in ascending order of the
+    concatenated coordinates for determinism.  Construction recomputes
+    both projections and requires them to equal the declared marginals
+    exactly; a mismatch raises :class:`MarginalMismatch`.
+    """
+
+    __slots__ = ("dim", "_atoms", "left", "right")
+
+    def __init__(
+        self,
+        dim: int,
+        atoms,
+        left: ProbabilityMeasure,
+        right: ProbabilityMeasure,
+    ):
+        if left.dim != dim or right.dim != dim:
+            raise DimensionMismatch("marginals must live on Z^dim of the coupling")
+        acc: dict[tuple[Point, Point], Fraction] = {}
+        items = atoms.items() if hasattr(atoms, "items") else atoms
+        for (x, y), w in items:
+            if len(x) != dim or len(y) != dim:
+                raise DimensionMismatch(
+                    f"coupling atom ({x}, {y}) does not match dimension {dim}"
+                )
+            w = Fraction(w)
+            if w < 0:
+                raise InvalidWeightError(f"negative coupling weight {w}")
+            if w == 0:
+                continue
+            key = (tuple(x), tuple(y))
+            acc[key] = acc.get(key, ZERO) + w
+        if not acc:
+            raise EmptySupportError("coupling has empty support")
+        self.dim = dim
+        self._atoms = {k: acc[k] for k in sorted(acc)}
+        total = sum(self._atoms.values())
+        if total != 1:
+            raise InvalidWeightError(f"coupling must have total mass 1, got {total}")
+        self.left = left
+        self.right = right
+        if self._project(0) != left or self._project(1) != right:
+            raise MarginalMismatch("coupling projections do not match declared marginals")
+
+    def _project(self, side: int) -> ProbabilityMeasure:
+        out: dict[Point, Fraction] = {}
+        for pair, w in self._atoms.items():
+            p = pair[side]
+            out[p] = out.get(p, ZERO) + w
+        return ProbabilityMeasure(self.dim, out.items())
+
+    def __len__(self) -> int:
+        return len(self._atoms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Coupling):
+            return NotImplemented
+        return self.dim == other.dim and self._atoms == other._atoms
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Coupling(dim={self.dim}, atoms={len(self._atoms)})"
+
+    def items(self) -> Iterator[tuple[tuple[Point, Point], Fraction]]:
+        return iter(self._atoms.items())
+
+    def support(self) -> list[tuple[Point, Point]]:
+        return list(self._atoms)
+
+    def weight_at(self, x: Point, y: Point) -> Fraction:
+        return self._atoms.get((tuple(x), tuple(y)), ZERO)
+
+    def marginal(self, side: str) -> ProbabilityMeasure:
+        """Exact projection onto the first or second factor."""
+        if side == "first":
+            return self._project(0)
+        if side == "second":
+            return self._project(1)
+        raise DomainError(f"side must be 'first' or 'second', got {side!r}")
+
+    def as_measure(self) -> ProbabilityMeasure:
+        """The coupling as a measure on Z^(2n), coordinates concatenated."""
+        return ProbabilityMeasure(
+            2 * self.dim, [(x + y, w) for (x, y), w in self.items()]
+        )
+
+    def pushforward_by(self, pair_map) -> ProbabilityMeasure:
+        """Image measure under a map (x, y) -> point of Z^m."""
+        out: dict[Point, Fraction] = {}
+        out_dim = None
+        for (x, y), w in self.items():
+            z = tuple(pair_map(x, y))
+            if out_dim is None:
+                out_dim = len(z)
+            elif len(z) != out_dim:
+                raise DimensionMismatch("pair map produced points of mixed dimension")
+            out[z] = out.get(z, ZERO) + w
+        assert out_dim is not None
+        return ProbabilityMeasure(out_dim, out.items())
+
+
+def monotone_coupling(
+    mu: ProbabilityMeasure, nu: ProbabilityMeasure, order: AdditiveTotalOrder
+) -> Coupling:
+    """Quantile coupling of mu and nu with respect to ``order``.
+
+    Mass of (x_i, y_j) is the exact overlap length of their half-open
+    cumulative intervals, computed by a single merge over the sorted
+    supports.
+    """
+    if mu.dim != nu.dim or order.dim != mu.dim:
+        raise DimensionMismatch(
+            f"measures on Z^{mu.dim}, Z^{nu.dim} and order on Z^{order.dim} do not agree"
+        )
+    xs, cx = cumulative_weights(mu, order)
+    ys, cy = cumulative_weights(nu, order)
+    atoms: dict[tuple[Point, Point], Fraction] = {}
+    i = j = 0
+    prev = ZERO
+    while i < len(xs) and j < len(ys):
+        breakpoint_ = min(cx[i], cy[j])
+        w = breakpoint_ - prev
+        if w > 0:
+            atoms[(xs[i], ys[j])] = w
+        if cx[i] == breakpoint_:
+            i += 1
+        if cy[j] == breakpoint_:
+            j += 1
+        prev = breakpoint_
+    return Coupling(mu.dim, atoms, mu, nu)
+
+
+def product_coupling(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> Coupling:
+    """Independent coupling mu (x) nu; useful as a negative control."""
+    if mu.dim != nu.dim:
+        raise DimensionMismatch("product coupling needs marginals of equal dimension")
+    atoms = {
+        (x, y): wx * wy for x, wx in mu.items() for y, wy in nu.items()
+    }
+    return Coupling(mu.dim, atoms, mu, nu)
+
+
+def knothe_coupling(
+    mu: ProbabilityMeasure, nu: ProbabilityMeasure, decomposition: Decomposition
+) -> Coupling:
+    """Triangular coupling along the blocks of ``decomposition``.
+
+    Couples the first-block marginals monotonically, then for every
+    support pair of prefixes couples the conditional block measures, in
+    decomposition order.  Marginals are exact by construction.  For a
+    single block this is exactly :func:`monotone_coupling`.
+    """
+    if mu.dim != nu.dim or decomposition.total_dim != mu.dim:
+        raise DimensionMismatch(
+            f"measures on Z^{mu.dim}, Z^{nu.dim} and decomposition of Z^{decomposition.total_dim} do not agree"
+        )
+    fam_mu = mu.disintegrate(decomposition)
+    fam_nu = nu.disintegrate(decomposition)
+    frontier: list[tuple[Point, Point, Fraction]] = [((), (), Fraction(1))]
+    for level in range(decomposition.block_count):
+        order = decomposition.order(level)
+        grown: list[tuple[Point, Point, Fraction]] = []
+        for px, py, w in frontier:
+            block_pi = monotone_coupling(
+                fam_mu.conditional(level, px), fam_nu.conditional(level, py), order
+            )
+            for (xb, yb), wb in block_pi.items():
+                grown.append((px + xb, py + yb, w * wb))
+        frontier = grown
+    atoms = {(x, y): w for x, y, w in frontier}
+    return Coupling(mu.dim, atoms, mu, nu)
+
+
+def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition):
+    """Conditional block couplings of ``pi`` along ``decomposition``.
+
+    Yields (level, prefix_x, prefix_y, conditional coupling) for every
+    prefix pair of positive mass; the conditional coupling at level i is
+    the distribution of (x_i, y_i) given the prefixes, a coupling of the
+    corresponding conditional block measures.
+    """
+    if decomposition.total_dim != pi.dim:
+        raise DimensionMismatch(
+            f"decomposition of Z^{decomposition.total_dim} does not match coupling on Z^{pi.dim}"
+        )
+    for level in range(decomposition.block_count):
+        groups: dict[tuple[Point, Point], dict[tuple[Point, Point], Fraction]] = {}
+        masses: dict[tuple[Point, Point], Fraction] = {}
+        for (x, y), w in pi.items():
+            key = (decomposition.prefix(x, level), decomposition.prefix(y, level))
+            pair = (decomposition.block(x, level), decomposition.block(y, level))
+            bucket = groups.setdefault(key, {})
+            bucket[pair] = bucket.get(pair, ZERO) + w
+            masses[key] = masses.get(key, ZERO) + w
+        bdim = decomposition.block_dim(level)
+        for (px, py), bucket in groups.items():
+            total = masses[(px, py)]
+            atoms = {pair: w / total for pair, w in bucket.items()}
+            left = ProbabilityMeasure(
+                bdim,
+                _pair_projection(atoms, 0).items(),
+            )
+            right = ProbabilityMeasure(
+                bdim,
+                _pair_projection(atoms, 1).items(),
+            )
+            yield level, px, py, Coupling(bdim, atoms, left, right)
+
+
+def _pair_projection(atoms: dict, side: int) -> dict[Point, Fraction]:
+    out: dict[Point, Fraction] = {}
+    for pair, w in atoms.items():
+        p = pair[side]
+        out[p] = out.get(p, ZERO) + w
+    return out
+
+
+def check_support_monotone(pi: Coupling, order: AdditiveTotalOrder) -> VerificationReport:
+    """Pairwise check that supp pi is a chain in the product order."""
+    pairs = pi.support()
+    for i, (a, b) in enumerate(pairs):
+        for c, d in pairs[i + 1 :]:
+            cx = order.compare(a, c)
+            cy = order.compare(b, d)
+            if (cx is Ordering.LESS and cy is Ordering.GREATER) or (
+                cx is Ordering.GREATER and cy is Ordering.LESS
+            ):
+                return VerificationReport(
+                    check="support-monotone",
+                    outcome=VIOLATED,
+                    witness={"pair1": {"x": a, "y": b}, "pair2": {"x": c, "y": d}},
+                )
+    return VerificationReport(
+        check="support-monotone", outcome=VERIFIED, detail=f"{len(pairs)} support pairs"
+    )
+
+
+@dataclass(frozen=True)
+class FiberIndex:
+    """Support pairs of a coupling grouped by their image under one map.
+
+    The groups partition the support: every support pair appears in
+    exactly one fiber.
+    """
+
+    sign: str
+    groups: dict[Point, tuple[tuple[Point, Point], ...]]
+
+    def cardinalities(self) -> dict[Point, int]:
+        return {a: len(pairs) for a, pairs in self.groups.items()}
+
+
+def fibers(pi: Coupling, op: LatticeOperation, sign: str) -> FiberIndex:
+    """Group supp pi by the image under t_minus (sign='minus') or t_plus."""
+    if sign not in ("minus", "plus"):
+        raise DomainError(f"sign must be 'minus' or 'plus', got {sign!r}")
+    fn = op.t_minus if sign == "minus" else op.t_plus
+    groups: dict[Point, list[tuple[Point, Point]]] = {}
+    for x, y in pi.support():
+        groups.setdefault(fn(x, y), []).append((x, y))
+    return FiberIndex(sign, {a: tuple(ps) for a, ps in groups.items()})
+
+
+def _fiber_sorted(pairs, order: AdditiveTotalOrder):
+    return sorted(pairs, key=lambda p: (order.key(p[0]), order.key(p[1])))
+
+
+def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationReport:
+    """Verify the fiber shape of a monotone coupling on one ordered block.
+
+    Preconditions: ``op`` is a complementing pair declared on a single
+    block and passing the P1/P2 checks (caller's responsibility), and
+    ``pi`` has order-monotone support.  A multi-block operation or a
+    non-monotone coupling yields an ``inapplicable`` report, not a shape
+    violation; for Knothe couplings use :func:`blockwise_fiber_check`.
+    """
+    if op.dim != pi.dim:
+        raise DimensionMismatch("operation and coupling dimensions differ")
+    if op.decomposition.block_count != 1:
+        return VerificationReport(
+            check="fibers",
+            outcome=INAPPLICABLE,
+            detail="fiber shape applies to a single ordered block; "
+            "use blockwise_fiber_check for multi-block operations",
+        )
+    order = op.decomposition.order(0)
+    mono = check_support_monotone(pi, order)
+    if not mono.ok:
+        return VerificationReport(
+            check="fibers",
+            outcome=INAPPLICABLE,
+            witness=mono.witness,
+            detail="support is not monotone; fiber shape is only claimed for monotone couplings",
+        )
+    unit = order.unit()
+    zero = zero_point(pi.dim)
+    by_sign = {
+        "minus": (fibers(pi, op, "minus"), op.t_plus),
+        "plus": (fibers(pi, op, "plus"), op.t_minus),
+    }
+    for sign, (index, other_map) in by_sign.items():
+        for a, pairs in index.groups.items():
+            if len(pairs) > 2:
+                return VerificationReport(
+                    check="fibers",
+                    outcome=VIOLATED,
+                    witness={"sign": sign, "image": a, "fiber": pairs},
+                    detail="fiber has more than two elements",
+                )
+            if len(pairs) == 2:
+                (x1, y1), (x2, y2) = _fiber_sorted(pairs, order)
+                dx, dy = point_sub(x2, x1), point_sub(y2, y1)
+                if not (
+                    (dx == unit and dy == zero) or (dx == zero and dy == unit)
+                ):
+                    return VerificationReport(
+                        check="fibers",
+                        outcome=VIOLATED,
+                        witness={"sign": sign, "image": a, "fiber": pairs},
+                        detail="two-element fiber is not a single unit step in one argument",
+                    )
+                if other_map(x2, y2) != point_add(other_map(x1, y1), unit):
+                    return VerificationReport(
+                        check="fibers",
+                        outcome=VIOLATED,
+                        witness={"sign": sign, "image": a, "fiber": pairs},
+                        detail="complementary map does not shift by the unit across the fiber",
+                    )
+    # alignment whenever both fibers through a support pair have two elements
+    minus_index = by_sign["minus"][0]
+    plus_index = by_sign["plus"][0]
+    for x, y in pi.support():
+        sm = minus_index.groups[op.t_minus(x, y)]
+        sp = plus_index.groups[op.t_plus(x, y)]
+        if len(sm) == 2 and len(sp) == 2:
+            if not (_aligned(sm, sp, unit) and _aligned(sp, sm, unit)):
+                return VerificationReport(
+                    check="fibers",
+                    outcome=VIOLATED,
+                    witness={
+                        "x": x,
+                        "y": y,
+                        "minus_fiber": sm,
+                        "plus_fiber": sp,
+                    },
+                    detail="two-element fibers through a support pair are not aligned",
+                )
+    return VerificationReport(
+        check="fibers",
+        outcome=VERIFIED,
+        detail=f"{len(minus_index.groups)} minus-fibers, {len(plus_index.groups)} plus-fibers",
+    )
+
+
+def _aligned(first, second, unit: Point) -> bool:
+    # each element of `first` matches an element of `second` up to a
+    # diagonal unit step (both coordinates shifted by the same +-unit)
+    for xp, yp in first:
+        hit = False
+        for xq, yq in second:
+            if (xp, yp) == (xq, yq):
+                hit = True
+            elif xp == point_add(xq, unit) and yp == point_add(yq, unit):
+                hit = True
+            elif xp == point_sub(xq, unit) and yp == point_sub(yq, unit):
+                hit = True
+            if hit:
+                break
+        if not hit:
+            return False
+    return True
+
+
+def blockwise_fiber_check(
+    mu: ProbabilityMeasure, nu: ProbabilityMeasure, op: LatticeOperation
+) -> VerificationReport:
+    """Fiber checks for the Knothe coupling, one conditional block at a time.
+
+    The single-block fiber shape is applied to every conditional block
+    coupling, against the operation's block section for the matching
+    prefixes.  Reduces to ``check_fiber_structure`` of the monotone
+    coupling when the decomposition has one block.
+    """
+    d = op.decomposition
+    pi = knothe_coupling(mu, nu, d)
+    blocks_checked = 0
+    for level, px, py, cond in iter_conditional_couplings(pi, d):
+        section = block_section(op, level, px, py)
+        rep = check_fiber_structure(cond, section)
+        blocks_checked += 1
+        if not rep.ok:
+            witness = dict(rep.witness or {})
+            witness.update({"block": level + 1, "prefix_x": px, "prefix_y": py})
+            return VerificationReport(
+                check="fibers",
+                outcome=rep.outcome,
+                witness=witness if rep.outcome == VIOLATED else rep.witness,
+                detail=rep.detail,
+            )
+    return VerificationReport(
+        check="fibers", outcome=VERIFIED, detail=f"{blocks_checked} conditional block couplings"
+    )

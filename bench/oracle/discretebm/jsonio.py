@@ -1,0 +1,302 @@
+"""JSON formats for orders, decompositions, measures, operations, couplings.
+
+All weights travel as decimal-free exact rational strings ("p/q", or the
+bare integer when the denominator is 1); parse(serialize(x)) == x for
+every value produced by this module.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .coupling import Coupling
+from .errors import FormatError
+from .lattice import (
+    AdditiveTotalOrder,
+    Decomposition,
+    Point,
+    as_point,
+    make_decomposition,
+    singleton_decomposition,
+)
+from .measures import FiniteMeasure, ProbabilityMeasure
+from .operations import (
+    ExponentQuadruple,
+    LatticeOperation,
+    from_difference_map,
+    meet_join,
+    midpoint,
+    product,
+)
+
+_DIFFERENCE_DEFAULTS = {
+    "floor_half": lambda w: tuple(c // 2 for c in w),
+    "negate": lambda w: tuple(-c for c in w),
+    "identity": lambda w: w,
+    "zero": lambda w: tuple(0 for _ in w),
+}
+
+
+def parse_fraction(value) -> Fraction:
+    if isinstance(value, int):
+        return Fraction(value)
+    if not isinstance(value, str) or "." in value:
+        raise FormatError(f"weights must be exact rational strings like '2/3', got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"cannot parse rational {value!r}") from exc
+
+
+def fraction_str(value: Fraction) -> str:
+    return str(value)
+
+
+# -- orders and decompositions ------------------------------------------------
+
+
+def parse_order(obj) -> AdditiveTotalOrder:
+    try:
+        dim = int(obj["dim"])
+        perm = tuple(int(p) for p in obj["perm"])
+        signs = tuple(int(s) for s in obj["signs"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad order spec {obj!r}") from exc
+    return AdditiveTotalOrder(dim, perm, signs)
+
+
+def order_to_json(order: AdditiveTotalOrder) -> dict:
+    return {"dim": order.dim, "perm": list(order.perm), "signs": list(order.signs)}
+
+
+def parse_decomposition(obj) -> Decomposition:
+    try:
+        blocks = [(int(b["dim"]), parse_order(b["order"])) for b in obj["blocks"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad decomposition spec {obj!r}") from exc
+    return make_decomposition(blocks)
+
+
+def decomposition_to_json(d: Decomposition) -> dict:
+    return {
+        "blocks": [{"dim": bdim, "order": order_to_json(o)} for bdim, o in d.blocks]
+    }
+
+
+# -- measures -----------------------------------------------------------------
+
+
+def parse_measure(obj) -> FiniteMeasure:
+    try:
+        dim = int(obj["dim"])
+        entries = [
+            (as_point([int(c) for c in atom["x"]], dim), parse_fraction(atom["w"]))
+            for atom in obj["atoms"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad measure document: {exc}") from exc
+    return FiniteMeasure(dim, entries)
+
+
+def parse_probability_measure(obj) -> ProbabilityMeasure:
+    m = parse_measure(obj)
+    if m.total_mass != 1:
+        raise FormatError(f"expected a probability measure, total mass is {m.total_mass}")
+    return ProbabilityMeasure(m.dim, m.items())
+
+
+def measure_to_json(m: FiniteMeasure) -> dict:
+    return {
+        "dim": m.dim,
+        "atoms": [{"x": list(x), "w": fraction_str(w)} for x, w in m.items()],
+    }
+
+
+# -- couplings ----------------------------------------------------------------
+
+
+def parse_coupling(obj) -> Coupling:
+    try:
+        dim = int(obj["dim"])
+        atoms = {}
+        for atom in obj["atoms"]:
+            x = as_point([int(c) for c in atom["x"]], dim)
+            y = as_point([int(c) for c in atom["y"]], dim)
+            atoms[(x, y)] = atoms.get((x, y), Fraction(0)) + parse_fraction(atom["w"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad coupling document: {exc}") from exc
+    left: dict[Point, Fraction] = {}
+    right: dict[Point, Fraction] = {}
+    for (x, y), w in atoms.items():
+        left[x] = left.get(x, Fraction(0)) + w
+        right[y] = right.get(y, Fraction(0)) + w
+    return Coupling(
+        dim,
+        atoms,
+        ProbabilityMeasure(dim, left.items()),
+        ProbabilityMeasure(dim, right.items()),
+    )
+
+
+def coupling_to_json(pi: Coupling) -> dict:
+    return {
+        "dim": pi.dim,
+        "atoms": [
+            {"x": list(x), "y": list(y), "w": fraction_str(w)}
+            for (x, y), w in pi.items()
+        ],
+    }
+
+
+# -- operations ---------------------------------------------------------------
+
+
+def parse_operation(obj, default_dim: int | None = None) -> LatticeOperation:
+    """Operation spec: a kind name with a dimension, a product of factor
+    specs, or a difference map given by a named default and a table of
+    point overrides."""
+    if isinstance(obj, str):
+        obj = {"kind": obj}
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise FormatError(f"bad operation spec {obj!r}")
+    kind = obj["kind"]
+    if kind in ("midpoint", "meet_join"):
+        dim = obj.get("dim", default_dim)
+        if dim is None:
+            raise FormatError(f"operation {kind!r} needs a dimension")
+        return midpoint(int(dim)) if kind == "midpoint" else meet_join(int(dim))
+    if kind == "product":
+        factors = obj.get("factors")
+        if not factors:
+            raise FormatError("product operation needs a nonempty factors list")
+        ops = [parse_operation(f) for f in factors]
+        out = ops[0]
+        for nxt in ops[1:]:
+            out = product(out, nxt)
+        return out
+    if kind == "difference_map":
+        dim = obj.get("dim", default_dim)
+        if dim is None:
+            raise FormatError("difference_map operation needs a dimension")
+        dim = int(dim)
+        default_name = obj.get("default", "floor_half")
+        base = _DIFFERENCE_DEFAULTS.get(default_name)
+        if base is None:
+            raise FormatError(
+                f"unknown difference-map default {default_name!r}; "
+                f"expected one of {sorted(_DIFFERENCE_DEFAULTS)}"
+            )
+        try:
+            table = {
+                as_point([int(c) for c in row["w"]], dim): as_point(
+                    [int(c) for c in row["t"]], dim
+                )
+                for row in obj.get("table", [])
+            }
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad difference-map table: {exc}") from exc
+        decomposition = (
+            parse_decomposition(obj["decomposition"])
+            if "decomposition" in obj
+            else singleton_decomposition(dim)
+        )
+
+        def t(w: Point) -> Point:
+            hit = table.get(w)
+            return hit if hit is not None else base(w)
+
+        return from_difference_map(dim, decomposition, t)
+    raise FormatError(f"unknown operation kind {kind!r}")
+
+
+# -- exponents and instance files ----------------------------------------------
+
+
+def parse_exponents(obj, defaults: ExponentQuadruple | None = None) -> ExponentQuadruple:
+    base = defaults or ExponentQuadruple.unit()
+    values = {}
+    for name in ("alpha", "beta", "gamma", "delta"):
+        if name in obj:
+            values[name] = parse_fraction(obj[name])
+        else:
+            values[name] = getattr(base, name)
+    return ExponentQuadruple(**values)
+
+
+def parse_phi(obj) -> dict[Point, float]:
+    try:
+        dim = int(obj["dim"])
+        return {
+            as_point([int(c) for c in row["x"]], dim): float(row["v"])
+            for row in obj["points"]
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad function document: {exc}") from exc
+
+
+def parse_point_set(rows, dim: int) -> list[Point]:
+    try:
+        return [as_point([int(c) for c in row], dim) for row in rows]
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad point set: {exc}") from exc
+
+
+@dataclass
+class InstanceSpec:
+    """Resolved contents of a verification instance file.
+
+    Whichever fields a check needs must be present; exponent admissibility
+    is validated here, before any verifier runs.
+    """
+
+    mu: ProbabilityMeasure | None = None
+    nu: ProbabilityMeasure | None = None
+    f: FiniteMeasure | None = None
+    g: FiniteMeasure | None = None
+    h: FiniteMeasure | None = None
+    k: FiniteMeasure | None = None
+    set_a: list[Point] | None = None
+    set_b: list[Point] | None = None
+    op: LatticeOperation | None = None
+    exponents: ExponentQuadruple | None = None
+    decomposition: Decomposition | None = None
+    phi: dict[Point, float] | None = None
+    tolerance: float | None = None
+    seed: int = 0
+    radius: int = 4
+
+
+def parse_instance(obj) -> InstanceSpec:
+    if not isinstance(obj, dict):
+        raise FormatError("instance file must hold a JSON object")
+    spec = InstanceSpec()
+    if "op" in obj:
+        spec.op = parse_operation(obj["op"], obj.get("dim"))
+    dim = spec.op.dim if spec.op is not None else obj.get("dim")
+    for name in ("mu", "nu"):
+        if name in obj:
+            setattr(spec, name, parse_probability_measure(obj[name]))
+    for name in ("f", "g", "h", "k"):
+        if name in obj:
+            setattr(spec, name, parse_measure(obj[name]))
+    if "A" in obj or "B" in obj:
+        if dim is None:
+            raise FormatError("point sets need an operation or explicit 'dim'")
+        if "A" in obj:
+            spec.set_a = parse_point_set(obj["A"], int(dim))
+        if "B" in obj:
+            spec.set_b = parse_point_set(obj["B"], int(dim))
+    if any(name in obj for name in ("alpha", "beta", "gamma", "delta")):
+        spec.exponents = parse_exponents(obj)
+    if "decomposition" in obj:
+        spec.decomposition = parse_decomposition(obj["decomposition"])
+    if "phi" in obj:
+        spec.phi = parse_phi(obj["phi"])
+    if "tolerance" in obj:
+        spec.tolerance = float(obj["tolerance"])
+    if "seed" in obj:
+        spec.seed = int(obj["seed"])
+    if "radius" in obj:
+        spec.radius = int(obj["radius"])
+    return spec

@@ -1,0 +1,441 @@
+"""Complementing pairs of lattice operations on Z^n and their checkers.
+
+A lattice operation here is a pair of total maps (T-, T+) on Z^n x Z^n
+with the complement identity T-(x,y) + T+(x,y) = x + y.  The theorems
+verified by this library additionally require two structural properties:
+
+P1, translation equivariance
+    T(x+z, y+z) = T(x,y) + z for every shift z.
+
+P2, Knothe monotonicity
+    Relative to a declared block decomposition, T is triangular (block i
+    of the output depends only on the first i blocks of both arguments)
+    and each block section, obtained by freezing the prefixes of both
+    arguments, is weakly monotone in each of its two entries under the
+    block order.
+
+Z^n is infinite, so ``check_p1``, ``check_p2``, and ``check_complement``
+verify the properties exhaustively on finite boxes only: they are sound
+but incomplete certificates.  Custom operations are specified through a
+single-variable difference map t, with T-(x,y) = t(x-y) + y, so P1 and
+the complement identity hold by construction and only P2 remains to be
+checked.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
+
+from .errors import DimensionMismatch, DomainError
+from .lattice import (
+    Decomposition,
+    Ordering,
+    Point,
+    basis_point,
+    box_points,
+    make_decomposition,
+    point_add,
+    singleton_decomposition,
+)
+from .report import VERIFIED, VIOLATED, VerificationReport
+
+PairMap = Callable[[Point, Point], Point]
+
+_KINDS = ("meet_join", "midpoint", "product", "difference_map", "section")
+
+# Full-box pair enumeration above this size would make the triangularity
+# scan of check_p2 disproportionately slow; a radius-1 sub-box is used
+# instead (documented, deterministic).
+_TRIANGULARITY_PAIR_BUDGET = 20_000
+
+
+@dataclass(frozen=True)
+class LatticeOperation:
+    """A complementing pair (t_minus, t_plus) with a declared decomposition.
+
+    The maps must be total on Z^dim x Z^dim and are trusted to be pure;
+    the structural properties are checked on boxes by the ``check_*``
+    functions, not at construction.
+    """
+
+    dim: int
+    decomposition: Decomposition
+    t_minus: PairMap
+    t_plus: PairMap
+    kind: str
+
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise DomainError("operation dimension must be >= 1")
+        if self.kind not in _KINDS:
+            raise DomainError(f"unknown operation kind {self.kind!r}")
+        if self.decomposition.total_dim != self.dim:
+            raise DimensionMismatch(
+                f"decomposition of Z^{self.decomposition.total_dim} does not match operation on Z^{self.dim}"
+            )
+
+
+def meet_join(dim: int) -> LatticeOperation:
+    """Coordinatewise minimum and maximum."""
+    return LatticeOperation(
+        dim=dim,
+        decomposition=singleton_decomposition(dim),
+        t_minus=lambda x, y: tuple(map(min, x, y)),
+        t_plus=lambda x, y: tuple(map(max, x, y)),
+        kind="meet_join",
+    )
+
+
+def midpoint(dim: int) -> LatticeOperation:
+    """Coordinatewise floor and ceiling of the average.
+
+    Floor is toward minus infinity (max {m in Z : m <= r}), matching
+    Python's // on negative sums; the ceiling is the complement.
+    """
+    return LatticeOperation(
+        dim=dim,
+        decomposition=singleton_decomposition(dim),
+        t_minus=lambda x, y: tuple((a + b) // 2 for a, b in zip(x, y)),
+        t_plus=lambda x, y: tuple((a + b) - (a + b) // 2 for a, b in zip(x, y)),
+        kind="midpoint",
+    )
+
+
+def product(a: LatticeOperation, b: LatticeOperation) -> LatticeOperation:
+    """Blockwise product: ``a`` acts on the first dim(a) coordinates, ``b``
+    on the rest.  The decomposition is the concatenation of the factors'.
+    """
+    da = a.dim
+    am, ap, bm, bp = a.t_minus, a.t_plus, b.t_minus, b.t_plus
+    return LatticeOperation(
+        dim=a.dim + b.dim,
+        decomposition=make_decomposition(a.decomposition.blocks + b.decomposition.blocks),
+        t_minus=lambda x, y: am(x[:da], y[:da]) + bm(x[da:], y[da:]),
+        t_plus=lambda x, y: ap(x[:da], y[:da]) + bp(x[da:], y[da:]),
+        kind="product",
+    )
+
+
+def from_difference_map(
+    dim: int,
+    decomposition: Decomposition | None,
+    t: Callable[[Point], Point],
+) -> LatticeOperation:
+    """Operation determined by its single-variable section t(w) = T-(w, 0).
+
+    Translation equivariance forces T-(x,y) = t(x-y) + y, and t_plus is
+    the complement, so P1 and the complement identity hold for any t.
+    P2 is NOT guaranteed and must be checked against the declared
+    decomposition (singleton standard blocks when omitted).
+    """
+    d = decomposition if decomposition is not None else singleton_decomposition(dim)
+
+    def t_minus(x: Point, y: Point) -> Point:
+        return tuple(tw + b for tw, b in zip(t(tuple(a - b for a, b in zip(x, y))), y))
+
+    def t_plus(x: Point, y: Point) -> Point:
+        tm = t_minus(x, y)
+        return tuple(a + b - m for a, b, m in zip(x, y, tm))
+
+    return LatticeOperation(
+        dim=dim, decomposition=d, t_minus=t_minus, t_plus=t_plus, kind="difference_map"
+    )
+
+
+def block_section(
+    op: LatticeOperation, level: int, prefix_x: Point, prefix_y: Point
+) -> LatticeOperation:
+    """One-block operation obtained by freezing the leading blocks.
+
+    Evaluates the full pair with the given prefixes and zero suffixes and
+    extracts block ``level``.  For a triangular operation the suffix
+    choice is irrelevant; the section of a complementing pair is itself
+    complementing, and sections of P1 operations are P1 on their block.
+    """
+    d = op.decomposition
+    bdim = d.block_dim(level)
+    order = d.order(level)
+    off = d.offset(level)
+    if len(prefix_x) != off or len(prefix_y) != off:
+        raise DimensionMismatch(
+            f"block {level} expects prefixes of length {off}, got {len(prefix_x)}, {len(prefix_y)}"
+        )
+    suffix = (0,) * (op.dim - off - bdim)
+    lo, hi = off, off + bdim
+    tm, tp = op.t_minus, op.t_plus
+    return LatticeOperation(
+        dim=bdim,
+        decomposition=make_decomposition([(bdim, order)]),
+        t_minus=lambda u, v: tm(prefix_x + u + suffix, prefix_y + v + suffix)[lo:hi],
+        t_plus=lambda u, v: tp(prefix_x + u + suffix, prefix_y + v + suffix)[lo:hi],
+        kind="section",
+    )
+
+
+@dataclass(frozen=True)
+class ExponentQuadruple:
+    """Positive rational exponents (alpha, beta, gamma, delta).
+
+    The admissibility condition for every weighted inequality in this
+    library is max(alpha, beta) <= min(gamma, delta); gamma always
+    weighs the minus-operation image and delta the plus-operation image.
+    """
+
+    alpha: Fraction
+    beta: Fraction
+    gamma: Fraction
+    delta: Fraction
+
+    def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "gamma", "delta"):
+            value = getattr(self, name)
+            if not isinstance(value, Fraction):
+                object.__setattr__(self, name, Fraction(value))
+        for name in ("alpha", "beta", "gamma", "delta"):
+            if getattr(self, name) <= 0:
+                raise DomainError(f"exponent {name} must be positive")
+        if max(self.alpha, self.beta) > min(self.gamma, self.delta):
+            raise DomainError(
+                "exponents must satisfy max(alpha, beta) <= min(gamma, delta); "
+                f"got ({self.alpha}, {self.beta}, {self.gamma}, {self.delta})"
+            )
+
+    @classmethod
+    def unit(cls) -> "ExponentQuadruple":
+        one = Fraction(1)
+        return cls(one, one, one, one)
+
+    @property
+    def common_denominator(self) -> int:
+        return math.lcm(
+            self.alpha.denominator,
+            self.beta.denominator,
+            self.gamma.denominator,
+            self.delta.denominator,
+        )
+
+    def integer_exponents(self) -> tuple[int, int, int, int]:
+        """(alpha, beta, gamma, delta) * N with N the common denominator.
+
+        Raising both sides of an inequality of rational powers to the N-th
+        power turns it into an exact comparison of integer powers.
+        """
+        n = self.common_denominator
+        return (
+            int(self.alpha * n),
+            int(self.beta * n),
+            int(self.gamma * n),
+            int(self.delta * n),
+        )
+
+
+# ---------------------------------------------------------------------------
+# box checkers
+
+
+def check_complement(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
+    """Exhaustive check of t_minus + t_plus = x + y on the box."""
+    if box_radius < 1:
+        raise DomainError("box radius must be >= 1")
+    pts = box_points(op.dim, box_radius)
+    tm, tp = op.t_minus, op.t_plus
+    for x in pts:
+        for y in pts:
+            total = point_add(x, y)
+            if point_add(tm(x, y), tp(x, y)) != total:
+                return VerificationReport(
+                    check="complement",
+                    outcome=VIOLATED,
+                    witness={
+                        "x": x,
+                        "y": y,
+                        "t_minus": tm(x, y),
+                        "t_plus": tp(x, y),
+                        "sum": total,
+                    },
+                )
+    return VerificationReport(
+        check="complement", outcome=VERIFIED, detail=f"{len(pts) ** 2} pairs"
+    )
+
+
+def check_p1(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
+    """Exhaustive translation-equivariance check on the box.
+
+    Shifts range over the signed basis vectors and the all-ones vector;
+    both maps of the pair are tested.
+    """
+    if box_radius < 1:
+        raise DomainError("box radius must be >= 1")
+    pts = box_points(op.dim, box_radius)
+    shifts: list[Point] = []
+    for i in range(op.dim):
+        shifts.append(basis_point(op.dim, i, 1))
+        shifts.append(basis_point(op.dim, i, -1))
+    shifts.append((1,) * op.dim)
+    tm, tp = op.t_minus, op.t_plus
+    for x in pts:
+        for y in pts:
+            base_m = tm(x, y)
+            base_p = tp(x, y)
+            for z in shifts:
+                xz, yz = point_add(x, z), point_add(y, z)
+                if tm(xz, yz) != point_add(base_m, z) or tp(xz, yz) != point_add(base_p, z):
+                    return VerificationReport(
+                        check="p1",
+                        outcome=VIOLATED,
+                        witness={"x": x, "y": y, "z": z},
+                    )
+    return VerificationReport(
+        check="p1",
+        outcome=VERIFIED,
+        detail=f"{len(pts) ** 2} pairs x {len(shifts)} shifts",
+    )
+
+
+def _p2_prefixes(op: LatticeOperation, prefix_dim: int, box_radius: int) -> list[Point]:
+    # All box prefixes for decompositions with at most two blocks; a
+    # deterministic radius-1 sub-box otherwise (the full product grows as
+    # (2r+1)^(2 * prefix_dim) and is re-checked per block point pair).
+    if prefix_dim == 0:
+        return [()]
+    if op.decomposition.block_count <= 2:
+        return box_points(prefix_dim, box_radius)
+    return box_points(prefix_dim, min(box_radius, 1))
+
+
+def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
+    """Blockwise Knothe-monotonicity and triangularity check on the box.
+
+    For each block the section maps are scanned along consecutive points
+    of the order-sorted block box, once per frozen value of the other
+    argument; weak monotonicity of every pair in the box then follows by
+    transitivity, and any violation surfaces as a consecutive violation.
+    Triangularity is checked by perturbing coordinates of later blocks
+    and requiring the block value to stay fixed.
+    """
+    if box_radius < 1:
+        raise DomainError("box radius must be >= 1")
+    d = op.decomposition
+    checked = 0
+    for i in range(d.block_count):
+        order = d.order(i)
+        bdim = d.block_dim(i)
+        off = d.offset(i)
+        lo, hi = off, off + bdim
+        suffix = (0,) * (op.dim - off - bdim)
+        block_pts = order.sorted_points(box_points(bdim, box_radius))
+        prefixes = _p2_prefixes(op, off, box_radius)
+        for a in prefixes:
+            for b in prefixes:
+                for tag, tmap in (("minus", op.t_minus), ("plus", op.t_plus)):
+                    for fixed in block_pts:
+                        fy = b + fixed + suffix
+                        fx = a + fixed + suffix
+                        prev_first = prev_first_val = None
+                        prev_second = prev_second_val = None
+                        for u in block_pts:
+                            cur_first = tmap(a + u + suffix, fy)[lo:hi]
+                            cur_second = tmap(fx, b + u + suffix)[lo:hi]
+                            checked += 2
+                            if (
+                                prev_first_val is not None
+                                and order.compare(prev_first_val, cur_first)
+                                is Ordering.GREATER
+                            ):
+                                return VerificationReport(
+                                    check="p2",
+                                    outcome=VIOLATED,
+                                    witness={
+                                        "kind": "monotonicity",
+                                        "map": tag,
+                                        "block": i + 1,
+                                        "prefix_x": a,
+                                        "prefix_y": b,
+                                        "x1": prev_first,
+                                        "x2": u,
+                                        "y1": fixed,
+                                        "y2": fixed,
+                                        "t1": prev_first_val,
+                                        "t2": cur_first,
+                                    },
+                                )
+                            if (
+                                prev_second_val is not None
+                                and order.compare(prev_second_val, cur_second)
+                                is Ordering.GREATER
+                            ):
+                                return VerificationReport(
+                                    check="p2",
+                                    outcome=VIOLATED,
+                                    witness={
+                                        "kind": "monotonicity",
+                                        "map": tag,
+                                        "block": i + 1,
+                                        "prefix_x": a,
+                                        "prefix_y": b,
+                                        "x1": fixed,
+                                        "x2": fixed,
+                                        "y1": prev_second,
+                                        "y2": u,
+                                        "t1": prev_second_val,
+                                        "t2": cur_second,
+                                    },
+                                )
+                            prev_first, prev_first_val = u, cur_first
+                            prev_second, prev_second_val = u, cur_second
+        # triangularity: block i must ignore coordinates of later blocks
+        if hi < op.dim:
+            full = box_points(op.dim, box_radius)
+            if len(full) ** 2 > _TRIANGULARITY_PAIR_BUDGET:
+                full = box_points(op.dim, min(box_radius, 1))
+            for tag, tmap in (("minus", op.t_minus), ("plus", op.t_plus)):
+                for x in full:
+                    for y in full:
+                        base = tmap(x, y)[lo:hi]
+                        for j in range(hi, op.dim):
+                            for delta in (1, -1):
+                                bump = basis_point(op.dim, j, delta)
+                                for side, (x2, y2) in (
+                                    ("first", (point_add(x, bump), y)),
+                                    ("second", (x, point_add(y, bump))),
+                                ):
+                                    checked += 1
+                                    if tmap(x2, y2)[lo:hi] != base:
+                                        return VerificationReport(
+                                            check="p2",
+                                            outcome=VIOLATED,
+                                            witness={
+                                                "kind": "triangularity",
+                                                "map": tag,
+                                                "block": i + 1,
+                                                "argument": side,
+                                                "x": x,
+                                                "y": y,
+                                                "coordinate": j + 1,
+                                                "delta": delta,
+                                            },
+                                        )
+    return VerificationReport(check="p2", outcome=VERIFIED, detail=f"{checked} evaluations")
+
+
+def check_operation(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
+    """Run the complement, P1, and P2 checks and aggregate the outcome."""
+    subs = (
+        check_complement(op, box_radius),
+        check_p1(op, box_radius),
+        check_p2(op, box_radius),
+    )
+    bad = next((r for r in subs if not r.ok), None)
+    if bad is None:
+        return VerificationReport(check="op", outcome=VERIFIED, subchecks=subs)
+    return VerificationReport(
+        check="op",
+        outcome=VIOLATED,
+        witness=bad.witness,
+        detail=f"{bad.check} failed",
+        subchecks=subs,
+    )

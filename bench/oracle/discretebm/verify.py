@@ -1,0 +1,523 @@
+"""Theorem-level verifiers.
+
+Five statements are checked, every rational comparison exactly:
+
+* the weighted hypothesis f^a(x) g^b(y) <= h^c(T-(x,y)) k^d(T+(x,y)) and
+  the matching conclusion on the four total masses (the weighted discrete
+  Brunn-Minkowski inequality);
+* its set form: |A|^a |B|^b <= |T-(A,B)|^c |T+(A,B)|^d, which for the
+  midpoint pair is the floor-average set inequality and for meet/join the
+  four functions inequality on counts;
+* the pointwise transport bound on the coupling: within each ordered
+  block, conditionally on prefixes, the term
+  kappa-^c kappa+^d / (mu^a nu^b) is at most 1 at every support pair;
+* the aggregated bound P = sum of terms weighted by the coupling, P <= 1,
+  reported as log P;
+* the entropy inequality a H(mu) + b H(nu) >= c H(kappa-) + d H(kappa+)
+  for the Knothe coupling, and the log-Laplace variational identity used
+  to derive the mass inequality from the entropy one.
+
+Rational exponents are handled by raising both sides to the common
+denominator N of (a, b, c, d): the resulting integer-power comparison is
+exact, so hypothesis, conclusion, set, and pointwise reports all carry
+tolerance 0.  Only entropies and log P are floating point; their default
+absolute tolerance is 1e-9.
+
+Two scope warnings, both enforced by reporting rather than assuming:
+
+* The pointwise bound is a single-block statement, checked conditionally
+  within each block for multi-block operations (the unscoped product over
+  blocks can exceed 1 when distinct prefix pairs share an image prefix).
+  Even on a single block it is not universally valid: three atoms against
+  a Dirac can push one term above 1 while P stays below 1 (see the test
+  suite for the exact witness).  Violations are reported with witnesses.
+* P <= 1 itself is guaranteed when max(a, b) <= 1, because every term is
+  then dominated by the unit-exponent term raised to max(a, b) and the
+  unit-exponent sum is bounded by 1; for larger a or b there are valid
+  exponent quadruples with P > 1, and ``p_value`` reports them as
+  violations.  ``p_value`` claims exactness only when the global per-pair
+  terms are all at most 1, and falls back to the log-domain tolerance
+  otherwise.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable, Mapping
+
+from .coupling import Coupling, iter_conditional_couplings, knothe_coupling
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    EmptySupportError,
+    MarginalMismatch,
+)
+from .lattice import Decomposition, Point, as_point
+from .measures import FiniteMeasure, ProbabilityMeasure
+from .operations import (
+    ExponentQuadruple,
+    LatticeOperation,
+    block_section,
+    check_complement,
+    check_p1,
+    check_p2,
+)
+from .report import INAPPLICABLE, VERIFIED, VIOLATED, VerificationReport
+from .seeding import stream
+
+__all__ = [
+    "FunctionQuadruple",
+    "VerificationReport",
+    "verify_hypothesis",
+    "verify_conclusion",
+    "verify_dbm",
+    "set_dbm",
+    "pointwise_term_bound",
+    "p_value",
+    "entropy_gap",
+    "log_laplace_gap",
+    "marginal_exactness",
+]
+
+DEFAULT_TOLERANCE = 1e-9
+
+
+@dataclass(frozen=True)
+class FunctionQuadruple:
+    """Four nonnegative finitely supported functions, shared dimension.
+
+    Measures double as functions: the value off the stored support is 0.
+    """
+
+    f: FiniteMeasure
+    g: FiniteMeasure
+    h: FiniteMeasure
+    k: FiniteMeasure
+
+    def __post_init__(self) -> None:
+        dims = {m.dim for m in (self.f, self.g, self.h, self.k)}
+        if len(dims) != 1:
+            raise DimensionMismatch(f"quadruple functions live on mixed dimensions {dims}")
+
+    @property
+    def dim(self) -> int:
+        return self.f.dim
+
+
+def _log_fraction(value: Fraction) -> float:
+    return math.log(value.numerator) - math.log(value.denominator)
+
+
+def _logsumexp(values: list[float]) -> float:
+    top = max(values)
+    return top + math.log(math.fsum(math.exp(v - top) for v in values))
+
+
+def verify_hypothesis(
+    quad: FunctionQuadruple, exponents: ExponentQuadruple, op: LatticeOperation
+) -> VerificationReport:
+    """Exact pointwise hypothesis check over supp f x supp g.
+
+    Off those supports the left side vanishes and the inequality is
+    automatic.  On violation the witness pair and the powered sides are
+    reported.
+    """
+    if quad.dim != op.dim:
+        raise DimensionMismatch("quadruple and operation dimensions differ")
+    a_n, b_n, c_n, d_n = exponents.integer_exponents()
+    pairs = 0
+    for x, fw in quad.f.items():
+        f_pow = fw**a_n
+        for y, gw in quad.g.items():
+            lhs = f_pow * gw**b_n
+            rhs = (
+                quad.h.weight_at(op.t_minus(x, y)) ** c_n
+                * quad.k.weight_at(op.t_plus(x, y)) ** d_n
+            )
+            pairs += 1
+            if lhs > rhs:
+                return VerificationReport(
+                    check="hypothesis",
+                    outcome=VIOLATED,
+                    lhs=lhs,
+                    rhs=rhs,
+                    witness={"x": x, "y": y},
+                )
+    return VerificationReport(check="hypothesis", outcome=VERIFIED, detail=f"{pairs} pairs")
+
+
+def verify_conclusion(
+    quad: FunctionQuadruple, exponents: ExponentQuadruple
+) -> VerificationReport:
+    """Exact mass inequality (sum f)^a (sum g)^b <= (sum h)^c (sum k)^d."""
+    a_n, b_n, c_n, d_n = exponents.integer_exponents()
+    lhs = quad.f.total_mass**a_n * quad.g.total_mass**b_n
+    rhs = quad.h.total_mass**c_n * quad.k.total_mass**d_n
+    if lhs > rhs:
+        return VerificationReport(
+            check="conclusion",
+            outcome=VIOLATED,
+            lhs=lhs,
+            rhs=rhs,
+            witness={
+                "sum_f": quad.f.total_mass,
+                "sum_g": quad.g.total_mass,
+                "sum_h": quad.h.total_mass,
+                "sum_k": quad.k.total_mass,
+            },
+        )
+    return VerificationReport(check="conclusion", outcome=VERIFIED, lhs=lhs, rhs=rhs)
+
+
+def verify_dbm(
+    quad: FunctionQuadruple,
+    exponents: ExponentQuadruple,
+    op: LatticeOperation,
+    box_radius: int = 4,
+) -> VerificationReport:
+    """Full weighted inequality check: operation properties, hypothesis,
+    conclusion.
+
+    If the operation fails its box checks, or the hypothesis fails, the
+    conclusion is not asserted and the report is ``inapplicable`` with
+    all sub-results attached.  With a valid operation and a verified
+    hypothesis the conclusion must verify; a violation would disprove
+    the inequality itself.
+    """
+    subs = [
+        check_p1(op, box_radius),
+        check_p2(op, box_radius),
+        check_complement(op, box_radius),
+    ]
+    bad = next((r for r in subs if not r.ok), None)
+    if bad is not None:
+        return VerificationReport(
+            check="dbm",
+            outcome=INAPPLICABLE,
+            witness=bad.witness,
+            detail=f"operation failed the {bad.check} check",
+            subchecks=tuple(subs),
+        )
+    hyp = verify_hypothesis(quad, exponents, op)
+    subs.append(hyp)
+    if not hyp.ok:
+        return VerificationReport(
+            check="dbm",
+            outcome=INAPPLICABLE,
+            witness=hyp.witness,
+            detail="hypothesis fails; conclusion not asserted",
+            subchecks=tuple(subs),
+        )
+    conc = verify_conclusion(quad, exponents)
+    subs.append(conc)
+    return VerificationReport(
+        check="dbm",
+        outcome=conc.outcome,
+        lhs=conc.lhs,
+        rhs=conc.rhs,
+        witness=conc.witness,
+        subchecks=tuple(subs),
+    )
+
+
+def set_dbm(
+    set_a: Iterable,
+    set_b: Iterable,
+    op: LatticeOperation,
+    exponents: ExponentQuadruple,
+) -> VerificationReport:
+    """Set form on indicator functions, compared exactly on cardinalities.
+
+    Builds the image sets T-(A, B) and T+(A, B) over all pairs and checks
+    |A|^a |B|^b <= |T-(A,B)|^c |T+(A,B)|^d through integer powers.  The
+    pointwise hypothesis for the indicator quadruple holds by
+    construction.
+    """
+    points_a = {as_point(p, op.dim) for p in set_a}
+    points_b = {as_point(p, op.dim) for p in set_b}
+    if not points_a or not points_b:
+        raise EmptySupportError("set inequality needs nonempty sets")
+    t_minus, t_plus = op.t_minus, op.t_plus
+    image_minus: set[Point] = set()
+    image_plus: set[Point] = set()
+    for x in points_a:
+        for y in points_b:
+            image_minus.add(t_minus(x, y))
+            image_plus.add(t_plus(x, y))
+    a_n, b_n, c_n, d_n = exponents.integer_exponents()
+    lhs = Fraction(len(points_a) ** a_n * len(points_b) ** b_n)
+    rhs = Fraction(len(image_minus) ** c_n * len(image_plus) ** d_n)
+    if lhs > rhs:
+        return VerificationReport(
+            check="set-bm",
+            outcome=VIOLATED,
+            lhs=lhs,
+            rhs=rhs,
+            witness={
+                "card_a": len(points_a),
+                "card_b": len(points_b),
+                "card_minus": len(image_minus),
+                "card_plus": len(image_plus),
+            },
+        )
+    return VerificationReport(check="set-bm", outcome=VERIFIED, lhs=lhs, rhs=rhs)
+
+
+def _require_marginals(
+    pi: Coupling, mu: ProbabilityMeasure, nu: ProbabilityMeasure
+) -> None:
+    if pi.left != mu or pi.right != nu:
+        raise MarginalMismatch("coupling marginals do not match the given measures")
+
+
+def pointwise_term_bound(
+    mu: ProbabilityMeasure,
+    nu: ProbabilityMeasure,
+    pi: Coupling,
+    op: LatticeOperation,
+    exponents: ExponentQuadruple,
+) -> VerificationReport:
+    """Exact per-pair transport bound, blockwise along the decomposition.
+
+    For each block and each support prefix pair, the conditional coupling
+    is pushed forward by both block sections and the term
+
+        kappa-^c(T-) kappa+^d(T+) / (mu^a(x) nu^b(y))
+
+    built from the conditional measures is required to be <= 1 at every
+    conditional support pair, compared exactly through integer powers.
+    For a single-block operation this is the plain statement with the
+    global pushforwards and the unconditioned measures.
+
+    The bound holds on many instances, with equality on tight ones, but
+    it is not universally valid (see the module docstring); a failing
+    term is reported with its block and support pair.
+    """
+    _require_marginals(pi, mu, nu)
+    d = op.decomposition
+    if d.total_dim != pi.dim:
+        raise DimensionMismatch("operation decomposition does not match coupling dimension")
+    a_n, b_n, c_n, d_n = exponents.integer_exponents()
+    fam_mu = mu.disintegrate(d)
+    fam_nu = nu.disintegrate(d)
+    terms = 0
+    for level, px, py, cond in iter_conditional_couplings(pi, d):
+        section = block_section(op, level, px, py)
+        kappa_minus = cond.pushforward_by(section.t_minus)
+        kappa_plus = cond.pushforward_by(section.t_plus)
+        mu_block = fam_mu.conditional(level, px)
+        nu_block = fam_nu.conditional(level, py)
+        for (xb, yb), _ in cond.items():
+            lhs = (
+                kappa_minus.weight_at(section.t_minus(xb, yb)) ** c_n
+                * kappa_plus.weight_at(section.t_plus(xb, yb)) ** d_n
+            )
+            rhs = mu_block.weight_at(xb) ** a_n * nu_block.weight_at(yb) ** b_n
+            terms += 1
+            if lhs > rhs:
+                return VerificationReport(
+                    check="pointwise",
+                    outcome=VIOLATED,
+                    lhs=lhs,
+                    rhs=rhs,
+                    witness={"block": level + 1, "x": px + xb, "y": py + yb},
+                )
+    return VerificationReport(check="pointwise", outcome=VERIFIED, detail=f"{terms} terms")
+
+
+def p_value(
+    mu: ProbabilityMeasure,
+    nu: ProbabilityMeasure,
+    pi: Coupling,
+    op: LatticeOperation,
+    exponents: ExponentQuadruple,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> tuple[float, VerificationReport]:
+    """log P for P = sum over supp pi of the global term times pi(x, y).
+
+    Term logs are taken from the exact integer-power rationals, and log P
+    is a log-sum-exp over support atoms.  When every global term is <= 1
+    exactly, P <= 1 follows from total mass 1 and the report is exact
+    (tolerance 0); otherwise the report compares log P to ``tolerance``.
+    """
+    _require_marginals(pi, mu, nu)
+    if op.dim != pi.dim:
+        raise DimensionMismatch("operation and coupling dimensions differ")
+    a_n, b_n, c_n, d_n = exponents.integer_exponents()
+    n = exponents.common_denominator
+    kappa_minus = pi.pushforward_by(op.t_minus)
+    kappa_plus = pi.pushforward_by(op.t_plus)
+    logs: list[float] = []
+    all_terms_bounded = True
+    for (x, y), w in pi.items():
+        numerator = (
+            kappa_minus.weight_at(op.t_minus(x, y)) ** c_n
+            * kappa_plus.weight_at(op.t_plus(x, y)) ** d_n
+        )
+        denominator = mu.weight_at(x) ** a_n * nu.weight_at(y) ** b_n
+        if numerator > denominator:
+            all_terms_bounded = False
+        logs.append(_log_fraction(numerator / denominator) / n + _log_fraction(w))
+    log_p = _logsumexp(logs)
+    if all_terms_bounded:
+        report = VerificationReport(
+            check="p-bound",
+            outcome=VERIFIED,
+            log_p=log_p,
+            detail="every support term is at most 1 exactly",
+        )
+    elif log_p <= tolerance:
+        report = VerificationReport(
+            check="p-bound", outcome=VERIFIED, log_p=log_p, tolerance_used=tolerance
+        )
+    else:
+        report = VerificationReport(
+            check="p-bound",
+            outcome=VIOLATED,
+            log_p=log_p,
+            tolerance_used=tolerance,
+            witness={"log_p": log_p},
+        )
+    return log_p, report
+
+
+def entropy_gap(
+    mu: ProbabilityMeasure,
+    nu: ProbabilityMeasure,
+    op: LatticeOperation,
+    decomposition: Decomposition | None = None,
+    exponents: ExponentQuadruple | None = None,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> tuple[float, VerificationReport]:
+    """Entropy inequality gap for the Knothe coupling of mu and nu.
+
+    gap = a H(mu) + b H(nu) - c H(kappa-) - d H(kappa+), where kappa+-
+    are the pushforwards of the Knothe coupling built along the
+    operation's decomposition.  Verified when gap >= -tolerance.
+    """
+    if decomposition is None:
+        decomposition = op.decomposition
+    elif decomposition != op.decomposition:
+        raise DomainError("decomposition must match the operation's declared decomposition")
+    if exponents is None:
+        exponents = ExponentQuadruple.unit()
+    pi = knothe_coupling(mu, nu, decomposition)
+    kappa_minus = pi.pushforward_by(op.t_minus)
+    kappa_plus = pi.pushforward_by(op.t_plus)
+    lhs = float(exponents.alpha) * mu.relative_entropy() + float(
+        exponents.beta
+    ) * nu.relative_entropy()
+    rhs = float(exponents.gamma) * kappa_minus.relative_entropy() + float(
+        exponents.delta
+    ) * kappa_plus.relative_entropy()
+    gap = lhs - rhs
+    if gap >= -tolerance:
+        report = VerificationReport(
+            check="entropy",
+            outcome=VERIFIED,
+            lhs=lhs,
+            rhs=rhs,
+            gap=gap,
+            tolerance_used=tolerance,
+        )
+    else:
+        report = VerificationReport(
+            check="entropy",
+            outcome=VIOLATED,
+            lhs=lhs,
+            rhs=rhs,
+            gap=gap,
+            tolerance_used=tolerance,
+            witness={"gap": gap},
+        )
+    return gap, report
+
+
+def marginal_exactness(
+    pi: Coupling, mu: ProbabilityMeasure, nu: ProbabilityMeasure
+) -> VerificationReport:
+    """Exact equality of the coupling's projections with mu and nu."""
+    first = pi.marginal("first")
+    second = pi.marginal("second")
+    if first != mu:
+        return VerificationReport(
+            check="marginals",
+            outcome=VIOLATED,
+            witness={"side": "first", "expected": _measure_payload(mu), "got": _measure_payload(first)},
+        )
+    if second != nu:
+        return VerificationReport(
+            check="marginals",
+            outcome=VIOLATED,
+            witness={"side": "second", "expected": _measure_payload(nu), "got": _measure_payload(second)},
+        )
+    return VerificationReport(check="marginals", outcome=VERIFIED)
+
+
+def _measure_payload(m: FiniteMeasure) -> dict:
+    return {"atoms": [{"x": x, "w": w} for x, w in m.items()]}
+
+
+def log_laplace_gap(
+    phi: Mapping,
+    tolerance: float = DEFAULT_TOLERANCE,
+    competitors: int = 100,
+    seed: int = 0,
+) -> tuple[float, VerificationReport]:
+    """Variational identity for the log-sum of exponentials.
+
+    L = log sum_x e^phi(x) over the finite domain of phi must equal
+    R = int phi d(nu*) - sum nu* log nu* for the explicit maximizer
+    nu*(x) = e^phi(x) / sum e^phi, and no probability measure on the
+    domain may beat L.  Verified when |L - R| <= tolerance and none of
+    ``competitors`` seeded random measures exceeds L + tolerance.
+    """
+    entries = sorted((as_point(x), float(v)) for x, v in phi.items())
+    if not entries:
+        raise EmptySupportError("the function must have nonempty support")
+    values = [v for _, v in entries]
+    log_total = _logsumexp(values)
+    maximizer = [math.exp(v - log_total) for v in values]
+    mean_phi = math.fsum(w * v for w, v in zip(maximizer, values))
+    entropy = math.fsum(w * math.log(w) for w in maximizer)
+    attained = mean_phi - entropy
+    gap = log_total - attained
+    if abs(gap) > tolerance:
+        return gap, VerificationReport(
+            check="log-laplace",
+            outcome=VIOLATED,
+            lhs=log_total,
+            rhs=attained,
+            gap=gap,
+            tolerance_used=tolerance,
+            witness={"gap": gap},
+        )
+    for j in range(competitors):
+        rng = stream(seed, j)
+        raw = [rng.randint(1, 20) for _ in entries]
+        total = sum(raw)
+        weights = [r / total for r in raw]
+        objective = math.fsum(w * v for w, v in zip(weights, values)) - math.fsum(
+            w * math.log(w) for w in weights
+        )
+        if objective > log_total + tolerance:
+            return gap, VerificationReport(
+                check="log-laplace",
+                outcome=VIOLATED,
+                lhs=log_total,
+                rhs=objective,
+                gap=gap,
+                tolerance_used=tolerance,
+                witness={"competitor": j, "objective": objective},
+            )
+    return gap, VerificationReport(
+        check="log-laplace",
+        outcome=VERIFIED,
+        lhs=log_total,
+        rhs=attained,
+        gap=gap,
+        tolerance_used=tolerance,
+        detail=f"{competitors} competitors",
+    )
