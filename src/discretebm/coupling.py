@@ -13,6 +13,15 @@ The Knothe coupling relative to a block decomposition couples the first
 block marginals monotonically, then recurses on the conditional measures
 of each support prefix pair, block by block in decomposition order.
 
+Every :class:`Coupling` is certified when it is constructed, whether it
+comes from a caller, from JSON, or from this module: the constructor
+validates points and weights and requires the exact projections to equal
+the declared marginals.  Marginals, pushforwards, and the marginals of
+conditional block couplings are derived from certified atoms and are
+built as trusted measures without a second validation.  The hot
+arithmetic (the merge, projections, conditionals) runs on integer
+numerators over a common denominator; weights stay ``Fraction`` values.
+
 For a monotone coupling on a single ordered block and a complementing
 operation pair, :func:`check_fiber_structure` verifies the following
 shape claims about the fibers S(a) = {(x, y) in supp pi : T(x, y) = a}:
@@ -37,8 +46,11 @@ Violations are reported with the offending fiber as witness.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import (
@@ -51,26 +63,36 @@ from .errors import (
 from .lattice import (
     AdditiveTotalOrder,
     Decomposition,
-    Ordering,
     Point,
+    as_point,
     point_add,
     point_sub,
     zero_point,
 )
-from .measures import ProbabilityMeasure, cumulative_weights
+from .measures import (
+    ONE,
+    ZERO,
+    ProbabilityMeasure,
+    _add_into,
+    _as_weight,
+    _normalized,
+    _numerators,
+    cumulative_weights,
+)
 from .operations import LatticeOperation, block_section
 from .report import INAPPLICABLE, VERIFIED, VIOLATED, VerificationReport
-
-ZERO = Fraction(0)
 
 
 class Coupling:
     """Probability measure on Z^n x Z^n with certified marginals.
 
     Atom keys are (x, y) pairs, stored in ascending order of the
-    concatenated coordinates for determinism.  Construction recomputes
-    both projections and requires them to equal the declared marginals
-    exactly; a mismatch raises :class:`MarginalMismatch`.
+    concatenated coordinates for determinism.  Every construction, also
+    inside the library, validates the atoms as :class:`FiniteMeasure`
+    validates its entries, then projects them on integer numerators and
+    requires both projections to equal the declared marginals exactly; a
+    mismatch raises :class:`MarginalMismatch`.  This constructor is the
+    one place where marginals are certified.
     """
 
     __slots__ = ("dim", "_atoms", "left", "right")
@@ -87,35 +109,30 @@ class Coupling:
         acc: dict[tuple[Point, Point], Fraction] = {}
         items = atoms.items() if hasattr(atoms, "items") else atoms
         for (x, y), w in items:
-            if len(x) != dim or len(y) != dim:
-                raise DimensionMismatch(
-                    f"coupling atom ({x}, {y}) does not match dimension {dim}"
-                )
-            w = Fraction(w)
-            if w < 0:
-                raise InvalidWeightError(f"negative coupling weight {w}")
-            if w == 0:
-                continue
-            key = (tuple(x), tuple(y))
-            acc[key] = acc.get(key, ZERO) + w
+            key = (as_point(x, dim), as_point(y, dim))
+            w = _as_weight(w)
+            if w:
+                _add_into(acc, key, w)
         if not acc:
             raise EmptySupportError("coupling has empty support")
         self.dim = dim
         self._atoms = {k: acc[k] for k in sorted(acc)}
-        total = sum(self._atoms.values())
-        if total != 1:
-            raise InvalidWeightError(f"coupling must have total mass 1, got {total}")
         self.left = left
         self.right = right
-        if self._project(0) != left or self._project(1) != right:
-            raise MarginalMismatch("coupling projections do not match declared marginals")
+        nums, den = _numerators(self._atoms.values())
+        total = sum(nums)
+        if total != den:
+            raise InvalidWeightError(
+                f"coupling must have total mass 1, got {Fraction(total, den)}"
+            )
+        for side, declared in ((0, left), (1, right)):
+            projected = _pair_projection(zip(self._atoms, nums), side)
+            if not _equals_measure(projected, den, declared):
+                raise MarginalMismatch("coupling projections do not match declared marginals")
 
     def _project(self, side: int) -> ProbabilityMeasure:
-        out: dict[Point, Fraction] = {}
-        for pair, w in self._atoms.items():
-            p = pair[side]
-            out[p] = out.get(p, ZERO) + w
-        return ProbabilityMeasure(self.dim, out.items())
+        nums, _ = _numerators(self._atoms.values())
+        return _normalized(self.dim, _pair_projection(zip(self._atoms, nums), side))
 
     def __len__(self) -> int:
         return len(self._atoms)
@@ -149,12 +166,16 @@ class Coupling:
 
     def as_measure(self) -> ProbabilityMeasure:
         """The coupling as a measure on Z^(2n), coordinates concatenated."""
-        return ProbabilityMeasure(
-            2 * self.dim, [(x + y, w) for (x, y), w in self.items()]
+        return ProbabilityMeasure._trusted(
+            2 * self.dim, {x + y: w for (x, y), w in self.items()}, ONE
         )
 
     def pushforward_by(self, pair_map) -> ProbabilityMeasure:
-        """Image measure under a map (x, y) -> point of Z^m."""
+        """Image measure under a map (x, y) -> point of Z^m.
+
+        ``pair_map`` must send support pairs to integer points, as the maps
+        of a :class:`LatticeOperation` do; its images are not re-validated.
+        """
         out: dict[Point, Fraction] = {}
         out_dim = None
         for (x, y), w in self.items():
@@ -163,9 +184,26 @@ class Coupling:
                 out_dim = len(z)
             elif len(z) != out_dim:
                 raise DimensionMismatch("pair map produced points of mixed dimension")
-            out[z] = out.get(z, ZERO) + w
+            _add_into(out, z, w)
         assert out_dim is not None
-        return ProbabilityMeasure(out_dim, out.items())
+        return ProbabilityMeasure._trusted(out_dim, out, ONE)
+
+
+def _pair_projection(weighted_pairs, side: int) -> dict[Point, int]:
+    """Sum integer weights of ((x, y), n) items by x (side 0) or y (side 1)."""
+    out: dict[Point, int] = {}
+    for pair, n in weighted_pairs:
+        p = pair[side]
+        out[p] = out.get(p, 0) + n
+    return out
+
+
+def _equals_measure(numerators: dict[Point, int], den: int, m: ProbabilityMeasure) -> bool:
+    """Whether the weights numerators[p] / den are exactly the atoms of ``m``."""
+    atoms = m._atoms
+    return numerators.keys() == atoms.keys() and all(
+        n * atoms[p].denominator == atoms[p].numerator * den for p, n in numerators.items()
+    )
 
 
 def monotone_coupling(
@@ -175,22 +213,22 @@ def monotone_coupling(
 
     Mass of (x_i, y_j) is the exact overlap length of their half-open
     cumulative intervals, computed by a single merge over the sorted
-    supports.
+    supports.  The merge runs on integer cumulative numerators over L,
+    the least common denominator of both measures' weights, so each atom
+    costs one Fraction(k, L).
     """
     if mu.dim != nu.dim or order.dim != mu.dim:
         raise DimensionMismatch(
             f"measures on Z^{mu.dim}, Z^{nu.dim} and order on Z^{order.dim} do not agree"
         )
-    xs, cx = cumulative_weights(mu, order)
-    ys, cy = cumulative_weights(nu, order)
+    den = math.lcm(*[w.denominator for m in (mu, nu) for _, w in m.items()])
+    xs, cx = cumulative_weights(mu, order, den)
+    ys, cy = cumulative_weights(nu, order, den)
     atoms: dict[tuple[Point, Point], Fraction] = {}
-    i = j = 0
-    prev = ZERO
+    i = j = prev = 0
     while i < len(xs) and j < len(ys):
         breakpoint_ = min(cx[i], cy[j])
-        w = breakpoint_ - prev
-        if w > 0:
-            atoms[(xs[i], ys[j])] = w
+        atoms[(xs[i], ys[j])] = Fraction(breakpoint_ - prev, den)
         if cx[i] == breakpoint_:
             i += 1
         if cy[j] == breakpoint_:
@@ -225,19 +263,21 @@ def knothe_coupling(
         )
     fam_mu = mu.disintegrate(decomposition)
     fam_nu = nu.disintegrate(decomposition)
-    frontier: list[tuple[Point, Point, Fraction]] = [((), (), Fraction(1))]
-    for level in range(decomposition.block_count):
+    frontier = list(
+        monotone_coupling(
+            fam_mu.conditional(0, ()), fam_nu.conditional(0, ()), decomposition.order(0)
+        ).items()
+    )
+    for level in range(1, decomposition.block_count):
         order = decomposition.order(level)
-        grown: list[tuple[Point, Point, Fraction]] = []
-        for px, py, w in frontier:
+        grown: list[tuple[tuple[Point, Point], Fraction]] = []
+        for (px, py), w in frontier:
             block_pi = monotone_coupling(
                 fam_mu.conditional(level, px), fam_nu.conditional(level, py), order
             )
-            for (xb, yb), wb in block_pi.items():
-                grown.append((px + xb, py + yb, w * wb))
+            grown.extend(((px + xb, py + yb), w * wb) for (xb, yb), wb in block_pi.items())
         frontier = grown
-    atoms = {(x, y): w for x, y, w in frontier}
-    return Coupling(mu.dim, atoms, mu, nu)
+    return Coupling(mu.dim, frontier, mu, nu)
 
 
 def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition):
@@ -252,56 +292,71 @@ def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition):
         raise DimensionMismatch(
             f"decomposition of Z^{decomposition.total_dim} does not match coupling on Z^{pi.dim}"
         )
+    pairs = pi.support()
+    nums, _ = _numerators(w for _, w in pi.items())
     for level in range(decomposition.block_count):
-        groups: dict[tuple[Point, Point], dict[tuple[Point, Point], Fraction]] = {}
-        masses: dict[tuple[Point, Point], Fraction] = {}
-        for (x, y), w in pi.items():
-            key = (decomposition.prefix(x, level), decomposition.prefix(y, level))
-            pair = (decomposition.block(x, level), decomposition.block(y, level))
-            bucket = groups.setdefault(key, {})
-            bucket[pair] = bucket.get(pair, ZERO) + w
-            masses[key] = masses.get(key, ZERO) + w
         bdim = decomposition.block_dim(level)
+        lo = decomposition.offset(level)
+        hi = lo + bdim
+        groups: dict[tuple[Point, Point], dict[tuple[Point, Point], int]] = {}
+        for (x, y), n in zip(pairs, nums):
+            bucket = groups.setdefault((x[:lo], y[:lo]), {})
+            pair = (x[lo:hi], y[lo:hi])
+            bucket[pair] = bucket.get(pair, 0) + n
         for (px, py), bucket in groups.items():
-            total = masses[(px, py)]
-            atoms = {pair: w / total for pair, w in bucket.items()}
-            left = ProbabilityMeasure(
-                bdim,
-                _pair_projection(atoms, 0).items(),
-            )
-            right = ProbabilityMeasure(
-                bdim,
-                _pair_projection(atoms, 1).items(),
-            )
+            total = sum(bucket.values())
+            atoms = {pair: Fraction(n, total) for pair, n in bucket.items()}
+            left = _normalized(bdim, _pair_projection(bucket.items(), 0))
+            right = _normalized(bdim, _pair_projection(bucket.items(), 1))
             yield level, px, py, Coupling(bdim, atoms, left, right)
 
 
-def _pair_projection(atoms: dict, side: int) -> dict[Point, Fraction]:
-    out: dict[Point, Fraction] = {}
-    for pair, w in atoms.items():
-        p = pair[side]
-        out[p] = out.get(p, ZERO) + w
-    return out
-
-
 def check_support_monotone(pi: Coupling, order: AdditiveTotalOrder) -> VerificationReport:
-    """Pairwise check that supp pi is a chain in the product order."""
+    """Check that supp pi is a chain in the product order.
+
+    Two pairs cross when one is strictly below the other in x and strictly
+    above it in y.  Sorted by (x-key, y-key), the pairs have nondecreasing
+    y-keys exactly when none cross, so the check costs O(n log n).  The
+    witness is the first crossing pair in support order: the first pair
+    that crosses any other, with its first partner after it.
+    """
+    if order.dim != pi.dim:
+        raise DimensionMismatch(
+            f"order on Z^{order.dim} does not match coupling on Z^{pi.dim}"
+        )
     pairs = pi.support()
-    for i, (a, b) in enumerate(pairs):
-        for c, d in pairs[i + 1 :]:
-            cx = order.compare(a, c)
-            cy = order.compare(b, d)
-            if (cx is Ordering.LESS and cy is Ordering.GREATER) or (
-                cx is Ordering.GREATER and cy is Ordering.LESS
-            ):
-                return VerificationReport(
-                    check="support-monotone",
-                    outcome=VIOLATED,
-                    witness={"pair1": {"x": a, "y": b}, "pair2": {"x": c, "y": d}},
-                )
+    keys = [(order.key(x), order.key(y)) for x, y in pairs]
+    ranked = sorted(keys)
+    xk = [kx for kx, _ in ranked]
+    yk = [ky for _, ky in ranked]
+    if all(a <= b for a, b in zip(yk, yk[1:])):
+        return VerificationReport(
+            check="support-monotone", outcome=VERIFIED, detail=f"{len(pairs)} support pairs"
+        )
+    # a pair crosses another iff some pair with a smaller x-key has a larger
+    # y-key, or some pair with a larger x-key has a smaller y-key
+    highest_y = list(accumulate(yk, max))
+    lowest_y = list(accumulate(reversed(yk), min))[::-1]
+
+    def crosses_any(kx, ky) -> bool:
+        below, above = bisect_left(xk, kx), bisect_right(xk, kx)
+        return (below > 0 and highest_y[below - 1] > ky) or (
+            above < len(yk) and lowest_y[above] < ky
+        )
+
+    i = next(i for i, (kx, ky) in enumerate(keys) if crosses_any(kx, ky))
+    j = next(j for j in range(i + 1, len(keys)) if _cross(keys[i], keys[j]))
+    (a, b), (c, d) = pairs[i], pairs[j]
     return VerificationReport(
-        check="support-monotone", outcome=VERIFIED, detail=f"{len(pairs)} support pairs"
+        check="support-monotone",
+        outcome=VIOLATED,
+        witness={"pair1": {"x": a, "y": b}, "pair2": {"x": c, "y": d}},
     )
+
+
+def _cross(p, q) -> bool:
+    (px, py), (qx, qy) = p, q
+    return (px < qx and py > qy) or (px > qx and py < qy)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .lattice import (
     make_decomposition,
     singleton_decomposition,
 )
-from .measures import FiniteMeasure, ProbabilityMeasure
+from .measures import ONE, FiniteMeasure, ProbabilityMeasure
 from .operations import (
     ExponentQuadruple,
     LatticeOperation,
@@ -103,7 +103,7 @@ def parse_probability_measure(obj) -> ProbabilityMeasure:
     m = parse_measure(obj)
     if m.total_mass != 1:
         raise FormatError(f"expected a probability measure, total mass is {m.total_mass}")
-    return ProbabilityMeasure(m.dim, m.items())
+    return ProbabilityMeasure._trusted(m.dim, m._atoms, ONE)
 
 
 def measure_to_json(m: FiniteMeasure) -> dict:
@@ -117,26 +117,24 @@ def measure_to_json(m: FiniteMeasure) -> dict:
 
 
 def parse_coupling(obj) -> Coupling:
+    """Coupling document; its declared marginals are the projections of its atoms."""
     try:
         dim = int(obj["dim"])
-        atoms = {}
-        for atom in obj["atoms"]:
-            x = as_point([int(c) for c in atom["x"]], dim)
-            y = as_point([int(c) for c in atom["y"]], dim)
-            atoms[(x, y)] = atoms.get((x, y), Fraction(0)) + parse_fraction(atom["w"])
+        atoms = [
+            (
+                (
+                    as_point([int(c) for c in atom["x"]], dim),
+                    as_point([int(c) for c in atom["y"]], dim),
+                ),
+                parse_fraction(atom["w"]),
+            )
+            for atom in obj["atoms"]
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad coupling document: {exc}") from exc
-    left: dict[Point, Fraction] = {}
-    right: dict[Point, Fraction] = {}
-    for (x, y), w in atoms.items():
-        left[x] = left.get(x, Fraction(0)) + w
-        right[y] = right.get(y, Fraction(0)) + w
-    return Coupling(
-        dim,
-        atoms,
-        ProbabilityMeasure(dim, left.items()),
-        ProbabilityMeasure(dim, right.items()),
-    )
+    left = ProbabilityMeasure(dim, [(x, w) for (x, _), w in atoms])
+    right = ProbabilityMeasure(dim, [(y, w) for (_, y), w in atoms])
+    return Coupling(dim, atoms, left, right)
 
 
 def coupling_to_json(pi: Coupling) -> dict:

@@ -34,7 +34,10 @@ def as_point(value, dim: int | None = None) -> Point:
     if isinstance(value, int) and not isinstance(value, bool):
         pt: Point = (value,)
     else:
-        pt = tuple(value)
+        try:
+            pt = tuple(value)
+        except TypeError:
+            raise DomainError(f"cannot interpret {value!r} as a point") from None
         for c in pt:
             if not isinstance(c, int) or isinstance(c, bool):
                 raise DomainError(f"point coordinates must be integers, got {c!r}")

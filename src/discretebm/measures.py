@@ -2,12 +2,22 @@
 
 Weights are :class:`fractions.Fraction` values throughout, so masses,
 cumulative distributions, quantiles, pushforwards, marginals, and
-disintegrations are all computed without rounding.  The only quantities
-that leave the rational world are entropies, which are accumulated in
-double precision from exact atoms.
+disintegrations are all computed without rounding.  Sums over many atoms
+are taken on integer numerators over the least common denominator of the
+weights, which gives the same exact result as chained ``Fraction``
+additions at a fraction of the cost.  The only quantities that leave the
+rational world are entropies, which are accumulated in double precision
+from exact atoms.
 
 Atoms are stored sorted by the ambient lexicographic order, so iteration,
 equality, and serialization are deterministic.
+
+Validation happens once, where outside input enters: the public
+constructors coerce and check every point and weight and the total mass.
+Measures derived inside the library (normalizations, pushforwards,
+conditionals, coupling marginals) satisfy those invariants by
+construction and are built by :meth:`FiniteMeasure._trusted`, which
+checks nothing.
 """
 
 from __future__ import annotations
@@ -30,24 +40,59 @@ ONE = Fraction(1)
 
 
 def _as_weight(value) -> Fraction:
-    if isinstance(value, float):
+    """Coerce an outside weight to a nonnegative Fraction; floats are refused."""
+    if type(value) is Fraction:
+        w = value
+    elif isinstance(value, float):
         raise InvalidWeightError(
             f"float weight {value!r} is not exact; pass a Fraction or an int"
         )
-    try:
-        w = Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidWeightError(f"cannot interpret weight {value!r}") from exc
-    if w < 0:
+    else:
+        try:
+            w = Fraction(value)
+        except (TypeError, ValueError) as exc:
+            raise InvalidWeightError(f"cannot interpret weight {value!r}") from exc
+    if w.numerator < 0:
         raise InvalidWeightError(f"negative weight {w}")
     return w
+
+
+def _add_into(acc: dict, key, w) -> None:
+    """acc[key] += w, without an addition for the first weight of a key."""
+    prev = acc.get(key)
+    acc[key] = w if prev is None else prev + w
+
+
+def _numerators(weights: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``weights`` over their least common denominator.
+
+    Returns (numerators, denominator); weight i equals
+    Fraction(numerators[i], denominator) exactly.
+    """
+    ws = list(weights)
+    # unpack a list, not a generator: CPython builds the argument tuple from
+    # a generator by resizing, which allocates outside the tuple free list
+    # but frees into it, so the free list would fill with up to 2000 dead
+    # tuples of every support size and hold that memory
+    den = math.lcm(*[w.denominator for w in ws])
+    return [w.numerator * (den // w.denominator) for w in ws], den
+
+
+def _log_fraction(w: Fraction) -> float:
+    """log(w) of a positive rational, from its numerator and denominator.
+
+    Stays finite where float(w) would underflow or overflow.
+    """
+    return math.log(w.numerator) - math.log(w.denominator)
 
 
 class FiniteMeasure:
     """Finitely supported measure with positive rational weights.
 
-    Zero-weight entries are dropped and duplicate points are summed at
-    construction; the resulting support must be nonempty.
+    The constructor validates its input: points are coerced by
+    :func:`as_point`, weights must be exact and nonnegative, zero-weight
+    entries are dropped, duplicate points are summed, and the resulting
+    support must be nonempty.
     """
 
     __slots__ = ("dim", "_atoms", "total_mass")
@@ -59,14 +104,28 @@ class FiniteMeasure:
         for raw_point, raw_weight in entries:
             pt = as_point(raw_point, dim)
             w = _as_weight(raw_weight)
-            if w == 0:
-                continue
-            acc[pt] = acc.get(pt, ZERO) + w
+            if w:
+                _add_into(acc, pt, w)
         if not acc:
             raise EmptySupportError("measure has empty support")
         self.dim = dim
         self._atoms = {pt: acc[pt] for pt in sorted(acc)}
-        self.total_mass = sum(self._atoms.values())
+        nums, den = _numerators(self._atoms.values())
+        self.total_mass = Fraction(sum(nums), den)
+
+    @classmethod
+    def _trusted(cls, dim: int, atoms: dict[Point, Fraction], total_mass: Fraction):
+        """Measure from atoms already known to be valid; nothing is checked.
+
+        ``atoms`` maps points of Z^dim to positive Fractions, in any order,
+        and ``total_mass`` is their exact sum.  Only the library calls
+        this, on measures whose invariants hold by construction.
+        """
+        m = cls.__new__(cls)
+        m.dim = dim
+        m._atoms = {pt: atoms[pt] for pt in sorted(atoms)}
+        m.total_mass = total_mass
+        return m
 
     # -- container protocol ------------------------------------------------
 
@@ -101,11 +160,14 @@ class FiniteMeasure:
 
     def normalize(self) -> "ProbabilityMeasure":
         """Divide every weight exactly by the total mass."""
-        mass = self.total_mass
-        return ProbabilityMeasure(self.dim, [(x, w / mass) for x, w in self.items()])
+        nums, _ = _numerators(self._atoms.values())
+        return _normalized(self.dim, dict(zip(self._atoms, nums)))
 
     def pushforward(self, mapping: Callable[[Point], object]) -> "FiniteMeasure":
-        """Image measure under ``mapping``; total mass is preserved exactly."""
+        """Image measure under ``mapping``; total mass is preserved exactly.
+
+        The images are outside input and are coerced by :func:`as_point`.
+        """
         out: dict[Point, Fraction] = {}
         out_dim: int | None = None
         for x, w in self.items():
@@ -116,9 +178,9 @@ class FiniteMeasure:
                 raise DimensionMismatch(
                     f"pushforward map produced points of dimensions {out_dim} and {len(y)}"
                 )
-            out[y] = out.get(y, ZERO) + w
+            _add_into(out, y, w)
         assert out_dim is not None
-        return type(self)(out_dim, out.items())
+        return type(self)._trusted(out_dim, out, self.total_mass)
 
 
 def make_measure(dim: int, entries: Iterable[tuple[object, object]]) -> FiniteMeasure:
@@ -175,42 +237,43 @@ class ProbabilityMeasure(FiniteMeasure):
         Equals 0 exactly for a Dirac measure.  Terms are accumulated in
         the deterministic stored (lexicographic) atom order.
         """
-        return math.fsum(
-            float(w) * (math.log(w.numerator) - math.log(w.denominator))
-            for w in self._atoms.values()
-        )
+        return math.fsum(float(w) * _log_fraction(w) for w in self._atoms.values())
 
     def disintegrate(self, decomposition: Decomposition) -> "ConditionalFamily":
         """Exact conditional tree along the blocks of ``decomposition``.
 
         Level i maps each prefix of positive mass to the conditional
         probability measure of block i given that prefix.  Prefixes of
-        zero mass do not appear.
+        zero mass do not appear.  With a single block the only
+        conditional is the measure itself.
         """
         if decomposition.total_dim != self.dim:
             raise DimensionMismatch(
                 f"decomposition of Z^{decomposition.total_dim} does not match measure on Z^{self.dim}"
             )
+        if decomposition.block_count == 1:
+            return ConditionalFamily(decomposition, ({(): self},))
+        nums, _ = _numerators(self._atoms.values())
         levels: list[dict[Point, ProbabilityMeasure]] = []
         for i in range(decomposition.block_count):
             bdim = decomposition.block_dim(i)
-            groups: dict[Point, dict[Point, Fraction]] = {}
-            masses: dict[Point, Fraction] = {}
-            for x, w in self.items():
-                p = decomposition.prefix(x, i)
-                b = decomposition.block(x, i)
-                bucket = groups.setdefault(p, {})
-                bucket[b] = bucket.get(b, ZERO) + w
-                masses[p] = masses.get(p, ZERO) + w
-            levels.append(
-                {
-                    p: ProbabilityMeasure(
-                        bdim, [(b, w / masses[p]) for b, w in bucket.items()]
-                    )
-                    for p, bucket in groups.items()
-                }
-            )
+            lo = decomposition.offset(i)
+            hi = lo + bdim
+            groups: dict[Point, dict[Point, int]] = {}
+            for x, n in zip(self._atoms, nums):
+                bucket = groups.setdefault(x[:lo], {})
+                b = x[lo:hi]
+                bucket[b] = bucket.get(b, 0) + n
+            levels.append({p: _normalized(bdim, bucket) for p, bucket in groups.items()})
         return ConditionalFamily(decomposition, tuple(levels))
+
+
+def _normalized(dim: int, weights: dict[Point, int]) -> ProbabilityMeasure:
+    """The probability measure proportional to positive integer weights."""
+    mass = sum(weights.values())
+    return ProbabilityMeasure._trusted(
+        dim, {p: Fraction(n, mass) for p, n in weights.items()}, ONE
+    )
 
 
 class ConditionalFamily:
@@ -257,9 +320,17 @@ class ConditionalFamily:
 
 
 def cumulative_weights(
-    measure: ProbabilityMeasure, order: AdditiveTotalOrder
-) -> tuple[list[Point], list[Fraction]]:
-    """Support sorted by ``order`` with exact running cumulative masses."""
+    measure: ProbabilityMeasure, order: AdditiveTotalOrder, den: int
+) -> tuple[list[Point], list[int]]:
+    """Support sorted by ``order`` with exact running cumulative masses.
+
+    The masses are integer numerators over ``den``, which must be a
+    multiple of every weight's denominator: the cumulative mass up to and
+    including point i is Fraction(cums[i], den).
+    """
     pts = order.sorted_points(measure.support())
-    cums = list(accumulate(measure.weight_at(p) for p in pts))
+    atoms = measure._atoms
+    cums = list(
+        accumulate(atoms[p].numerator * (den // atoms[p].denominator) for p in pts)
+    )
     return pts, cums

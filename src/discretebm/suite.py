@@ -24,7 +24,7 @@ from .coupling import (
 )
 from .errors import DomainError
 from .lattice import Point
-from .measures import FiniteMeasure, ProbabilityMeasure
+from .measures import FiniteMeasure, ProbabilityMeasure, _log_fraction
 from .operations import ExponentQuadruple, LatticeOperation
 from .report import VerificationReport
 from .seeding import stream
@@ -306,9 +306,9 @@ def maximal_f_quadruple(
                 break
             bound = math.exp(
                 (
-                    gamma * _flog(hw)
-                    + delta * _flog(kw)
-                    - beta * _flog(gw)
+                    gamma * _log_fraction(hw)
+                    + delta * _log_fraction(kw)
+                    - beta * _log_fraction(gw)
                 )
                 / alpha
             )
@@ -325,10 +325,6 @@ def maximal_f_quadruple(
         return quad
     new_f = FiniteMeasure(quad.dim, entries)
     return FunctionQuadruple(new_f, quad.g, quad.h, quad.k)
-
-
-def _flog(w: Fraction) -> float:
-    return math.log(w.numerator) - math.log(w.denominator)
 
 
 def _hypothesis_holds_at(

@@ -55,7 +55,7 @@ from .errors import (
     MarginalMismatch,
 )
 from .lattice import Decomposition, Point, as_point
-from .measures import FiniteMeasure, ProbabilityMeasure
+from .measures import FiniteMeasure, ProbabilityMeasure, _log_fraction
 from .operations import (
     ExponentQuadruple,
     LatticeOperation,
@@ -104,10 +104,6 @@ class FunctionQuadruple:
     @property
     def dim(self) -> int:
         return self.f.dim
-
-
-def _log_fraction(value: Fraction) -> float:
-    return math.log(value.numerator) - math.log(value.denominator)
 
 
 def _logsumexp(values: list[float]) -> float:

@@ -1,15 +1,18 @@
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discretebm import (
+    AdditiveTotalOrder,
     Coupling,
     DimensionMismatch,
     FiniteMeasure,
     InvalidWeightError,
     MarginalMismatch,
+    Ordering,
     ProbabilityMeasure,
     blockwise_fiber_check,
     check_fiber_structure,
@@ -91,6 +94,9 @@ def test_coupling_validation():
         Coupling(1, {((0,), (0,)): F(1, 2), ((0,), (1,)): F(1, 2)}, mu, nu)
     with pytest.raises(InvalidWeightError):
         Coupling(1, {((0,), (0,)): F(1, 2)}, dirac(0), dirac(0))
+    # weights are coerced as measure weights are: floats are not exact
+    with pytest.raises(InvalidWeightError):
+        Coupling(1, {((0,), (0,)): 0.5, ((1,), (1,)): 0.5}, mu, mu)
     with pytest.raises(DimensionMismatch):
         monotone_coupling(uniform([(0, 0)]), uniform([0]), ORDER1)
 
@@ -267,3 +273,154 @@ def test_dominated_cdf_implies_diagonal_ordering(mu, nu):
         pi = monotone_coupling(mu, nu, ORDER1)
         for x, y in pi.support():
             assert ORDER1.leq(x, y)
+
+
+# -- references and invariants of the integer-numerator core -------------------
+
+
+def fraction_merge(mu, nu, order):
+    """The monotone merge on Fraction cumulative masses, kept as the reference."""
+    xs = order.sorted_points(mu.support())
+    ys = order.sorted_points(nu.support())
+    cx = list(accumulate(mu.weight_at(p) for p in xs))
+    cy = list(accumulate(nu.weight_at(p) for p in ys))
+    atoms = {}
+    i = j = 0
+    prev = F(0)
+    while i < len(xs) and j < len(ys):
+        breakpoint_ = min(cx[i], cy[j])
+        if breakpoint_ - prev > 0:
+            atoms[(xs[i], ys[j])] = breakpoint_ - prev
+        if cx[i] == breakpoint_:
+            i += 1
+        if cy[j] == breakpoint_:
+            j += 1
+        prev = breakpoint_
+    return atoms
+
+
+def pairwise_crossing(pi, order):
+    """The quadratic crossing scan, kept as the reference: the first pair in
+    support order that crosses a later pair, and the first such later pair."""
+    pairs = pi.support()
+    for i, (a, b) in enumerate(pairs):
+        for c, d in pairs[i + 1 :]:
+            cx, cy = order.compare(a, c), order.compare(b, d)
+            if {cx, cy} == {Ordering.LESS, Ordering.GREATER}:
+                return {"pair1": {"x": a, "y": b}, "pair2": {"x": c, "y": d}}
+    return None
+
+
+orders_1d = st.sampled_from([AdditiveTotalOrder(1, (1,), (1,)), AdditiveTotalOrder(1, (1,), (-1,))])
+
+# weights are gaps between cut points on a grid of twelfths, so the two
+# measures' cumulative masses often share breakpoints
+grid_measures_1d = st.lists(st.integers(-6, 6), min_size=1, max_size=6, unique=True).flatmap(
+    lambda xs: st.lists(
+        st.integers(1, 11), min_size=len(xs) - 1, max_size=len(xs) - 1, unique=True
+    ).map(
+        lambda cuts: ProbabilityMeasure(
+            1,
+            [
+                ((x,), F(b - a, 12))
+                for x, a, b in zip(xs, [0, *sorted(cuts)], [*sorted(cuts), 12])
+            ],
+        )
+    )
+)
+
+
+@given(st.one_of(measures_1d, grid_measures_1d), st.one_of(measures_1d, grid_measures_1d), orders_1d)
+@settings(max_examples=200)
+def test_monotone_coupling_equals_fraction_merge(mu, nu, order):
+    assert dict(monotone_coupling(mu, nu, order).items()) == fraction_merge(mu, nu, order)
+
+
+def test_monotone_coupling_shared_breakpoints():
+    mu = ProbabilityMeasure(1, [(0, F(1, 4)), (1, F(1, 4)), (2, F(1, 2))])
+    nu = ProbabilityMeasure(1, [(5, F(1, 2)), (6, F(1, 2))])
+    pi = monotone_coupling(mu, nu, ORDER1)
+    assert dict(pi.items()) == fraction_merge(mu, nu, ORDER1)
+    assert len(pi) == 3
+
+
+@given(measures_1d, measures_1d, st.integers(0, 4), orders_1d)
+@settings(max_examples=150)
+def test_support_monotone_matches_pairwise_scan(mu, nu, mix, order):
+    # mixtures of the monotone and the product coupling have the same
+    # marginals and cross for most mixing weights
+    mono = dict(monotone_coupling(mu, nu, order).items())
+    prod = dict(product_coupling(mu, nu).items())
+    t = F(mix, 4)
+    atoms = {k: t * mono.get(k, 0) + (1 - t) * prod.get(k, 0) for k in mono.keys() | prod.keys()}
+    pi = Coupling(1, atoms, mu, nu)
+    rep = check_support_monotone(pi, order)
+    witness = pairwise_crossing(pi, order)
+    assert rep.ok == (witness is None)
+    assert rep.witness == witness
+
+
+def _assert_validated_equal(m):
+    # an internally built measure equals the same atoms run through the
+    # validating constructor, with the same stored order and mass
+    rebuilt = ProbabilityMeasure(m.dim, list(m.items()))
+    assert type(m) is ProbabilityMeasure
+    assert m == rebuilt
+    assert m.support() == rebuilt.support()
+    assert m.total_mass == rebuilt.total_mass == 1
+
+
+measures_2d = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 9)),
+    min_size=1,
+    max_size=7,
+).map(lambda e: FiniteMeasure(2, [((a, b), F(w)) for a, b, w in e]).normalize())
+
+
+@given(measures_2d, measures_2d)
+@settings(max_examples=80)
+def test_internal_measures_equal_validated_ones(mu, nu):
+    d = singleton_decomposition(2)
+    op = product(midpoint(1), meet_join(1))
+    _assert_validated_equal(mu)  # normalize
+    for fam in (mu.disintegrate(d), nu.disintegrate(d)):
+        for level in range(d.block_count):
+            for prefix in fam.prefixes(level):
+                _assert_validated_equal(fam.conditional(level, prefix))
+    pi = knothe_coupling(mu, nu, d)
+    for m in (
+        pi.marginal("first"),
+        pi.marginal("second"),
+        pi.pushforward_by(op.t_minus),
+        pi.pushforward_by(op.t_plus),
+        pi.as_measure(),
+        mu.pushforward(lambda x: (x[0] + x[1],)),
+    ):
+        _assert_validated_equal(m)
+    for _level, _px, _py, cond in iter_conditional_couplings(pi, d):
+        _assert_validated_equal(cond.left)
+        _assert_validated_equal(cond.right)
+
+
+def perturbations(m):
+    """Measures near ``m``: half the first atom's mass moved off the support,
+    and, with two atoms or more, onto the second atom."""
+    (p0, w0), *rest = m.items()
+    off = (max(x for (x,), _ in m.items()) + 1,)
+    out = [ProbabilityMeasure(1, [(p0, w0 / 2), (off, w0 / 2), *rest])]
+    if rest:
+        (p1, w1), *tail = rest
+        out.append(ProbabilityMeasure(1, [(p0, w0 / 2), (p1, w1 + w0 / 2), *tail]))
+    return out
+
+
+@given(measures_1d, measures_1d)
+@settings(max_examples=60)
+def test_perturbed_marginal_raises(mu, nu):
+    atoms = dict(monotone_coupling(mu, nu, ORDER1).items())
+    for bad in perturbations(mu):
+        with pytest.raises(MarginalMismatch):
+            Coupling(1, atoms, bad, nu)
+    for bad in perturbations(nu):
+        with pytest.raises(MarginalMismatch):
+            Coupling(1, atoms, mu, bad)

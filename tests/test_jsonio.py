@@ -5,6 +5,7 @@ import pytest
 from discretebm import (
     FormatError,
     LatticeError,
+    MarginalMismatch,
     box_points,
     make_decomposition,
     midpoint,
@@ -64,6 +65,23 @@ def test_coupling_round_trip():
     doc = jsonio.coupling_to_json(pi)
     assert jsonio.parse_coupling(doc) == pi
     assert doc["atoms"][0] == {"x": [0], "y": [0], "w": "1/3"}
+
+
+def test_parse_coupling_certifies_its_marginals(monkeypatch):
+    # parse_coupling declares the projections of the document's atoms as the
+    # marginals; if a declared marginal is perturbed, certification refuses it
+    doc = jsonio.coupling_to_json(
+        monotone_coupling(uniform([0, 1, 2]), uniform([0, 1]), standard_order(1))
+    )
+    declared = jsonio.ProbabilityMeasure
+
+    def perturbed(dim, entries):
+        (x0, w0), *rest = entries
+        return declared(dim, [(x0, w0 / 2), ((7,), w0 / 2), *rest])
+
+    monkeypatch.setattr(jsonio, "ProbabilityMeasure", perturbed)
+    with pytest.raises(MarginalMismatch):
+        jsonio.parse_coupling(doc)
 
 
 def test_parse_operation_names_and_product():

@@ -47,6 +47,9 @@ def test_make_measure_errors():
         make_measure(1, [(0, 0.5)])
     with pytest.raises(DimensionMismatch):
         make_measure(2, [((0,), 1)])
+    # a bool is not a lattice point, even though bool subclasses int
+    with pytest.raises(DomainError):
+        ProbabilityMeasure(1, [(True, 1)])
 
 
 def test_atoms_stored_sorted():
@@ -146,6 +149,7 @@ def test_disintegrate_single_block():
     m = uniform([(0, 0), (1, 2)])
     fam = m.disintegrate(make_decomposition([(2, standard_order(2))]))
     assert fam.conditional(0, ()) == m
+    assert fam.conditional(0, ()) is m
 
 
 def test_disintegrate_example():
