@@ -47,7 +47,6 @@ from .measures import (
     ConditionalFamily,
     FiniteMeasure,
     ProbabilityMeasure,
-    make_measure,
 )
 from .operations import (
     ExponentQuadruple,
@@ -119,7 +118,6 @@ __all__ = [
     "knothe_coupling",
     "log_laplace_gap",
     "make_decomposition",
-    "make_measure",
     "marginal_exactness",
     "meet_join",
     "midpoint",

@@ -370,9 +370,6 @@ class FiberIndex:
     sign: str
     groups: dict[Point, tuple[tuple[Point, Point], ...]]
 
-    def cardinalities(self) -> dict[Point, int]:
-        return {a: len(pairs) for a, pairs in self.groups.items()}
-
 
 def fibers(pi: Coupling, op: LatticeOperation, sign: str) -> FiberIndex:
     """Group supp pi by the image under t_minus (sign='minus') or t_plus."""

@@ -38,6 +38,14 @@ _DIFFERENCE_DEFAULTS = {
 }
 
 
+def _number(kind, value, name: str):
+    """``kind(value)`` for a numeric field, with bad input raised as a FormatError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"bad {name} {value!r}: {exc}") from exc
+
+
 def parse_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
@@ -47,10 +55,6 @@ def parse_fraction(value) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"cannot parse rational {value!r}") from exc
-
-
-def fraction_str(value: Fraction) -> str:
-    return str(value)
 
 
 # -- orders and decompositions ------------------------------------------------
@@ -109,7 +113,7 @@ def parse_probability_measure(obj) -> ProbabilityMeasure:
 def measure_to_json(m: FiniteMeasure) -> dict:
     return {
         "dim": m.dim,
-        "atoms": [{"x": list(x), "w": fraction_str(w)} for x, w in m.items()],
+        "atoms": [{"x": list(x), "w": str(w)} for x, w in m.items()],
     }
 
 
@@ -141,7 +145,7 @@ def coupling_to_json(pi: Coupling) -> dict:
     return {
         "dim": pi.dim,
         "atoms": [
-            {"x": list(x), "y": list(y), "w": fraction_str(w)}
+            {"x": list(x), "y": list(y), "w": str(w)}
             for (x, y), w in pi.items()
         ],
     }
@@ -163,10 +167,11 @@ def parse_operation(obj, default_dim: int | None = None) -> LatticeOperation:
         dim = obj.get("dim", default_dim)
         if dim is None:
             raise FormatError(f"operation {kind!r} needs a dimension")
-        return midpoint(int(dim)) if kind == "midpoint" else meet_join(int(dim))
+        dim = _number(int, dim, "operation dimension")
+        return midpoint(dim) if kind == "midpoint" else meet_join(dim)
     if kind == "product":
         factors = obj.get("factors")
-        if not factors:
+        if not isinstance(factors, list) or not factors:
             raise FormatError("product operation needs a nonempty factors list")
         ops = [parse_operation(f) for f in factors]
         out = ops[0]
@@ -177,9 +182,9 @@ def parse_operation(obj, default_dim: int | None = None) -> LatticeOperation:
         dim = obj.get("dim", default_dim)
         if dim is None:
             raise FormatError("difference_map operation needs a dimension")
-        dim = int(dim)
+        dim = _number(int, dim, "operation dimension")
         default_name = obj.get("default", "floor_half")
-        base = _DIFFERENCE_DEFAULTS.get(default_name)
+        base = _DIFFERENCE_DEFAULTS.get(default_name) if isinstance(default_name, str) else None
         if base is None:
             raise FormatError(
                 f"unknown difference-map default {default_name!r}; "
@@ -281,10 +286,11 @@ def parse_instance(obj) -> InstanceSpec:
     if "A" in obj or "B" in obj:
         if dim is None:
             raise FormatError("point sets need an operation or explicit 'dim'")
+        dim = _number(int, dim, "dim")
         if "A" in obj:
-            spec.set_a = parse_point_set(obj["A"], int(dim))
+            spec.set_a = parse_point_set(obj["A"], dim)
         if "B" in obj:
-            spec.set_b = parse_point_set(obj["B"], int(dim))
+            spec.set_b = parse_point_set(obj["B"], dim)
     if any(name in obj for name in ("alpha", "beta", "gamma", "delta")):
         spec.exponents = parse_exponents(obj)
     if "decomposition" in obj:
@@ -292,9 +298,9 @@ def parse_instance(obj) -> InstanceSpec:
     if "phi" in obj:
         spec.phi = parse_phi(obj["phi"])
     if "tolerance" in obj:
-        spec.tolerance = float(obj["tolerance"])
+        spec.tolerance = _number(float, obj["tolerance"], "tolerance")
     if "seed" in obj:
-        spec.seed = int(obj["seed"])
+        spec.seed = _number(int, obj["seed"], "seed")
     if "radius" in obj:
-        spec.radius = int(obj["radius"])
+        spec.radius = _number(int, obj["radius"], "radius")
     return spec

@@ -127,9 +127,6 @@ class AdditiveTotalOrder:
     def leq(self, x: Point, y: Point) -> bool:
         return self.compare(x, y) is not Ordering.GREATER
 
-    def lt(self, x: Point, y: Point) -> bool:
-        return self.compare(x, y) is Ordering.LESS
-
     def unit(self) -> Point:
         """The minimal element strictly greater than 0.
 

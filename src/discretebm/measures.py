@@ -183,10 +183,6 @@ class FiniteMeasure:
         return type(self)._trusted(out_dim, out, self.total_mass)
 
 
-def make_measure(dim: int, entries: Iterable[tuple[object, object]]) -> FiniteMeasure:
-    return FiniteMeasure(dim, entries)
-
-
 class ProbabilityMeasure(FiniteMeasure):
     """Finitely supported measure with total mass exactly 1."""
 

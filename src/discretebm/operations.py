@@ -16,28 +16,31 @@ P2, Knothe monotonicity
 
 Z^n is infinite, so ``check_p1``, ``check_p2``, and ``check_complement``
 verify the properties exhaustively on finite boxes only: they are sound
-but incomplete certificates.  Custom operations are specified through a
-single-variable difference map t, with T-(x,y) = t(x-y) + y, so P1 and
-the complement identity hold by construction and only P2 remains to be
-checked.
+but incomplete certificates.  ``check_p2`` assumes P1, which
+``check_operation`` and ``verify_dbm`` check beside it: it evaluates each
+map once per difference x - y and scans the full box at any block count.
+Custom operations are specified through a single-variable difference
+map t, with T-(x,y) = t(x-y) + y, so P1 and the complement identity hold
+by construction and only P2 remains to be checked.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Collection
 
 from .errors import DimensionMismatch, DomainError
 from .lattice import (
     Decomposition,
-    Ordering,
     Point,
     basis_point,
     box_points,
     make_decomposition,
     point_add,
+    point_sub,
     singleton_decomposition,
 )
 from .report import VERIFIED, VIOLATED, VerificationReport
@@ -45,12 +48,6 @@ from .report import VERIFIED, VIOLATED, VerificationReport
 PairMap = Callable[[Point, Point], Point]
 
 _KINDS = ("meet_join", "midpoint", "product", "difference_map", "section")
-
-# Full-box pair enumeration above this size would make the triangularity
-# scan of check_p2 disproportionately slow; a radius-1 sub-box is used
-# instead (documented, deterministic).
-_TRIANGULARITY_PAIR_BUDGET = 20_000
-
 
 @dataclass(frozen=True)
 class LatticeOperation:
@@ -175,6 +172,19 @@ def block_section(
     )
 
 
+def image_sets(
+    op: LatticeOperation, points_a: Collection[Point], points_b: Collection[Point]
+) -> tuple[set[Point], set[Point]]:
+    """The image sets T-(A, B) and T+(A, B) over all pairs of A x B."""
+    minus: set[Point] = set()
+    plus: set[Point] = set()
+    for x in points_a:
+        for y in points_b:
+            minus.add(op.t_minus(x, y))
+            plus.add(op.t_plus(x, y))
+    return minus, plus
+
+
 @dataclass(frozen=True)
 class ExponentQuadruple:
     """Positive rational exponents (alpha, beta, gamma, delta).
@@ -296,56 +306,59 @@ def check_p1(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     )
 
 
-def _p2_prefixes(op: LatticeOperation, prefix_dim: int, box_radius: int) -> list[Point]:
-    # All box prefixes for decompositions with at most two blocks; a
-    # deterministic radius-1 sub-box otherwise (the full product grows as
-    # (2r+1)^(2 * prefix_dim) and is re-checked per block point pair).
-    if prefix_dim == 0:
-        return [()]
-    if op.decomposition.block_count <= 2:
-        return box_points(prefix_dim, box_radius)
-    return box_points(prefix_dim, min(box_radius, 1))
-
-
 def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     """Blockwise Knothe-monotonicity and triangularity check on the box.
 
-    For each block the section maps are scanned along consecutive points
-    of the order-sorted block box, once per frozen value of the other
-    argument; weak monotonicity of every pair in the box then follows by
-    transitivity, and any violation surfaces as a consecutive violation.
-    Triangularity is checked by perturbing coordinates of later blocks
-    and requiring the block value to stay fixed.
+    Assumes P1, which ``check_operation`` and ``verify_dbm`` check beside
+    it: then T(x, y) = T(x - y, 0) + y, so each map is evaluated once per
+    difference w = x - y and every block section is read from that
+    table.  The section of block i at prefixes (a, b) of the box depends
+    only on p = a - b; each p is scanned once, at the first pair (a, b)
+    of the box in lexicographic order.  The section maps are scanned
+    along consecutive points of the order-sorted block box, once per
+    frozen value of the other argument; weak monotonicity of every pair
+    in the box then follows by transitivity, and any violation surfaces
+    as a consecutive violation.  Triangularity requires block i of the
+    table to be unchanged by a unit step in any later coordinate, over
+    the whole difference box.  The full box is scanned at any block count.
     """
     if box_radius < 1:
         raise DomainError("box radius must be >= 1")
-    d = op.decomposition
-    checked = 0
+    n, d = op.dim, op.decomposition
+    zero = (0,) * n
+    tables = [
+        (tag, functools.cache(lambda w, tmap=tmap: tmap(w, zero)))
+        for tag, tmap in (("minus", op.t_minus), ("plus", op.t_plus))
+    ]
+    differences = box_points(n, 2 * box_radius)
     for i in range(d.block_count):
         order = d.order(i)
-        bdim = d.block_dim(i)
-        off = d.offset(i)
-        lo, hi = off, off + bdim
-        suffix = (0,) * (op.dim - off - bdim)
-        block_pts = order.sorted_points(box_points(bdim, box_radius))
-        prefixes = _p2_prefixes(op, off, box_radius)
-        for a in prefixes:
-            for b in prefixes:
-                for tag, tmap in (("minus", op.t_minus), ("plus", op.t_plus)):
-                    for fixed in block_pts:
-                        fy = b + fixed + suffix
-                        fx = a + fixed + suffix
-                        prev_first = prev_first_val = None
-                        prev_second = prev_second_val = None
-                        for u in block_pts:
-                            cur_first = tmap(a + u + suffix, fy)[lo:hi]
-                            cur_second = tmap(fx, b + u + suffix)[lo:hi]
-                            checked += 2
-                            if (
-                                prev_first_val is not None
-                                and order.compare(prev_first_val, cur_first)
-                                is Ordering.GREATER
-                            ):
+        key = order.key
+        lo = d.offset(i)
+        hi = lo + d.block_dim(i)
+        suffix = (0,) * (n - hi)
+        block_pts = order.sorted_points(box_points(hi - lo, box_radius))
+        # the first pair of the box with a - b = p has a = max(p, 0) - r
+        firsts = sorted(
+            (a, point_sub(a, p), p)
+            for p in box_points(lo, 2 * box_radius)
+            for a in [tuple(max(c, 0) - box_radius for c in p)]
+        )
+        for a, b, p in firsts:
+            for tag, t in tables:
+                for fixed in block_pts:
+                    prev_u = prev = prev_keys = None
+                    for u in block_pts:
+                        # block i of T(a + u, b + fixed) and of T(a + fixed, b + u)
+                        cur = (
+                            point_add(t(p + point_sub(u, fixed) + suffix)[lo:hi], fixed),
+                            point_add(t(p + point_sub(fixed, u) + suffix)[lo:hi], u),
+                        )
+                        cur_keys = (key(cur[0]), key(cur[1]))
+                        for side in (0, 1):
+                            if prev is not None and prev_keys[side] > cur_keys[side]:
+                                steps = ((prev_u, u), (fixed, fixed))
+                                (x1, x2), (y1, y2) = steps if side == 0 else steps[::-1]
                                 return VerificationReport(
                                     check="p2",
                                     outcome=VIOLATED,
@@ -355,71 +368,38 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
                                         "block": i + 1,
                                         "prefix_x": a,
                                         "prefix_y": b,
-                                        "x1": prev_first,
-                                        "x2": u,
-                                        "y1": fixed,
-                                        "y2": fixed,
-                                        "t1": prev_first_val,
-                                        "t2": cur_first,
+                                        "x1": x1,
+                                        "x2": x2,
+                                        "y1": y1,
+                                        "y2": y2,
+                                        "t1": prev[side],
+                                        "t2": cur[side],
                                     },
                                 )
-                            if (
-                                prev_second_val is not None
-                                and order.compare(prev_second_val, cur_second)
-                                is Ordering.GREATER
-                            ):
-                                return VerificationReport(
-                                    check="p2",
-                                    outcome=VIOLATED,
-                                    witness={
-                                        "kind": "monotonicity",
-                                        "map": tag,
-                                        "block": i + 1,
-                                        "prefix_x": a,
-                                        "prefix_y": b,
-                                        "x1": fixed,
-                                        "x2": fixed,
-                                        "y1": prev_second,
-                                        "y2": u,
-                                        "t1": prev_second_val,
-                                        "t2": cur_second,
-                                    },
-                                )
-                            prev_first, prev_first_val = u, cur_first
-                            prev_second, prev_second_val = u, cur_second
+                        prev_u, prev, prev_keys = u, cur, cur_keys
         # triangularity: block i must ignore coordinates of later blocks
-        if hi < op.dim:
-            full = box_points(op.dim, box_radius)
-            if len(full) ** 2 > _TRIANGULARITY_PAIR_BUDGET:
-                full = box_points(op.dim, min(box_radius, 1))
-            for tag, tmap in (("minus", op.t_minus), ("plus", op.t_plus)):
-                for x in full:
-                    for y in full:
-                        base = tmap(x, y)[lo:hi]
-                        for j in range(hi, op.dim):
-                            for delta in (1, -1):
-                                bump = basis_point(op.dim, j, delta)
-                                for side, (x2, y2) in (
-                                    ("first", (point_add(x, bump), y)),
-                                    ("second", (x, point_add(y, bump))),
-                                ):
-                                    checked += 1
-                                    if tmap(x2, y2)[lo:hi] != base:
-                                        return VerificationReport(
-                                            check="p2",
-                                            outcome=VIOLATED,
-                                            witness={
-                                                "kind": "triangularity",
-                                                "map": tag,
-                                                "block": i + 1,
-                                                "argument": side,
-                                                "x": x,
-                                                "y": y,
-                                                "coordinate": j + 1,
-                                                "delta": delta,
-                                            },
-                                        )
-    return VerificationReport(check="p2", outcome=VERIFIED, detail=f"{checked} evaluations")
+        for tag, t in tables:
+            for w in differences if hi < n else ():
+                for j in range(hi, n):
+                    for delta in (1, -1):
+                        if t(point_add(w, basis_point(n, j, delta)))[lo:hi] != t(w)[lo:hi]:
+                            y = tuple(-(c // 2) for c in w)  # x = w + y: both in the box
+                            return VerificationReport(
+                                check="p2",
+                                outcome=VIOLATED,
+                                witness={
+                                    "kind": "triangularity",
+                                    "map": tag,
+                                    "block": i + 1,
+                                    "argument": "first",
+                                    "x": point_add(w, y),
+                                    "y": y,
+                                    "coordinate": j + 1,
+                                    "delta": delta,
+                                },
+                            )
+    evaluations = sum(t.cache_info().currsize for _, t in tables)
+    return VerificationReport(check="p2", outcome=VERIFIED, detail=f"{evaluations} evaluations")
 
 
 def check_operation(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:

@@ -25,7 +25,7 @@ from .coupling import (
 from .errors import DomainError
 from .lattice import Point
 from .measures import FiniteMeasure, ProbabilityMeasure, _log_fraction
-from .operations import ExponentQuadruple, LatticeOperation
+from .operations import ExponentQuadruple, LatticeOperation, image_sets
 from .report import VerificationReport
 from .seeding import stream
 from .verify import (
@@ -34,6 +34,7 @@ from .verify import (
     marginal_exactness,
     p_value,
     pointwise_term_bound,
+    verify_hypothesis,
 )
 
 MAX_ATOMS = 8
@@ -224,18 +225,6 @@ def _indicator(points: Iterable[Point], dim: int) -> FiniteMeasure:
     return FiniteMeasure(dim, [(p, 1) for p in points])
 
 
-def _image_sets(
-    points_a: Sequence[Point], points_b: Sequence[Point], op: LatticeOperation
-) -> tuple[set[Point], set[Point]]:
-    minus: set[Point] = set()
-    plus: set[Point] = set()
-    for x in points_a:
-        for y in points_b:
-            minus.add(op.t_minus(x, y))
-            plus.add(op.t_plus(x, y))
-    return minus, plus
-
-
 def random_quadruple(
     rng: random.Random,
     op: LatticeOperation,
@@ -254,7 +243,7 @@ def random_quadruple(
     dim = op.dim
     points_a = random_points(rng, dim, rng.randint(1, 5), 4)
     points_b = random_points(rng, dim, rng.randint(1, 5), 4)
-    minus, plus = _image_sets(points_a, points_b, op)
+    minus, plus = image_sets(op, points_a, points_b)
     f = _indicator(points_a, dim)
     g = _indicator(points_b, dim)
     h = _indicator(minus, dim)
@@ -289,8 +278,6 @@ def maximal_f_quadruple(
     until the exact integer-power hypothesis holds at x, so rounding can
     never fake a true hypothesis.
     """
-    a_n, b_n, c_n, d_n = exponents.integer_exponents()
-    n = exponents.common_denominator
     alpha = float(exponents.alpha)
     beta = float(exponents.beta)
     gamma = float(exponents.gamma)
@@ -315,9 +302,11 @@ def maximal_f_quadruple(
             best = bound if best is None else min(best, bound)
         assert best is not None
         value = Fraction(max(0, math.floor(best * grid)), grid)
-        while value > 0 and not _hypothesis_holds_at(
-            x, value, quad, op, (a_n, b_n, c_n, d_n)
-        ):
+        while value > 0 and not verify_hypothesis(
+            FunctionQuadruple(FiniteMeasure(quad.dim, [(x, value)]), quad.g, quad.h, quad.k),
+            exponents,
+            op,
+        ).ok:
             value /= 2
         entries.append((x, value))
     if all(v == 0 for _, v in entries):
@@ -325,23 +314,3 @@ def maximal_f_quadruple(
         return quad
     new_f = FiniteMeasure(quad.dim, entries)
     return FunctionQuadruple(new_f, quad.g, quad.h, quad.k)
-
-
-def _hypothesis_holds_at(
-    x: Point,
-    value: Fraction,
-    quad: FunctionQuadruple,
-    op: LatticeOperation,
-    powers: tuple[int, int, int, int],
-) -> bool:
-    a_n, b_n, c_n, d_n = powers
-    lhs_base = value**a_n
-    for y, gw in quad.g.items():
-        lhs = lhs_base * gw**b_n
-        rhs = (
-            quad.h.weight_at(op.t_minus(x, y)) ** c_n
-            * quad.k.weight_at(op.t_plus(x, y)) ** d_n
-        )
-        if lhs > rhs:
-            return False
-    return True

@@ -54,7 +54,7 @@ from .errors import (
     EmptySupportError,
     MarginalMismatch,
 )
-from .lattice import Decomposition, Point, as_point
+from .lattice import Decomposition, as_point
 from .measures import FiniteMeasure, ProbabilityMeasure, _log_fraction
 from .operations import (
     ExponentQuadruple,
@@ -63,6 +63,7 @@ from .operations import (
     check_complement,
     check_p1,
     check_p2,
+    image_sets,
 )
 from .report import INAPPLICABLE, VERIFIED, VIOLATED, VerificationReport
 from .seeding import stream
@@ -235,13 +236,7 @@ def set_dbm(
     points_b = {as_point(p, op.dim) for p in set_b}
     if not points_a or not points_b:
         raise EmptySupportError("set inequality needs nonempty sets")
-    t_minus, t_plus = op.t_minus, op.t_plus
-    image_minus: set[Point] = set()
-    image_plus: set[Point] = set()
-    for x in points_a:
-        for y in points_b:
-            image_minus.add(t_minus(x, y))
-            image_plus.add(t_plus(x, y))
+    image_minus, image_plus = image_sets(op, points_a, points_b)
     a_n, b_n, c_n, d_n = exponents.integer_exponents()
     lhs = Fraction(len(points_a) ** a_n * len(points_b) ** b_n)
     rhs = Fraction(len(image_minus) ** c_n * len(image_plus) ** d_n)

@@ -40,6 +40,15 @@ def test_check_op_input_errors(capsys):
     capsys.readouterr()
     assert main(["check-op", "--op", '{"kind":"midpoint","dim":0}']) == 2
     capsys.readouterr()
+    for spec in (
+        '{"kind":"midpoint","dim":"x"}',
+        '{"kind":"difference_map","dim":"x"}',
+        '{"kind":"difference_map","dim":1,"default":["negate"]}',
+        '{"kind":"product","factors":7}',
+    ):
+        assert main(["check-op", "--op", spec]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
 
 
 def test_couple_monotone(tmp_path, capsys):
@@ -176,6 +185,12 @@ def test_verify_missing_field_exits_2(tmp_path, capsys):
     inst = write(tmp_path, "inst.json", {"op": {"kind": "midpoint", "dim": 1}})
     assert main(["verify", inst, "--check", "p-bound"]) == 2
     capsys.readouterr()
+    base = {"op": {"kind": "midpoint", "dim": 1}, "mu": MEASURE_U2, "nu": MEASURE_U2}
+    for bad in ({"tolerance": "abc"}, {"seed": "x"}, {"radius": "two"}, {"radius": [2]}):
+        inst = write(tmp_path, "bad.json", {**base, **bad})
+        assert main(["verify", inst, "--check", "p-bound"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
 
 
 def test_random_suite_green(capsys):

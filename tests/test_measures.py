@@ -13,7 +13,6 @@ from discretebm import (
     InvalidWeightError,
     ProbabilityMeasure,
     make_decomposition,
-    make_measure,
     singleton_decomposition,
     standard_order,
 )
@@ -26,41 +25,41 @@ small_measures = st.lists(
 
 
 def test_make_measure_basics():
-    m = make_measure(1, [(0, F(1, 2)), (1, F(1, 2))])
+    m = FiniteMeasure(1, [(0, F(1, 2)), (1, F(1, 2))])
     assert m.total_mass == 1
     assert m.weight_at(0) == F(1, 2)
 
-    merged = make_measure(1, [(0, F(1, 3)), (0, F(1, 3))])
+    merged = FiniteMeasure(1, [(0, F(1, 3)), (0, F(1, 3))])
     assert len(merged) == 1
     assert merged.weight_at(0) == F(2, 3)
 
-    dropped = make_measure(1, [(0, 0), (1, 1)])
+    dropped = FiniteMeasure(1, [(0, 0), (1, 1)])
     assert dropped.support() == [(1,)]
 
 
 def test_make_measure_errors():
     with pytest.raises(EmptySupportError):
-        make_measure(1, [(0, 0)])
+        FiniteMeasure(1, [(0, 0)])
     with pytest.raises(InvalidWeightError):
-        make_measure(1, [(0, F(-1, 2))])
+        FiniteMeasure(1, [(0, F(-1, 2))])
     with pytest.raises(InvalidWeightError):
-        make_measure(1, [(0, 0.5)])
+        FiniteMeasure(1, [(0, 0.5)])
     with pytest.raises(DimensionMismatch):
-        make_measure(2, [((0,), 1)])
+        FiniteMeasure(2, [((0,), 1)])
     # a bool is not a lattice point, even though bool subclasses int
     with pytest.raises(DomainError):
         ProbabilityMeasure(1, [(True, 1)])
 
 
 def test_atoms_stored_sorted():
-    m = make_measure(2, [((1, 0), 1), ((0, 5), 1), ((0, -1), 2)])
+    m = FiniteMeasure(2, [((1, 0), 1), ((0, 5), 1), ((0, -1), 2)])
     assert m.support() == [(0, -1), (0, 5), (1, 0)]
 
 
 def test_normalize():
     assert uniform([0, 1]).weight_at(0) == F(1, 2)
-    assert make_measure(1, [(0, F(2, 3))]).normalize().weight_at(0) == 1
-    m = make_measure(1, [(0, 1), (1, 2)]).normalize()
+    assert FiniteMeasure(1, [(0, F(2, 3))]).normalize().weight_at(0) == 1
+    m = FiniteMeasure(1, [(0, 1), (1, 2)]).normalize()
     assert m.weight_at(0) == F(1, 3) and m.weight_at(1) == F(2, 3)
 
 
