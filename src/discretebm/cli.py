@@ -11,7 +11,8 @@ Output is line-delimited JSON on stdout (or ``--out``); identical flags
 and seed produce byte-identical output.  Exit codes: 0 verified / all
 passed, 1 violated, 2 input or usage error, 3 inapplicable.  The default
 floating tolerance is 1e-9, overridable per run with ``--tolerance`` or
-globally with the DT_TOLERANCE environment variable.
+globally with the DT_TOLERANCE environment variable; any tolerance must be
+finite and >= 0.
 """
 
 from __future__ import annotations
@@ -49,14 +50,15 @@ _OUTCOME_CODES = {VERIFIED: EXIT_OK, VIOLATED: EXIT_VIOLATED, INAPPLICABLE: EXIT
 VERIFY_CHECKS = ("dbm", "set-bm", "entropy", "p-bound", "pointwise", "log-laplace")
 
 
-def _default_tolerance() -> float:
+def _tolerance(flag: float | None, instance: float | None = None) -> float:
+    """``--tolerance``, else the instance file's (checked when parsed), else
+    DT_TOLERANCE, else the default; each must be finite and >= 0."""
+    if flag is not None:
+        return jsonio.parse_tolerance(flag, "--tolerance")
+    if instance is not None:
+        return instance
     raw = os.environ.get("DT_TOLERANCE")
-    if raw is None:
-        return DEFAULT_TOLERANCE
-    try:
-        return float(raw)
-    except ValueError:
-        raise LatticeError(f"DT_TOLERANCE must be a float, got {raw!r}") from None
+    return DEFAULT_TOLERANCE if raw is None else jsonio.parse_tolerance(raw, "DT_TOLERANCE")
 
 
 def _dumps(obj) -> str:
@@ -229,12 +231,7 @@ def _run_verify_check(args, spec: jsonio.InstanceSpec, tolerance: float) -> Veri
 
 def cmd_verify(args) -> int:
     spec = jsonio.parse_instance(_load_json(args.instance))
-    tolerance = (
-        args.tolerance
-        if args.tolerance is not None
-        else spec.tolerance if spec.tolerance is not None else _default_tolerance()
-    )
-    report = _run_verify_check(args, spec, tolerance)
+    report = _run_verify_check(args, spec, _tolerance(args.tolerance, spec.tolerance))
     _emit([_dumps(report.to_json_dict())], args.out)
     return _OUTCOME_CODES[report.outcome]
 
@@ -247,7 +244,7 @@ def cmd_random_suite(args) -> int:
     unknown = [c for c in checks if c not in SUITE_CHECKS]
     if not checks or unknown:
         raise LatticeError(f"--checks must name a subset of {SUITE_CHECKS}, got {args.checks!r}")
-    tolerance = args.tolerance if args.tolerance is not None else _default_tolerance()
+    tolerance = _tolerance(args.tolerance)
     rows, summary = run_suite(args.seed, args.instances, args.dim, op, checks, tolerance)
     lines = [_dumps(row) for row in rows]
     lines.append(_dumps(summary))

@@ -7,6 +7,7 @@ every value produced by this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,12 +39,31 @@ _DIFFERENCE_DEFAULTS = {
 }
 
 
-def _number(kind, value, name: str):
-    """``kind(value)`` for a numeric field, with bad input raised as a FormatError."""
+def _integer(value, name: str) -> int:
+    """A JSON integer field; floats, bools, strings and null are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _finite(value, name: str) -> float:
+    """A finite real from a number or a numeric string; bools are rejected."""
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"bad {name} {value!r}: {exc}") from exc
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise FormatError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def parse_tolerance(value, name: str) -> float:
+    """A tolerance from an instance file, ``--tolerance`` or DT_TOLERANCE:
+    a finite number >= 0."""
+    tolerance = _finite(value, name)
+    if tolerance < 0:
+        raise FormatError(f"{name} must be >= 0, got {value!r}")
+    return tolerance
 
 
 def parse_fraction(value) -> Fraction:
@@ -62,10 +82,10 @@ def parse_fraction(value) -> Fraction:
 
 def parse_order(obj) -> AdditiveTotalOrder:
     try:
-        dim = int(obj["dim"])
-        perm = tuple(int(p) for p in obj["perm"])
-        signs = tuple(int(s) for s in obj["signs"])
-    except (KeyError, TypeError, ValueError) as exc:
+        dim = _integer(obj["dim"], "order dim")
+        perm = tuple(_integer(p, "perm entry") for p in obj["perm"])
+        signs = tuple(_integer(s, "sign") for s in obj["signs"])
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"bad order spec {obj!r}") from exc
     return AdditiveTotalOrder(dim, perm, signs)
 
@@ -76,8 +96,10 @@ def order_to_json(order: AdditiveTotalOrder) -> dict:
 
 def parse_decomposition(obj) -> Decomposition:
     try:
-        blocks = [(int(b["dim"]), parse_order(b["order"])) for b in obj["blocks"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        blocks = [
+            (_integer(b["dim"], "block dim"), parse_order(b["order"])) for b in obj["blocks"]
+        ]
+    except (KeyError, TypeError) as exc:
         raise FormatError(f"bad decomposition spec {obj!r}") from exc
     return make_decomposition(blocks)
 
@@ -93,11 +115,8 @@ def decomposition_to_json(d: Decomposition) -> dict:
 
 def parse_measure(obj) -> FiniteMeasure:
     try:
-        dim = int(obj["dim"])
-        entries = [
-            (as_point([int(c) for c in atom["x"]], dim), parse_fraction(atom["w"]))
-            for atom in obj["atoms"]
-        ]
+        dim = _integer(obj["dim"], "measure dim")
+        entries = [(as_point(atom["x"], dim), parse_fraction(atom["w"])) for atom in obj["atoms"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad measure document: {exc}") from exc
     return FiniteMeasure(dim, entries)
@@ -123,15 +142,9 @@ def measure_to_json(m: FiniteMeasure) -> dict:
 def parse_coupling(obj) -> Coupling:
     """Coupling document; its declared marginals are the projections of its atoms."""
     try:
-        dim = int(obj["dim"])
+        dim = _integer(obj["dim"], "coupling dim")
         atoms = [
-            (
-                (
-                    as_point([int(c) for c in atom["x"]], dim),
-                    as_point([int(c) for c in atom["y"]], dim),
-                ),
-                parse_fraction(atom["w"]),
-            )
+            ((as_point(atom["x"], dim), as_point(atom["y"], dim)), parse_fraction(atom["w"]))
             for atom in obj["atoms"]
         ]
     except (KeyError, TypeError, ValueError) as exc:
@@ -167,7 +180,7 @@ def parse_operation(obj, default_dim: int | None = None) -> LatticeOperation:
         dim = obj.get("dim", default_dim)
         if dim is None:
             raise FormatError(f"operation {kind!r} needs a dimension")
-        dim = _number(int, dim, "operation dimension")
+        dim = _integer(dim, "operation dimension")
         return midpoint(dim) if kind == "midpoint" else meet_join(dim)
     if kind == "product":
         factors = obj.get("factors")
@@ -182,7 +195,7 @@ def parse_operation(obj, default_dim: int | None = None) -> LatticeOperation:
         dim = obj.get("dim", default_dim)
         if dim is None:
             raise FormatError("difference_map operation needs a dimension")
-        dim = _number(int, dim, "operation dimension")
+        dim = _integer(dim, "operation dimension")
         default_name = obj.get("default", "floor_half")
         base = _DIFFERENCE_DEFAULTS.get(default_name) if isinstance(default_name, str) else None
         if base is None:
@@ -192,10 +205,7 @@ def parse_operation(obj, default_dim: int | None = None) -> LatticeOperation:
             )
         try:
             table = {
-                as_point([int(c) for c in row["w"]], dim): as_point(
-                    [int(c) for c in row["t"]], dim
-                )
-                for row in obj.get("table", [])
+                as_point(row["w"], dim): as_point(row["t"], dim) for row in obj.get("table", [])
             }
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad difference-map table: {exc}") from exc
@@ -229,18 +239,15 @@ def parse_exponents(obj, defaults: ExponentQuadruple | None = None) -> ExponentQ
 
 def parse_phi(obj) -> dict[Point, float]:
     try:
-        dim = int(obj["dim"])
-        return {
-            as_point([int(c) for c in row["x"]], dim): float(row["v"])
-            for row in obj["points"]
-        }
+        dim = _integer(obj["dim"], "function dim")
+        return {as_point(row["x"], dim): _finite(row["v"], "phi value") for row in obj["points"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad function document: {exc}") from exc
 
 
 def parse_point_set(rows, dim: int) -> list[Point]:
     try:
-        return [as_point([int(c) for c in row], dim) for row in rows]
+        return [as_point(row, dim) for row in rows]
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad point set: {exc}") from exc
 
@@ -286,7 +293,7 @@ def parse_instance(obj) -> InstanceSpec:
     if "A" in obj or "B" in obj:
         if dim is None:
             raise FormatError("point sets need an operation or explicit 'dim'")
-        dim = _number(int, dim, "dim")
+        dim = _integer(dim, "dim")
         if "A" in obj:
             spec.set_a = parse_point_set(obj["A"], dim)
         if "B" in obj:
@@ -298,9 +305,9 @@ def parse_instance(obj) -> InstanceSpec:
     if "phi" in obj:
         spec.phi = parse_phi(obj["phi"])
     if "tolerance" in obj:
-        spec.tolerance = _number(float, obj["tolerance"], "tolerance")
+        spec.tolerance = parse_tolerance(obj["tolerance"], "tolerance")
     if "seed" in obj:
-        spec.seed = _number(int, obj["seed"], "seed")
+        spec.seed = _integer(obj["seed"], "seed")
     if "radius" in obj:
-        spec.radius = _number(int, obj["radius"], "radius")
+        spec.radius = _integer(obj["radius"], "radius")
     return spec

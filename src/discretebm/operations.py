@@ -16,9 +16,9 @@ P2, Knothe monotonicity
 
 Z^n is infinite, so ``check_p1``, ``check_p2``, and ``check_complement``
 verify the properties exhaustively on finite boxes only: they are sound
-but incomplete certificates.  ``check_p2`` assumes P1, which
-``check_operation`` and ``verify_dbm`` check beside it: it evaluates each
-map once per difference x - y and scans the full box at any block count.
+but incomplete certificates.  ``check_p2`` reads each map once per x - y,
+as T(x, y) = T(x - y, 0) + y; ``check_p1`` at the same radius certifies
+that identity on the radius-(r+1) box, which holds every entry it reads.
 Custom operations are specified through a single-variable difference
 map t, with T-(x,y) = t(x-y) + y, so P1 and the complement identity hold
 by construction and only P2 remains to be checked.
@@ -30,6 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Callable, Collection
 
 from .errors import DimensionMismatch, DomainError
@@ -272,64 +273,61 @@ def check_complement(op: LatticeOperation, box_radius: int = 4) -> VerificationR
     )
 
 
+def _difference_tables(op: LatticeOperation) -> list[tuple[str, PairMap, Callable]]:
+    """Each pair map T with its tag and T(w, 0), evaluated once per difference w."""
+    zero = (0,) * op.dim
+    return [
+        (tag, tmap, functools.cache(lambda w, tmap=tmap: tmap(w, zero)))
+        for tag, tmap in (("minus", op.t_minus), ("plus", op.t_plus))
+    ]
+
+
 def check_p1(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     """Exhaustive translation-equivariance check on the box.
 
-    Shifts range over the signed basis vectors and the all-ones vector;
-    both maps of the pair are tested.
+    Checks T(x, y) = T(x - y, 0) + y for both maps at every pair of the
+    radius-(r+1) box: it holds every unit or all-ones shift of a radius-r
+    pair and every table entry ``check_p2`` reads at radius r.  A failure
+    (x, y) is reported with z = -y, so T(x + z, y + z) != T(x, y) + z.
     """
     if box_radius < 1:
         raise DomainError("box radius must be >= 1")
-    pts = box_points(op.dim, box_radius)
-    shifts: list[Point] = []
-    for i in range(op.dim):
-        shifts.append(basis_point(op.dim, i, 1))
-        shifts.append(basis_point(op.dim, i, -1))
-    shifts.append((1,) * op.dim)
-    tm, tp = op.t_minus, op.t_plus
+    pts = box_points(op.dim, box_radius + 1)
+    tables = _difference_tables(op)
     for x in pts:
         for y in pts:
-            base_m = tm(x, y)
-            base_p = tp(x, y)
-            for z in shifts:
-                xz, yz = point_add(x, z), point_add(y, z)
-                if tm(xz, yz) != point_add(base_m, z) or tp(xz, yz) != point_add(base_p, z):
+            w = tuple(map(sub, x, y))
+            for _, tmap, t in tables:
+                if tmap(x, y) != tuple(map(add, t(w), y)):
                     return VerificationReport(
                         check="p1",
                         outcome=VIOLATED,
-                        witness={"x": x, "y": y, "z": z},
+                        witness={"x": x, "y": y, "z": tuple(-c for c in y)},
                     )
-    return VerificationReport(
-        check="p1",
-        outcome=VERIFIED,
-        detail=f"{len(pts) ** 2} pairs x {len(shifts)} shifts",
-    )
+    detail = f"{len(pts) ** 2} pairs in the radius-{box_radius + 1} box"
+    return VerificationReport(check="p1", outcome=VERIFIED, detail=detail)
 
 
 def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     """Blockwise Knothe-monotonicity and triangularity check on the box.
 
-    Assumes P1, which ``check_operation`` and ``verify_dbm`` check beside
-    it: then T(x, y) = T(x - y, 0) + y, so each map is evaluated once per
-    difference w = x - y and every block section is read from that
-    table.  The section of block i at prefixes (a, b) of the box depends
-    only on p = a - b; each p is scanned once, at the first pair (a, b)
-    of the box in lexicographic order.  The section maps are scanned
-    along consecutive points of the order-sorted block box, once per
-    frozen value of the other argument; weak monotonicity of every pair
-    in the box then follows by transitivity, and any violation surfaces
-    as a consecutive violation.  Triangularity requires block i of the
-    table to be unchanged by a unit step in any later coordinate, over
-    the whole difference box.  The full box is scanned at any block count.
+    Relies on ``check_p1`` at the same radius, which ``check_operation``
+    and ``verify_dbm`` run beside it, for T(x, y) = T(x - y, 0) + y: each
+    map is evaluated once per difference w = x - y and every block section
+    is read from that table.  The section of block i at prefixes (a, b)
+    of the box depends only on p = a - b; each p is scanned once, at the
+    first pair (a, b) of the box in lexicographic order.  The section maps
+    are scanned along consecutive points of the order-sorted block box,
+    once per frozen value of the other argument; weak monotonicity of
+    every pair in the box then follows by transitivity, and any violation
+    surfaces as a consecutive violation.  Triangularity requires block i
+    of the table to be unchanged by a unit step in any later coordinate,
+    over the whole difference box, at any block count.
     """
     if box_radius < 1:
         raise DomainError("box radius must be >= 1")
     n, d = op.dim, op.decomposition
-    zero = (0,) * n
-    tables = [
-        (tag, functools.cache(lambda w, tmap=tmap: tmap(w, zero)))
-        for tag, tmap in (("minus", op.t_minus), ("plus", op.t_plus))
-    ]
+    tables = _difference_tables(op)
     differences = box_points(n, 2 * box_radius)
     for i in range(d.block_count):
         order = d.order(i)
@@ -345,7 +343,7 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
             for a in [tuple(max(c, 0) - box_radius for c in p)]
         )
         for a, b, p in firsts:
-            for tag, t in tables:
+            for tag, _, t in tables:
                 for fixed in block_pts:
                     prev_u = prev = prev_keys = None
                     for u in block_pts:
@@ -378,7 +376,7 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
                                 )
                         prev_u, prev, prev_keys = u, cur, cur_keys
         # triangularity: block i must ignore coordinates of later blocks
-        for tag, t in tables:
+        for tag, _, t in tables:
             for w in differences if hi < n else ():
                 for j in range(hi, n):
                     for delta in (1, -1):
@@ -398,7 +396,7 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
                                     "delta": delta,
                                 },
                             )
-    evaluations = sum(t.cache_info().currsize for _, t in tables)
+    evaluations = sum(t.cache_info().currsize for _, _, t in tables)
     return VerificationReport(check="p2", outcome=VERIFIED, detail=f"{evaluations} evaluations")
 
 

@@ -472,7 +472,7 @@ def log_laplace_gap(
     log_total = _logsumexp(values)
     maximizer = [math.exp(v - log_total) for v in values]
     mean_phi = math.fsum(w * v for w, v in zip(maximizer, values))
-    entropy = math.fsum(w * math.log(w) for w in maximizer)
+    entropy = math.fsum(w * math.log(w) for w in maximizer if w > 0)  # 0 log 0 = 0
     attained = mean_phi - entropy
     gap = log_total - attained
     if abs(gap) > tolerance:

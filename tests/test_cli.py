@@ -1,5 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from discretebm.cli import main
 
@@ -45,6 +53,15 @@ def test_check_op_input_errors(capsys):
         '{"kind":"difference_map","dim":"x"}',
         '{"kind":"difference_map","dim":1,"default":["negate"]}',
         '{"kind":"product","factors":7}',
+        '{"kind":"midpoint","dim":2.5}',
+        '{"kind":"midpoint","dim":true}',
+        '{"kind":"meet_join","dim":"2"}',
+        '{"kind":"difference_map","dim":1,"table":[{"w":[1.5],"t":[0]}]}',
+        '{"kind":"difference_map","dim":1,"table":[{"w":[1],"t":[true]}]}',
+        '{"kind":"difference_map","dim":1,"decomposition":'
+        '{"blocks":[{"dim":1.0,"order":{"dim":1,"perm":[1],"signs":[1]}}]}}',
+        '{"kind":"difference_map","dim":1,"decomposition":'
+        '{"blocks":[{"dim":1,"order":{"dim":1,"perm":[true],"signs":[1]}}]}}',
     ):
         assert main(["check-op", "--op", spec]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -81,6 +98,12 @@ def test_couple_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["couple", mu, str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+    # atoms at [1.5] and [true] were once merged into one atom at [1]
+    atoms = [{"x": [1.5], "w": "1/2"}, {"x": [True], "w": "1/2"}]
+    coerced = write(tmp_path, "co.json", {"dim": 1, "atoms": atoms})
+    assert main(["couple", coerced, coerced]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "error" in json.loads(err[0])
 
 
 def test_verify_p_bound_equality_instance(tmp_path, capsys):
@@ -186,11 +209,39 @@ def test_verify_missing_field_exits_2(tmp_path, capsys):
     assert main(["verify", inst, "--check", "p-bound"]) == 2
     capsys.readouterr()
     base = {"op": {"kind": "midpoint", "dim": 1}, "mu": MEASURE_U2, "nu": MEASURE_U2}
-    for bad in ({"tolerance": "abc"}, {"seed": "x"}, {"radius": "two"}, {"radius": [2]}):
+    coerced = {"dim": 1, "atoms": [{"x": [1.5], "w": "1/2"}, {"x": [True], "w": "1/2"}]}
+    phi = {"dim": 1, "points": [{"x": [0], "v": 0.0}, {"x": [1], "v": 1.0}]}
+    for bad, check in (
+        ({"tolerance": "abc"}, "p-bound"),
+        ({"seed": "x"}, "p-bound"),
+        ({"radius": "two"}, "p-bound"),
+        ({"radius": [2]}, "p-bound"),
+        ({"radius": 2.7}, "p-bound"),
+        ({"radius": 2.0}, "p-bound"),
+        ({"radius": True}, "p-bound"),
+        ({"seed": 1.5}, "p-bound"),
+        ({"dim": 1.0, "op": "midpoint"}, "p-bound"),
+        ({"mu": coerced}, "p-bound"),
+        ({"tolerance": math.nan}, "entropy"),
+        ({"tolerance": math.inf}, "entropy"),
+        ({"tolerance": -1}, "entropy"),
+        ({"tolerance": True}, "entropy"),
+        ({"phi": {**phi, "points": [{"x": [0], "v": math.nan}]}}, "log-laplace"),
+        ({"phi": {**phi, "points": [{"x": [0], "v": math.inf}]}}, "log-laplace"),
+        ({"phi": {**phi, "points": [{"x": [0.5], "v": 0.0}]}}, "log-laplace"),
+        ({"phi": {**phi, "dim": True}}, "log-laplace"),
+    ):
         inst = write(tmp_path, "bad.json", {**base, **bad})
-        assert main(["verify", inst, "--check", "p-bound"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "error" in json.loads(err[0])
+        assert main(["verify", inst, "--check", check]) == 2, bad
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert not captured.out and len(err) == 1 and "error" in json.loads(err[0])
+    inst = write(tmp_path, "inst.json", base)
+    for flag in ("nan", "inf", "-1"):
+        assert main(["verify", inst, "--check", "entropy", "--tolerance", flag]) == 2
+        assert not capsys.readouterr().out
+    assert main(["random-suite", "--instances", "1", "--tolerance", "nan"]) == 2
+    assert not capsys.readouterr().out
 
 
 def test_random_suite_green(capsys):
@@ -262,11 +313,106 @@ def test_env_tolerance_default(tmp_path, capsys, monkeypatch):
     code, lines = run(capsys, ["verify", inst, "--check", "entropy"])
     assert code == 0
     assert lines[0]["tolerance"] == 0.125
-    monkeypatch.setenv("DT_TOLERANCE", "not-a-float")
-    assert main(["verify", inst, "--check", "entropy"]) == 2
-    capsys.readouterr()
+    for raw in ("not-a-float", "nan", "-inf", "-0.5"):
+        monkeypatch.setenv("DT_TOLERANCE", raw)
+        assert main(["verify", inst, "--check", "entropy"]) == 2
+        assert not capsys.readouterr().out
 
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+INDICATOR = {"dim": 1, "atoms": [{"x": [0], "w": "1"}, {"x": [1], "w": "1"}]}
+PHI = {"dim": 1, "points": [{"x": [0], "v": 0.0}, {"x": [1], "v": 1.0986122886681098}]}
+
+# valid instances of the tests above, each with its check and the fields that
+# may be replaced; the operation's dim is fuzzed only where the instance
+# holds no box check, whose cost grows as (2r+3)^(2 dim)
+FUZZ_INSTANCES = (
+    (
+        {"op": {"kind": "midpoint", "dim": 1}, "mu": MEASURE_U3, "nu": MEASURE_U2},
+        "p-bound",
+        (("op", "dim"), ("mu", "dim"), ("nu", "atoms", 1, "x", 0), ("tolerance",), ("seed",)),
+    ),
+    (
+        {"op": NEGATE, "mu": MEASURE_U2, "nu": MEASURE_U02},
+        "entropy",
+        (("op", "dim"), ("nu", "dim"), ("mu", "atoms", 0, "x", 0), ("tolerance",)),
+    ),
+    (
+        {"op": NEGATE, "mu": MEASURE_U2, "nu": MEASURE_U02},
+        "pointwise",
+        (("mu", "atoms", 1, "x", 0), ("radius",), ("seed",)),
+    ),
+    (
+        {"op": NEGATE, "f": INDICATOR, "g": INDICATOR, "h": INDICATOR, "k": INDICATOR, "radius": 2},
+        "dbm",
+        (("radius",), ("f", "dim"), ("g", "atoms", 1, "x", 0), ("seed",), ("tolerance",)),
+    ),
+    (
+        {"op": {"kind": "meet_join", "dim": 2}, "A": [[0, 0], [1, 1]], "B": [[0, 1], [1, 0]]},
+        "set-bm",
+        (("op", "dim"), ("dim",), ("A", 0, 1), ("B", 1, 0)),
+    ),
+    (
+        {"phi": PHI},
+        "log-laplace",
+        (
+            ("phi", "dim"),
+            ("phi", "points", 1, "v"),
+            ("phi", "points", 0, "x", 0),
+            ("tolerance",),
+            ("seed",),
+        ),
+    ),
+)
+
+# integers stay within |n| <= 6, so no replacement makes a run's work unbounded
+FUZZ_VALUES = st.one_of(
+    st.booleans(),
+    st.floats(-6, 6),
+    st.sampled_from((math.nan, math.inf, -math.inf)),
+    st.integers(-6, 6),
+    st.sampled_from(("", "x", "1", "-2", "0.5", "nan", "inf", "2/3")),
+    st.lists(st.integers(-6, 6), max_size=2),
+    st.none(),
+)
+
+
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@st.composite
+def fuzzed_instances(draw):
+    instance, check, paths = draw(st.sampled_from(FUZZ_INSTANCES))
+    path = draw(st.sampled_from(paths))
+    doc = copy.deepcopy(instance)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(FUZZ_VALUES)
+    return doc, check
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fuzzed_instances())
+@example(({"op": NEGATE, "mu": MEASURE_U2, "nu": MEASURE_U2, "tolerance": math.nan}, "entropy"))
+@example(({"phi": {"dim": 1, "points": [{"x": [0], "v": math.inf}]}}, "log-laplace"))
+def test_verify_fuzzed_instance_fields(case):
+    doc, check = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(path), "--check", check])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and len(lines) == 1
+        assert "error" in json.loads(lines[0], parse_constant=_not_json)
+    for line in out.getvalue().splitlines():
+        json.loads(line, parse_constant=_not_json)

@@ -127,6 +127,42 @@ def test_check_p1_catches_handcrafted_violation():
     w = rep.witness
     x, y, z = tuple(w["x"]), tuple(w["y"]), tuple(w["z"])
     assert op.t_minus(point_add(x, z), point_add(y, z)) != point_add(op.t_minus(x, y), z)
+    # only T+ = 0 breaks it here
+    plus_only = LatticeOperation(
+        1, singleton_decomposition(1), midpoint(1).t_minus, op.t_plus, "midpoint"
+    )
+    rep = check_p1(plus_only, 2)
+    assert not rep.ok and _is_p1_counterexample(plus_only, rep.witness)
+
+
+def perturbed(op, x0, y0, value):
+    """``op`` with T-(x0, y0) set to ``value`` and T+ kept as the complement."""
+
+    def t_minus(x, y):
+        return value if (x, y) == (x0, y0) else op.t_minus(x, y)
+
+    def t_plus(x, y):
+        return tuple(a + b - m for a, b, m in zip(x, y, t_minus(x, y)))
+
+    return LatticeOperation(op.dim, op.decomposition, t_minus, t_plus, op.kind)
+
+
+def _is_p1_counterexample(op, w):
+    x, y, z = tuple(w["x"]), tuple(w["y"]), tuple(w["z"])
+    return any(
+        tmap(point_add(x, z), point_add(y, z)) != point_add(tmap(x, y), z)
+        for tmap in (op.t_minus, op.t_plus)
+    )
+
+
+def test_check_p1_covers_the_differences_check_p2_reads():
+    # check_p2 at r = 2 reads T-(4, 0) as the entry of the difference 4; no
+    # unit or all-ones shift of a pair of the radius-2 box reaches (4, 0)
+    op = perturbed(midpoint(1), (4,), (0,), (7,))
+    rep = check_p1(op, 2)
+    assert not rep.ok and _is_p1_counterexample(op, rep.witness)
+    agg = check_operation(op, 2)
+    assert agg.detail == "p1 failed" and agg.witness == rep.witness
 
 
 def test_check_complement_catches_violation():
@@ -462,3 +498,86 @@ def test_check_p2_matches_reference(case):
         assert rep.witness == ref.witness
     else:
         assert rep.witness.keys() == ref.witness.keys()
+
+
+# check_p1 as it was before it checked the difference identity, kept
+# verbatim: unit and all-ones shifts of the pairs of the radius-r box.
+
+
+def reference_check_p1(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
+    """Exhaustive translation-equivariance check on the box.
+
+    Shifts range over the signed basis vectors and the all-ones vector;
+    both maps of the pair are tested.
+    """
+    if box_radius < 1:
+        raise DomainError("box radius must be >= 1")
+    pts = box_points(op.dim, box_radius)
+    shifts: list[Point] = []
+    for i in range(op.dim):
+        shifts.append(basis_point(op.dim, i, 1))
+        shifts.append(basis_point(op.dim, i, -1))
+    shifts.append((1,) * op.dim)
+    tm, tp = op.t_minus, op.t_plus
+    for x in pts:
+        for y in pts:
+            base_m = tm(x, y)
+            base_p = tp(x, y)
+            for z in shifts:
+                xz, yz = point_add(x, z), point_add(y, z)
+                if tm(xz, yz) != point_add(base_m, z) or tp(xz, yz) != point_add(base_p, z):
+                    return VerificationReport(
+                        check="p1",
+                        outcome=VIOLATED,
+                        witness={"x": x, "y": y, "z": z},
+                    )
+    return VerificationReport(
+        check="p1",
+        outcome=VERIFIED,
+        detail=f"{len(pts) ** 2} pairs x {len(shifts)} shifts",
+    )
+
+
+_P1_BASES = [
+    midpoint(1),
+    meet_join(1),
+    midpoint(2),
+    meet_join(2),
+    product(midpoint(1), meet_join(1)),
+    product(meet_join(1), midpoint(1)),
+    negate_op(1),
+    from_difference_map(1, None, lambda w: (5 * w[0],)),
+    from_difference_map(2, None, lambda w: (w[0] + w[1], -w[1])),
+]
+
+
+@st.composite
+def p1_cases(draw):
+    """A built-in or difference-map operation in dim 1-2 and a radius 1-3,
+    changed at one pair of the radius-(2r+1) box, or left as it is."""
+    op = draw(st.sampled_from(_P1_BASES))
+    radius = draw(st.integers(1, 3))
+    changed = draw(st.booleans())
+    if changed:
+        coords = st.tuples(*[st.integers(-2 * radius - 1, 2 * radius + 1)] * op.dim)
+        x0, y0 = draw(coords), draw(coords)
+        delta = draw(st.tuples(*[st.integers(-2, 2)] * op.dim).filter(any))
+        op = perturbed(op, x0, y0, point_add(op.t_minus(x0, y0), delta))
+    return op, radius, changed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p1_cases())
+@example((perturbed(midpoint(1), (4,), (0,), (7,)), 2, True))
+@example((perturbed(meet_join(2), (1, -1), (0, 1), (1, -1)), 1, True))
+@example((product(midpoint(2), meet_join(1)), 1, False))
+def test_check_p1_implies_reference(case):
+    op, radius, changed = case
+    ref = reference_check_p1(op, radius)
+    rep = check_p1(op, radius)
+    if not changed:
+        assert ref.ok and rep.ok
+    if not ref.ok:
+        assert not rep.ok
+    if not rep.ok:
+        assert _is_p1_counterexample(op, rep.witness)

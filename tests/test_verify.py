@@ -241,6 +241,13 @@ def test_log_laplace_asymmetric():
     assert rep.rhs == pytest.approx(attained, abs=1e-12)
 
 
+def test_log_laplace_underflowed_maximizer_weight():
+    # e^(0 - 1000) underflows to a weight of 0, whose entropy term is 0 log 0 = 0
+    gap, rep = log_laplace_gap({(0,): 0.0, (1,): 1000.0})
+    assert rep.ok and gap == 0.0
+    assert rep.lhs == rep.rhs == 1000.0
+
+
 def test_log_laplace_empty():
     from discretebm import EmptySupportError
 
