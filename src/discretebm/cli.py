@@ -9,10 +9,10 @@ Subcommands:
 
 Output is line-delimited JSON on stdout (or ``--out``); identical flags
 and seed produce byte-identical output.  Exit codes: 0 verified / all
-passed, 1 violated, 2 input or usage error, 3 inapplicable.  The default
-floating tolerance is 1e-9, overridable per run with ``--tolerance`` or
-globally with the DT_TOLERANCE environment variable; any tolerance must be
-finite and >= 0.
+passed, 1 violated, 2 input or usage error (one JSON error line on
+stderr), 3 inapplicable.  The default floating tolerance is 1e-9,
+overridable per run with ``--tolerance`` or globally with the DT_TOLERANCE
+environment variable; any tolerance must be finite and >= 0.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 
 from . import jsonio
 from .coupling import knothe_coupling, monotone_coupling
-from .errors import LatticeError
+from .errors import FormatError, LatticeError
 from .lattice import standard_order
 from .operations import ExponentQuadruple, check_operation
 from .report import INAPPLICABLE, VERIFIED, VIOLATED, VerificationReport
@@ -114,8 +114,16 @@ def _add_exponent_flags(sub) -> None:
         sub.add_argument(f"--{name}", metavar="p/q", help=f"exponent {name} (default 1)")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as :class:`FormatError`, so that they exit 2
+    with one JSON error line like every other input error."""
+
+    def error(self, message):
+        raise FormatError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="discretebm",
         description="Exact couplings on Z^n and discrete Brunn-Minkowski verifiers.",
     )
@@ -161,10 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_check_op(args) -> int:
-    op = _parse_op_args(args)
-    if args.radius < 1:
-        raise LatticeError("--radius must be >= 1")
-    report = check_operation(op, args.radius)
+    report = check_operation(_parse_op_args(args), args.radius)
     _emit([_dumps(report.to_json_dict())], args.out)
     return EXIT_OK if report.ok else EXIT_VIOLATED
 
@@ -261,17 +266,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except LatticeError as exc:
-        sys.stderr.write(_dumps({"error": str(exc)}) + "\n")
-        return EXIT_ERROR
-    except (OSError, json.JSONDecodeError) as exc:
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
+    except (LatticeError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(_dumps({"error": str(exc)}) + "\n")
         return EXIT_ERROR
 

@@ -19,8 +19,10 @@ validates points and weights and requires the exact projections to equal
 the declared marginals.  Marginals, pushforwards, and the marginals of
 conditional block couplings are derived from certified atoms and are
 built as trusted measures without a second validation.  The hot
-arithmetic (the merge, projections, conditionals) runs on integer
-numerators over a common denominator; weights stay ``Fraction`` values.
+arithmetic (the merge, projections, pushforwards, conditionals) runs on
+integer numerators over a common denominator; weights stay ``Fraction``
+values.  A coupling keeps the numerators and the denominator it was
+certified on, so that arithmetic never recomputes them.
 
 For a monotone coupling on a single ordered block and a complementing
 operation pair, :func:`check_fiber_structure` verifies the following
@@ -92,10 +94,12 @@ class Coupling:
     validates its entries, then projects them on integer numerators and
     requires both projections to equal the declared marginals exactly; a
     mismatch raises :class:`MarginalMismatch`.  This constructor is the
-    one place where marginals are certified.
+    one place where marginals are certified.  It keeps the integer view it
+    certified: ``_nums[i]`` over ``_den`` is the weight of the i-th atom
+    in ``_atoms`` order.
     """
 
-    __slots__ = ("dim", "_atoms", "left", "right")
+    __slots__ = ("dim", "_atoms", "_nums", "_den", "left", "right")
 
     def __init__(
         self,
@@ -120,6 +124,7 @@ class Coupling:
         self.left = left
         self.right = right
         nums, den = _numerators(self._atoms.values())
+        self._nums, self._den = nums, den
         total = sum(nums)
         if total != den:
             raise InvalidWeightError(
@@ -131,8 +136,7 @@ class Coupling:
                 raise MarginalMismatch("coupling projections do not match declared marginals")
 
     def _project(self, side: int) -> ProbabilityMeasure:
-        nums, _ = _numerators(self._atoms.values())
-        return _normalized(self.dim, _pair_projection(zip(self._atoms, nums), side))
+        return _normalized(self.dim, _pair_projection(zip(self._atoms, self._nums), side))
 
     def __len__(self) -> int:
         return len(self._atoms)
@@ -176,17 +180,17 @@ class Coupling:
         ``pair_map`` must send support pairs to integer points, as the maps
         of a :class:`LatticeOperation` do; its images are not re-validated.
         """
-        out: dict[Point, Fraction] = {}
+        out: dict[Point, int] = {}
         out_dim = None
-        for (x, y), w in self.items():
+        for (x, y), n in zip(self._atoms, self._nums):
             z = tuple(pair_map(x, y))
             if out_dim is None:
                 out_dim = len(z)
             elif len(z) != out_dim:
                 raise DimensionMismatch("pair map produced points of mixed dimension")
-            _add_into(out, z, w)
+            out[z] = out.get(z, 0) + n
         assert out_dim is not None
-        return ProbabilityMeasure._trusted(out_dim, out, ONE)
+        return _normalized(out_dim, out)
 
 
 def _pair_projection(weighted_pairs, side: int) -> dict[Point, int]:
@@ -293,7 +297,7 @@ def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition):
             f"decomposition of Z^{decomposition.total_dim} does not match coupling on Z^{pi.dim}"
         )
     pairs = pi.support()
-    nums, _ = _numerators(w for _, w in pi.items())
+    nums = pi._nums
     for level in range(decomposition.block_count):
         bdim = decomposition.block_dim(level)
         lo = decomposition.offset(level)

@@ -19,6 +19,9 @@ verify the properties exhaustively on finite boxes only: they are sound
 but incomplete certificates.  ``check_p2`` reads each map once per x - y,
 as T(x, y) = T(x - y, 0) + y; ``check_p1`` at the same radius certifies
 that identity on the radius-(r+1) box, which holds every entry it reads.
+Their work grows with the (2r+3)^(2n) pairs of that box, so a radius
+whose box holds more than ``MAX_BOX_PAIRS`` pairs is rejected before any
+map is evaluated.
 Custom operations are specified through a single-variable difference
 map t, with T-(x,y) = t(x-y) + y, so P1 and the complement identity hold
 by construction and only P2 remains to be checked.
@@ -49,6 +52,9 @@ from .report import VERIFIED, VIOLATED, VerificationReport
 PairMap = Callable[[Point, Point], Point]
 
 _KINDS = ("meet_join", "midpoint", "product", "difference_map", "section")
+
+# the default radius 4 in dimension 3 reads 11^6 = 1,771,561 pairs
+MAX_BOX_PAIRS = 2_000_000
 
 @dataclass(frozen=True)
 class LatticeOperation:
@@ -247,10 +253,23 @@ class ExponentQuadruple:
 # box checkers
 
 
-def check_complement(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
-    """Exhaustive check of t_minus + t_plus = x + y on the box."""
+def _check_box_radius(dim: int, box_radius: int) -> None:
+    """Reject a radius below 1, or one whose radius-(r+1) box holds more
+    than ``MAX_BOX_PAIRS`` pairs."""
     if box_radius < 1:
         raise DomainError("box radius must be >= 1")
+    side = 2 * box_radius + 3
+    # side >= 5 and 5^10 > MAX_BOX_PAIRS, so ten factors decide the cap
+    if side ** min(2 * dim, 10) > MAX_BOX_PAIRS:
+        raise DomainError(
+            f"box radius {box_radius} in dimension {dim} spans {side}^{2 * dim} pairs; "
+            f"box checks scan at most {MAX_BOX_PAIRS}"
+        )
+
+
+def check_complement(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
+    """Exhaustive check of t_minus + t_plus = x + y on the box."""
+    _check_box_radius(op.dim, box_radius)
     pts = box_points(op.dim, box_radius)
     tm, tp = op.t_minus, op.t_plus
     for x in pts:
@@ -290,8 +309,7 @@ def check_p1(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     pair and every table entry ``check_p2`` reads at radius r.  A failure
     (x, y) is reported with z = -y, so T(x + z, y + z) != T(x, y) + z.
     """
-    if box_radius < 1:
-        raise DomainError("box radius must be >= 1")
+    _check_box_radius(op.dim, box_radius)
     pts = box_points(op.dim, box_radius + 1)
     tables = _difference_tables(op)
     for x in pts:
@@ -324,8 +342,7 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     of the table to be unchanged by a unit step in any later coordinate,
     over the whole difference box, at any block count.
     """
-    if box_radius < 1:
-        raise DomainError("box radius must be >= 1")
+    _check_box_radius(op.dim, box_radius)
     n, d = op.dim, op.decomposition
     tables = _difference_tables(op)
     differences = box_points(n, 2 * box_radius)

@@ -23,6 +23,13 @@ exact, so hypothesis, conclusion, set, and pointwise reports all carry
 tolerance 0.  Only entropies and log P are floating point; their default
 absolute tolerance is 1e-9.
 
+Transport terms are evaluated once per support pair of the coupling, on
+the integer numerators and denominators of the weights: a term
+kappa-^c kappa+^d / (mu^a nu^b) exceeds 1 iff the cross-multiplied
+numerators exceed the cross-multiplied denominators, and log P takes the
+log of each term from that integer ratio in lowest terms, the value a
+``Fraction`` quotient would hold.
+
 Two scope warnings, both enforced by reporting rather than assuming:
 
 * The pointwise bound is a single-block statement, checked conditionally
@@ -54,7 +61,7 @@ from .errors import (
     EmptySupportError,
     MarginalMismatch,
 )
-from .lattice import Decomposition, as_point
+from .lattice import Decomposition, Point, as_point
 from .measures import FiniteMeasure, ProbabilityMeasure, _log_fraction
 from .operations import (
     ExponentQuadruple,
@@ -263,6 +270,31 @@ def _require_marginals(
         raise MarginalMismatch("coupling marginals do not match the given measures")
 
 
+def _transport(pi: Coupling, op: LatticeOperation):
+    """T- and T+ at every support pair of ``pi``, and both pushforwards.
+
+    Each map is evaluated once per support pair.  Returns the image pairs
+    (T-(x, y), T+(x, y)) in ``pi``'s atom order, and kappa- and kappa+ as
+    dicts from an image to its weight in lowest terms, as the integer pair
+    (numerator, denominator), summed from ``pi``'s stored numerators.
+    """
+    images = [(tuple(op.t_minus(x, y)), tuple(op.t_plus(x, y))) for x, y in pi._atoms]
+    minus: dict[Point, int] = {}
+    plus: dict[Point, int] = {}
+    for (zm, zp), n in zip(images, pi._nums):
+        minus[zm] = minus.get(zm, 0) + n
+        plus[zp] = plus.get(zp, 0) + n
+    return images, _lowest_terms(minus, pi._den), _lowest_terms(plus, pi._den)
+
+
+def _lowest_terms(nums: dict[Point, int], den: int) -> dict[Point, tuple[int, int]]:
+    out = {}
+    for z, n in nums.items():
+        g = math.gcd(n, den)
+        out[z] = (n // g, den // g)
+    return out
+
+
 def pointwise_term_bound(
     mu: ProbabilityMeasure,
     nu: ProbabilityMeasure,
@@ -278,7 +310,9 @@ def pointwise_term_bound(
         kappa-^c(T-) kappa+^d(T+) / (mu^a(x) nu^b(y))
 
     built from the conditional measures is required to be <= 1 at every
-    conditional support pair, compared exactly through integer powers.
+    conditional support pair.  The comparison is exact: with integer
+    powers and the weights as integer ratios, a term exceeds 1 iff the
+    cross-multiplied numerators exceed the cross-multiplied denominators.
     For a single-block operation this is the plain statement with the
     global pushforwards and the unconditioned measures.
 
@@ -295,24 +329,22 @@ def pointwise_term_bound(
     fam_nu = nu.disintegrate(d)
     terms = 0
     for level, px, py, cond in iter_conditional_couplings(pi, d):
-        section = block_section(op, level, px, py)
-        kappa_minus = cond.pushforward_by(section.t_minus)
-        kappa_plus = cond.pushforward_by(section.t_plus)
-        mu_block = fam_mu.conditional(level, px)
-        nu_block = fam_nu.conditional(level, py)
-        for (xb, yb), _ in cond.items():
-            lhs = (
-                kappa_minus.weight_at(section.t_minus(xb, yb)) ** c_n
-                * kappa_plus.weight_at(section.t_plus(xb, yb)) ** d_n
-            )
-            rhs = mu_block.weight_at(xb) ** a_n * nu_block.weight_at(yb) ** b_n
+        images, kappa_minus, kappa_plus = _transport(cond, block_section(op, level, px, py))
+        mu_block = fam_mu.conditional(level, px)._atoms
+        nu_block = fam_nu.conditional(level, py)._atoms
+        for (xb, yb), (zm, zp) in zip(cond._atoms, images):
+            (kmn, kmd), (kpn, kpd) = kappa_minus[zm], kappa_plus[zp]
+            mw, nw = mu_block[xb], nu_block[yb]
             terms += 1
-            if lhs > rhs:
+            if (
+                kmn**c_n * kpn**d_n * mw.denominator**a_n * nw.denominator**b_n
+                > kmd**c_n * kpd**d_n * mw.numerator**a_n * nw.numerator**b_n
+            ):
                 return VerificationReport(
                     check="pointwise",
                     outcome=VIOLATED,
-                    lhs=lhs,
-                    rhs=rhs,
+                    lhs=Fraction(kmn**c_n * kpn**d_n, kmd**c_n * kpd**d_n),
+                    rhs=mw**a_n * nw**b_n,
                     witness={"block": level + 1, "x": px + xb, "y": py + yb},
                 )
     return VerificationReport(check="pointwise", outcome=VERIFIED, detail=f"{terms} terms")
@@ -328,7 +360,10 @@ def p_value(
 ) -> tuple[float, VerificationReport]:
     """log P for P = sum over supp pi of the global term times pi(x, y).
 
-    Term logs are taken from the exact integer-power rationals, and log P
+    Each term is an integer ratio top / bottom, cross-multiplied from the
+    integer powers of the weights' numerators and denominators.  It
+    exceeds 1 iff top > bottom, and its log is taken from the reduced
+    ratio, log(top / g) - log(bottom / g) with g = gcd(top, bottom); log P
     is a log-sum-exp over support atoms.  When every global term is <= 1
     exactly, P <= 1 follows from total mass 1 and the report is exact
     (tolerance 0); otherwise the report compares log P to ``tolerance``.
@@ -338,19 +373,19 @@ def p_value(
         raise DimensionMismatch("operation and coupling dimensions differ")
     a_n, b_n, c_n, d_n = exponents.integer_exponents()
     n = exponents.common_denominator
-    kappa_minus = pi.pushforward_by(op.t_minus)
-    kappa_plus = pi.pushforward_by(op.t_plus)
+    images, kappa_minus, kappa_plus = _transport(pi, op)
+    mu_atoms, nu_atoms = mu._atoms, nu._atoms
     logs: list[float] = []
     all_terms_bounded = True
-    for (x, y), w in pi.items():
-        numerator = (
-            kappa_minus.weight_at(op.t_minus(x, y)) ** c_n
-            * kappa_plus.weight_at(op.t_plus(x, y)) ** d_n
-        )
-        denominator = mu.weight_at(x) ** a_n * nu.weight_at(y) ** b_n
-        if numerator > denominator:
+    for ((x, y), w), (zm, zp) in zip(pi.items(), images):
+        (kmn, kmd), (kpn, kpd) = kappa_minus[zm], kappa_plus[zp]
+        mw, nw = mu_atoms[x], nu_atoms[y]
+        top = kmn**c_n * kpn**d_n * mw.denominator**a_n * nw.denominator**b_n
+        bottom = kmd**c_n * kpd**d_n * mw.numerator**a_n * nw.numerator**b_n
+        if top > bottom:
             all_terms_bounded = False
-        logs.append(_log_fraction(numerator / denominator) / n + _log_fraction(w))
+        g = math.gcd(top, bottom)
+        logs.append((math.log(top // g) - math.log(bottom // g)) / n + _log_fraction(w))
     log_p = _logsumexp(logs)
     if all_terms_bounded:
         report = VerificationReport(

@@ -66,6 +66,16 @@ def test_check_op_input_errors(capsys):
         assert main(["check-op", "--op", spec]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "error" in json.loads(err[0])
+    # a radius whose box is too large to scan is rejected before any map runs
+    for argv in (
+        ["check-op", "--kind", "midpoint", "--dim", "1", "--radius", "100000000"],
+        ["check-op", "--op", json.dumps(NEGATE), "--radius", "100000000"],
+        ["check-op", "--kind", "midpoint", "--dim", "2", "--radius", "20"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert not captured.out and len(err) == 1 and "box checks scan" in json.loads(err[0])["error"]
 
 
 def test_couple_monotone(tmp_path, capsys):
@@ -211,6 +221,7 @@ def test_verify_missing_field_exits_2(tmp_path, capsys):
     base = {"op": {"kind": "midpoint", "dim": 1}, "mu": MEASURE_U2, "nu": MEASURE_U2}
     coerced = {"dim": 1, "atoms": [{"x": [1.5], "w": "1/2"}, {"x": [True], "w": "1/2"}]}
     phi = {"dim": 1, "points": [{"x": [0], "v": 0.0}, {"x": [1], "v": 1.0}]}
+    ind = {"dim": 1, "atoms": [{"x": [0], "w": "1"}, {"x": [1], "w": "1"}]}
     for bad, check in (
         ({"tolerance": "abc"}, "p-bound"),
         ({"seed": "x"}, "p-bound"),
@@ -230,13 +241,17 @@ def test_verify_missing_field_exits_2(tmp_path, capsys):
         ({"phi": {**phi, "points": [{"x": [0], "v": math.inf}]}}, "log-laplace"),
         ({"phi": {**phi, "points": [{"x": [0.5], "v": 0.0}]}}, "log-laplace"),
         ({"phi": {**phi, "dim": True}}, "log-laplace"),
+        ({"f": ind, "g": ind, "h": ind, "k": ind, "radius": 100000000}, "dbm"),
     ):
         inst = write(tmp_path, "bad.json", {**base, **bad})
         assert main(["verify", inst, "--check", check]) == 2, bad
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert not captured.out and len(err) == 1 and "error" in json.loads(err[0])
-    inst = write(tmp_path, "inst.json", base)
+    inst = write(tmp_path, "inst.json", {**base, "f": ind, "g": ind, "h": ind, "k": ind})
+    assert main(["verify", inst, "--check", "dbm", "--radius", "100000000"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "box checks scan" in json.loads(captured.err)["error"]
     for flag in ("nan", "inf", "-1"):
         assert main(["verify", inst, "--check", "entropy", "--tolerance", flag]) == 2
         assert not capsys.readouterr().out
@@ -410,6 +425,96 @@ def test_verify_fuzzed_instance_fields(case):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["verify", str(path), "--check", check])
     assert code in (0, 1, 2, 3)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and len(lines) == 1
+        assert "error" in json.loads(lines[0], parse_constant=_not_json)
+    for line in out.getvalue().splitlines():
+        json.loads(line, parse_constant=_not_json)
+
+
+# flag values: bools as strings, non-integral, negative, NaN/inf strings and
+# unknown names; huge values only where a cap or the flag's meaning bounds the
+# work (a huge --instances runs that many instances, and a huge --dim builds
+# that many blocks)
+JUNK = ("true", "False", "1.5", "-0.5", "2/3", "nan", "NaN", "inf", "-inf", "1e400", "", "x")
+HUGE = (str(10**8), str(2**63))
+SMALL = st.integers(-3, 2).map(str)
+OPS = (
+    '{"kind":"midpoint","dim":1}',
+    '{"kind":"meet_join","dim":2}',
+    '{"kind":"product","factors":[{"kind":"midpoint","dim":1},{"kind":"meet_join","dim":1}]}',
+    json.dumps(NEGATE),
+    '{"kind":"midpoint","dim":true}',
+    '{"kind":"midpoint","dim":NaN}',
+    "midpoint",
+    "bogus",
+)
+SUITE_CHECK_LISTS = ("pointwise", "p-bound,entropy", "fibers,marginals", "bogus", "", "pointwise,nope")
+VERIFY_CHECKS = ("dbm", "set-bm", "entropy", "p-bound", "pointwise", "log-laplace", "bogus")
+FLAG_INSTANCE = {
+    "op": NEGATE,
+    "mu": MEASURE_U2,
+    "nu": MEASURE_U02,
+    "f": INDICATOR,
+    "g": INDICATOR,
+    "h": INDICATOR,
+    "k": INDICATOR,
+    "A": [[0], [2]],
+    "B": [[1]],
+    "phi": PHI,
+}
+
+
+def flag_values(*valid, huge=True):
+    values = st.sampled_from(valid + JUNK) | SMALL
+    return values | st.sampled_from(HUGE) if huge else values
+
+
+@st.composite
+def cli_argvs(draw):
+    def optional(flag, values):
+        return [flag, draw(values)] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(("check-op", "random-suite", "verify")))
+    if command == "check-op":
+        # the radius is always given: the default 4 is slow in dim 2
+        return ["check-op", "--op", draw(st.sampled_from(OPS)), "--radius", draw(flag_values("1", "2"))]
+    tolerance = optional("--tolerance", flag_values("0", "1e-9", "0.5"))
+    if command == "random-suite":
+        return [
+            "random-suite",
+            "--instances",
+            draw(flag_values("0", "5", huge=False)),
+            *optional("--seed", flag_values("7")),
+            *optional("--dim", flag_values("1", "2", huge=False)),
+            *optional("--checks", st.sampled_from(SUITE_CHECK_LISTS)),
+            *tolerance,
+        ]
+    return [
+        "verify",
+        "{instance}",
+        *optional("--check", st.sampled_from(VERIFY_CHECKS)),
+        *optional("--radius", flag_values("1", "2")),
+        *tolerance,
+    ]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(cli_argvs())
+@example(["check-op", "--op", '{"kind":"midpoint","dim":2}', "--radius", str(10**8)])
+@example(["verify", "{instance}", "--check", "dbm", "--radius", str(2**63)])
+@example(["random-suite", "--instances", "2", "--seed", str(2**63), "--tolerance", "1e400"])
+def test_cli_fuzzed_flags(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(json.dumps(FLAG_INSTANCE))
+        argv = [str(path) if arg == "{instance}" else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
     if code == 2:
         lines = err.getvalue().splitlines()
         assert out.getvalue() == "" and len(lines) == 1

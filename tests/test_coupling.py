@@ -28,6 +28,7 @@ from discretebm import (
     singleton_decomposition,
     standard_order,
 )
+from discretebm import jsonio
 from discretebm.suite import generate_instance
 from helpers import dirac, uniform
 
@@ -424,3 +425,27 @@ def test_perturbed_marginal_raises(mu, nu):
     for bad in perturbations(nu):
         with pytest.raises(MarginalMismatch):
             Coupling(1, atoms, mu, bad)
+
+
+def _assert_stored_numerators(pi):
+    # the integer view the constructor certified, in atom order
+    assert sum(pi._nums) == pi._den and len(pi._nums) == len(pi)
+    for ((x, y), w), n in zip(pi.items(), pi._nums):
+        assert F(n, pi._den) == w
+
+
+@given(measures_2d, measures_2d, measures_1d, measures_1d)
+@settings(max_examples=40, derandomize=True)
+def test_couplings_keep_their_certified_numerators(mu2, nu2, mu1, nu1):
+    d = singleton_decomposition(2)
+    knothe = knothe_coupling(mu2, nu2, d)
+    for pi in (
+        monotone_coupling(mu1, nu1, ORDER1),
+        knothe,
+        product_coupling(mu1, nu1),
+        product_coupling(mu2, nu2),
+        jsonio.parse_coupling(jsonio.coupling_to_json(knothe)),
+    ):
+        _assert_stored_numerators(pi)
+    for _level, _px, _py, cond in iter_conditional_couplings(knothe, d):
+        _assert_stored_numerators(cond)

@@ -29,6 +29,7 @@ from discretebm import (
     singleton_decomposition,
 )
 from discretebm.lattice import basis_point
+from discretebm.operations import MAX_BOX_PAIRS
 
 
 def negate_op(dim=1):
@@ -240,6 +241,19 @@ def test_exponent_quadruple_validation():
 def test_check_radius_validation():
     with pytest.raises(DomainError):
         check_p1(midpoint(1), 0)
+
+
+def test_box_checks_reject_oversized_boxes_before_any_evaluation():
+    def unreachable(x, y):
+        raise AssertionError("a map was evaluated")
+
+    for dim, radius in ((1, 10**8), (1, 2**63), (2, 20), (3, 5), (4, 2), (1000, 1)):
+        op = LatticeOperation(dim, singleton_decomposition(dim), unreachable, unreachable, "section")
+        for check in (check_p1, check_p2, check_complement, check_operation):
+            with pytest.raises(DomainError, match="box checks scan at most 2000000"):
+                check(op, radius)
+    # the largest boxes the cap admits: radius 4 in dim 3, 11^6 = 1,771,561 pairs
+    assert MAX_BOX_PAIRS == 2_000_000 and 11**6 <= MAX_BOX_PAIRS < 13**6
 
 
 def three_block_op():
