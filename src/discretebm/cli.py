@@ -242,8 +242,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_random_suite(args) -> int:
-    if args.instances < 0 or args.dim < 1:
-        raise LatticeError("--instances must be >= 0 and --dim >= 1")
+    if args.instances < 0 or not 1 <= args.dim <= jsonio.MAX_DIM:
+        raise LatticeError(f"--instances must be >= 0 and --dim between 1 and {jsonio.MAX_DIM}")
     op = _parse_op_args(args)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in checks if c not in SUITE_CHECKS]

@@ -31,6 +31,11 @@ from .operations import (
     product,
 )
 
+# the largest operation dimension, and random-suite --dim, read from input;
+# checked before one block per coordinate is built (tests, README examples
+# and benchmark items use at most 3)
+MAX_DIM = 64
+
 _DIFFERENCE_DEFAULTS = {
     "floor_half": lambda w: tuple(c // 2 for c in w),
     "negate": lambda w: tuple(-c for c in w),
@@ -44,6 +49,14 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise FormatError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _dimension(value) -> int:
+    """An operation dimension: a JSON integer of at most ``MAX_DIM``."""
+    dim = _integer(value, "operation dimension")
+    if dim > MAX_DIM:
+        raise FormatError(f"operation dimension {dim} exceeds the maximum {MAX_DIM}")
+    return dim
 
 
 def _finite(value, name: str) -> float:
@@ -180,13 +193,14 @@ def parse_operation(obj, default_dim: int | None = None) -> LatticeOperation:
         dim = obj.get("dim", default_dim)
         if dim is None:
             raise FormatError(f"operation {kind!r} needs a dimension")
-        dim = _integer(dim, "operation dimension")
+        dim = _dimension(dim)
         return midpoint(dim) if kind == "midpoint" else meet_join(dim)
     if kind == "product":
         factors = obj.get("factors")
         if not isinstance(factors, list) or not factors:
             raise FormatError("product operation needs a nonempty factors list")
         ops = [parse_operation(f) for f in factors]
+        _dimension(sum(op.dim for op in ops))
         out = ops[0]
         for nxt in ops[1:]:
             out = product(out, nxt)
@@ -195,7 +209,7 @@ def parse_operation(obj, default_dim: int | None = None) -> LatticeOperation:
         dim = obj.get("dim", default_dim)
         if dim is None:
             raise FormatError("difference_map operation needs a dimension")
-        dim = _integer(dim, "operation dimension")
+        dim = _dimension(dim)
         default_name = obj.get("default", "floor_half")
         base = _DIFFERENCE_DEFAULTS.get(default_name) if isinstance(default_name, str) else None
         if base is None:

@@ -103,7 +103,7 @@ class AdditiveTotalOrder:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise DomainError("order dimension must be >= 1")
-        if sorted(self.perm) != list(range(1, self.dim + 1)):
+        if len(self.perm) != self.dim or sorted(self.perm) != list(range(1, self.dim + 1)):
             raise DomainError(f"perm must be a permutation of 1..{self.dim}, got {self.perm}")
         if len(self.signs) != self.dim or any(s not in (-1, 1) for s in self.signs):
             raise DomainError(f"signs must be a +-1 sequence of length {self.dim}")

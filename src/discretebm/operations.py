@@ -14,17 +14,15 @@ P2, Knothe monotonicity
     arguments, is weakly monotone in each of its two entries under the
     block order.
 
-Z^n is infinite, so ``check_p1``, ``check_p2``, and ``check_complement``
-verify the properties exhaustively on finite boxes only: they are sound
-but incomplete certificates.  ``check_p2`` reads each map once per x - y,
-as T(x, y) = T(x - y, 0) + y; ``check_p1`` at the same radius certifies
-that identity on the radius-(r+1) box, which holds every entry it reads.
-Their work grows with the (2r+3)^(2n) pairs of that box, so a radius
-whose box holds more than ``MAX_BOX_PAIRS`` pairs is rejected before any
-map is evaluated.
-Custom operations are specified through a single-variable difference
-map t, with T-(x,y) = t(x-y) + y, so P1 and the complement identity hold
-by construction and only P2 remains to be checked.
+Every operation this module builds carries the difference map t it is
+derived from, T-(x,y) = t(x-y) + y with T+ the complement, so P1 and the
+complement identity hold by construction.  Z^n is infinite, so the box
+checks (``check_p2``, and ``check_p1`` and ``check_complement`` for a
+pair given directly) are sound but incomplete certificates.  ``check_p2``
+reads each map once per x - y, as T(x, y) = T(x - y, 0) + y, which the
+``check_p1`` scan certifies on the radius-(r+1) box.  Their work grows
+with the (2r+3)^(2n) pairs of that box, so a radius whose box holds more
+than ``MAX_BOX_PAIRS`` pairs is rejected before any map is evaluated.
 """
 
 from __future__ import annotations
@@ -56,13 +54,15 @@ _KINDS = ("meet_join", "midpoint", "product", "difference_map", "section")
 # the default radius 4 in dimension 3 reads 11^6 = 1,771,561 pairs
 MAX_BOX_PAIRS = 2_000_000
 
+_BY_CONSTRUCTION = "by construction from the difference map"
+
 @dataclass(frozen=True)
 class LatticeOperation:
     """A complementing pair (t_minus, t_plus) with a declared decomposition.
 
-    The maps must be total on Z^dim x Z^dim and are trusted to be pure;
-    the structural properties are checked on boxes by the ``check_*``
-    functions, not at construction.
+    The maps must be total on Z^dim x Z^dim and are trusted to be pure.
+    ``t`` is the difference map they are derived from (see ``_derived``),
+    or None for a pair given directly, whose P1 and complement are scanned.
     """
 
     dim: int
@@ -70,6 +70,7 @@ class LatticeOperation:
     t_minus: PairMap
     t_plus: PairMap
     kind: str
+    t: Callable[[Point], Point] | None = None
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -82,45 +83,50 @@ class LatticeOperation:
             )
 
 
+def _derived(dim: int, decomposition: Decomposition, t: Callable, kind: str) -> LatticeOperation:
+    """The operation with difference map t: T-(x,y) = y + t(w) and
+    T+(x,y) = x - t(w), w = x - y, with t evaluated once per difference."""
+    t = functools.cache(t)
+
+    def t_minus(x: Point, y: Point) -> Point:
+        return tuple(map(add, t(tuple(map(sub, x, y))), y))
+
+    def t_plus(x: Point, y: Point) -> Point:
+        return tuple(map(sub, x, t(tuple(map(sub, x, y)))))
+
+    return LatticeOperation(dim, decomposition, t_minus, t_plus, kind, t)
+
+
+def _difference_map(op: LatticeOperation) -> Callable:
+    if op.t is None:
+        raise DomainError("a pair of maps given directly has no difference map")
+    return op.t
+
+
 def meet_join(dim: int) -> LatticeOperation:
-    """Coordinatewise minimum and maximum."""
-    return LatticeOperation(
-        dim=dim,
-        decomposition=singleton_decomposition(dim),
-        t_minus=lambda x, y: tuple(map(min, x, y)),
-        t_plus=lambda x, y: tuple(map(max, x, y)),
-        kind="meet_join",
+    """Coordinatewise minimum and maximum: t(w) = min(w, 0)."""
+    return _derived(
+        dim, singleton_decomposition(dim), lambda w: tuple(min(c, 0) for c in w), "meet_join"
     )
 
 
 def midpoint(dim: int) -> LatticeOperation:
-    """Coordinatewise floor and ceiling of the average.
+    """Coordinatewise floor and ceiling of the average: t(w) = floor(w/2).
 
     Floor is toward minus infinity (max {m in Z : m <= r}), matching
     Python's // on negative sums; the ceiling is the complement.
     """
-    return LatticeOperation(
-        dim=dim,
-        decomposition=singleton_decomposition(dim),
-        t_minus=lambda x, y: tuple((a + b) // 2 for a, b in zip(x, y)),
-        t_plus=lambda x, y: tuple((a + b) - (a + b) // 2 for a, b in zip(x, y)),
-        kind="midpoint",
+    return _derived(
+        dim, singleton_decomposition(dim), lambda w: tuple(c // 2 for c in w), "midpoint"
     )
 
 
 def product(a: LatticeOperation, b: LatticeOperation) -> LatticeOperation:
     """Blockwise product: ``a`` acts on the first dim(a) coordinates, ``b``
-    on the rest.  The decomposition is the concatenation of the factors'.
-    """
-    da = a.dim
-    am, ap, bm, bp = a.t_minus, a.t_plus, b.t_minus, b.t_plus
-    return LatticeOperation(
-        dim=a.dim + b.dim,
-        decomposition=make_decomposition(a.decomposition.blocks + b.decomposition.blocks),
-        t_minus=lambda x, y: am(x[:da], y[:da]) + bm(x[da:], y[da:]),
-        t_plus=lambda x, y: ap(x[:da], y[:da]) + bp(x[da:], y[da:]),
-        kind="product",
-    )
+    on the rest; decompositions and difference maps are concatenated."""
+    da, ta, tb = a.dim, _difference_map(a), _difference_map(b)
+    decomposition = make_decomposition(a.decomposition.blocks + b.decomposition.blocks)
+    return _derived(da + b.dim, decomposition, lambda w: ta(w[:da]) + tb(w[da:]), "product")
 
 
 def from_difference_map(
@@ -136,17 +142,7 @@ def from_difference_map(
     decomposition (singleton standard blocks when omitted).
     """
     d = decomposition if decomposition is not None else singleton_decomposition(dim)
-
-    def t_minus(x: Point, y: Point) -> Point:
-        return tuple(tw + b for tw, b in zip(t(tuple(a - b for a, b in zip(x, y))), y))
-
-    def t_plus(x: Point, y: Point) -> Point:
-        tm = t_minus(x, y)
-        return tuple(a + b - m for a, b, m in zip(x, y, tm))
-
-    return LatticeOperation(
-        dim=dim, decomposition=d, t_minus=t_minus, t_plus=t_plus, kind="difference_map"
-    )
+    return _derived(dim, d, t, "difference_map")
 
 
 def block_section(
@@ -154,29 +150,25 @@ def block_section(
 ) -> LatticeOperation:
     """One-block operation obtained by freezing the leading blocks.
 
-    Evaluates the full pair with the given prefixes and zero suffixes and
-    extracts block ``level``.  For a triangular operation the suffix
-    choice is irrelevant; the section of a complementing pair is itself
-    complementing, and sections of P1 operations are P1 on their block.
+    Block ``level`` of T(prefix_x + u + 0, prefix_y + v + 0) is the
+    operation with difference map t(p + w + 0)[block], p = prefix_x -
+    prefix_y.  For a triangular operation the zero suffix is irrelevant;
+    the section of a one-block operation is the operation itself.
     """
     d = op.decomposition
     bdim = d.block_dim(level)
-    order = d.order(level)
     off = d.offset(level)
     if len(prefix_x) != off or len(prefix_y) != off:
         raise DimensionMismatch(
             f"block {level} expects prefixes of length {off}, got {len(prefix_x)}, {len(prefix_y)}"
         )
+    t = _difference_map(op)
+    if d.block_count == 1:
+        return op
+    p = tuple(map(sub, prefix_x, prefix_y))
     suffix = (0,) * (op.dim - off - bdim)
-    lo, hi = off, off + bdim
-    tm, tp = op.t_minus, op.t_plus
-    return LatticeOperation(
-        dim=bdim,
-        decomposition=make_decomposition([(bdim, order)]),
-        t_minus=lambda u, v: tm(prefix_x + u + suffix, prefix_y + v + suffix)[lo:hi],
-        t_plus=lambda u, v: tp(prefix_x + u + suffix, prefix_y + v + suffix)[lo:hi],
-        kind="section",
-    )
+    section = make_decomposition([(bdim, d.order(level))])
+    return _derived(bdim, section, lambda w: t(p + w + suffix)[off : off + bdim], "section")
 
 
 def image_sets(
@@ -268,8 +260,11 @@ def _check_box_radius(dim: int, box_radius: int) -> None:
 
 
 def check_complement(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
-    """Exhaustive check of t_minus + t_plus = x + y on the box."""
+    """Check of t_minus + t_plus = x + y: by construction when the operation
+    carries its difference map, else exhaustively on the box."""
     _check_box_radius(op.dim, box_radius)
+    if op.t is not None:
+        return VerificationReport(check="complement", outcome=VERIFIED, detail=_BY_CONSTRUCTION)
     pts = box_points(op.dim, box_radius)
     tm, tp = op.t_minus, op.t_plus
     for x in pts:
@@ -302,14 +297,17 @@ def _difference_tables(op: LatticeOperation) -> list[tuple[str, PairMap, Callabl
 
 
 def check_p1(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
-    """Exhaustive translation-equivariance check on the box.
+    """Translation-equivariance check: by construction when the operation
+    carries its difference map, else exhaustively on the box.
 
-    Checks T(x, y) = T(x - y, 0) + y for both maps at every pair of the
-    radius-(r+1) box: it holds every unit or all-ones shift of a radius-r
-    pair and every table entry ``check_p2`` reads at radius r.  A failure
-    (x, y) is reported with z = -y, so T(x + z, y + z) != T(x, y) + z.
+    The scan checks T(x, y) = T(x - y, 0) + y for both maps at every pair
+    of the radius-(r+1) box: it holds every unit or all-ones shift of a
+    radius-r pair and every table entry ``check_p2`` reads at radius r.  A
+    failure (x, y) is reported with z = -y, so T(x + z, y + z) != T(x, y) + z.
     """
     _check_box_radius(op.dim, box_radius)
+    if op.t is not None:
+        return VerificationReport(check="p1", outcome=VERIFIED, detail=_BY_CONSTRUCTION)
     pts = box_points(op.dim, box_radius + 1)
     tables = _difference_tables(op)
     for x in pts:
@@ -329,18 +327,19 @@ def check_p1(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
 def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     """Blockwise Knothe-monotonicity and triangularity check on the box.
 
-    Relies on ``check_p1`` at the same radius, which ``check_operation``
-    and ``verify_dbm`` run beside it, for T(x, y) = T(x - y, 0) + y: each
-    map is evaluated once per difference w = x - y and every block section
-    is read from that table.  The section of block i at prefixes (a, b)
-    of the box depends only on p = a - b; each p is scanned once, at the
-    first pair (a, b) of the box in lexicographic order.  The section maps
-    are scanned along consecutive points of the order-sorted block box,
-    once per frozen value of the other argument; weak monotonicity of
-    every pair in the box then follows by transitivity, and any violation
-    surfaces as a consecutive violation.  Triangularity requires block i
-    of the table to be unchanged by a unit step in any later coordinate,
-    over the whole difference box, at any block count.
+    Relies on P1, T(x, y) = T(x - y, 0) + y, which holds by construction
+    or is scanned by ``check_p1`` at the same radius beside it in
+    ``check_operation`` and ``verify_dbm``: each map is evaluated once per
+    difference w = x - y and every block section is read from that table.
+    The section of block i at prefixes (a, b) of the box depends only on
+    p = a - b; each p is scanned once, at the first pair (a, b) of the box
+    in lexicographic order.  The section maps are scanned along
+    consecutive points of the order-sorted block box, once per frozen
+    value of the other argument; weak monotonicity of every pair in the
+    box then follows by transitivity, and any violation surfaces as a
+    consecutive violation.  Triangularity requires block i of the table
+    to be unchanged by a unit step in any later coordinate, over the whole
+    difference box, at any block count.
     """
     _check_box_radius(op.dim, box_radius)
     n, d = op.dim, op.decomposition

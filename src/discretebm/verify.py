@@ -49,7 +49,9 @@ Two scope warnings, both enforced by reporting rather than assuming:
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -498,12 +500,38 @@ def log_laplace_gap(
     R = int phi d(nu*) - sum nu* log nu* for the explicit maximizer
     nu*(x) = e^phi(x) / sum e^phi, and no probability measure on the
     domain may beat L.  Verified when |L - R| <= tolerance and none of
-    ``competitors`` seeded random measures exceeds L + tolerance.
+    ``competitors`` seeded random measures exceeds L + tolerance.  Where
+    a sum of w * phi(x) leaves the float range, everything is computed for
+    phi minus its maximum m, and m is added back to L, R and the objectives.
     """
     entries = sorted((as_point(x), float(v)) for x, v in phi.items())
     if not entries:
         raise EmptySupportError("the function must have nonempty support")
     values = [v for _, v in entries]
+    try:
+        gap, lhs, rhs, winner = _log_laplace_sides(values, tolerance, competitors, seed)
+    except OverflowError:
+        top = max(values)
+        # a value further than the float range below m has weight 0 in nu*;
+        # the clamp keeps its 0 * (phi - m) a number
+        shifted = [max(v - top, -sys.float_info.max) for v in values]
+        gap, lhs, rhs, winner = _log_laplace_sides(shifted, tolerance, competitors, seed)
+        lhs, rhs = lhs + top, rhs + top
+    report = functools.partial(
+        VerificationReport, check="log-laplace", lhs=lhs, rhs=rhs, gap=gap, tolerance_used=tolerance
+    )
+    if abs(gap) > tolerance:
+        return gap, report(outcome=VIOLATED, witness={"gap": gap})
+    if winner is not None:
+        return gap, report(outcome=VIOLATED, witness={"competitor": winner, "objective": rhs})
+    return gap, report(outcome=VERIFIED, detail=f"{competitors} competitors")
+
+
+def _log_laplace_sides(
+    values: list[float], tolerance: float, competitors: int, seed: int
+) -> tuple[float, float, float, int | None]:
+    """(L - R, L, R, None), or (L - R, L, objective, j) for the first
+    competitor j whose objective exceeds L + tolerance."""
     log_total = _logsumexp(values)
     maximizer = [math.exp(v - log_total) for v in values]
     mean_phi = math.fsum(w * v for w, v in zip(maximizer, values))
@@ -511,39 +539,15 @@ def log_laplace_gap(
     attained = mean_phi - entropy
     gap = log_total - attained
     if abs(gap) > tolerance:
-        return gap, VerificationReport(
-            check="log-laplace",
-            outcome=VIOLATED,
-            lhs=log_total,
-            rhs=attained,
-            gap=gap,
-            tolerance_used=tolerance,
-            witness={"gap": gap},
-        )
+        return gap, log_total, attained, None
     for j in range(competitors):
         rng = stream(seed, j)
-        raw = [rng.randint(1, 20) for _ in entries]
+        raw = [rng.randint(1, 20) for _ in values]
         total = sum(raw)
         weights = [r / total for r in raw]
         objective = math.fsum(w * v for w, v in zip(weights, values)) - math.fsum(
             w * math.log(w) for w in weights
         )
         if objective > log_total + tolerance:
-            return gap, VerificationReport(
-                check="log-laplace",
-                outcome=VIOLATED,
-                lhs=log_total,
-                rhs=objective,
-                gap=gap,
-                tolerance_used=tolerance,
-                witness={"competitor": j, "objective": objective},
-            )
-    return gap, VerificationReport(
-        check="log-laplace",
-        outcome=VERIFIED,
-        lhs=log_total,
-        rhs=attained,
-        gap=gap,
-        tolerance_used=tolerance,
-        detail=f"{competitors} competitors",
-    )
+            return gap, log_total, objective, j
+    return gap, log_total, attained, None

@@ -78,6 +78,28 @@ def test_check_op_input_errors(capsys):
         assert not captured.out and len(err) == 1 and "box checks scan" in json.loads(err[0])["error"]
 
 
+def test_operation_dimensions_are_bounded(capsys):
+    # each is rejected before one block per coordinate is built
+    for argv in (
+        ["random-suite", "--dim", "65", "--instances", "1"],
+        ["random-suite", "--dim", str(10**8), "--instances", "1", "--op", '{"kind":"midpoint","dim":1}'],
+        ["check-op", "--kind", "midpoint", "--dim", str(10**8), "--radius", "1"],
+        ["check-op", "--op", '{"kind":"meet_join","dim":1000000}', "--radius", "1"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert not captured.out and len(err) == 1 and "64" in json.loads(err[0])["error"]
+
+
+def test_log_laplace_near_the_float_limit(tmp_path, capsys):
+    for values in ([1e308, 1e308], [1.7e308] * 3):
+        phi = {"dim": 1, "points": [{"x": [i], "v": v} for i, v in enumerate(values)]}
+        inst = write(tmp_path, "phi.json", {"phi": phi})
+        code, lines = run(capsys, ["verify", inst, "--check", "log-laplace"])
+        assert code == 0 and lines[0]["outcome"] == "verified" and lines[0]["lhs"] == values[0]
+
+
 def test_couple_monotone(tmp_path, capsys):
     mu = write(tmp_path, "mu.json", MEASURE_U3)
     nu = write(tmp_path, "nu.json", MEASURE_U2)
@@ -342,6 +364,14 @@ def test_help_exits_zero(capsys):
 INDICATOR = {"dim": 1, "atoms": [{"x": [0], "w": "1"}, {"x": [1], "w": "1"}]}
 PHI = {"dim": 1, "points": [{"x": [0], "v": 0.0}, {"x": [1], "v": 1.0986122886681098}]}
 
+# an operation whose decomposition declares its block dims and order dims
+ORDERED = {
+    "kind": "difference_map",
+    "dim": 2,
+    "default": "floor_half",
+    "decomposition": {"blocks": [{"dim": 2, "order": {"dim": 2, "perm": [2, 1], "signs": [1, -1]}}]},
+}
+
 # valid instances of the tests above, each with its check and the fields that
 # may be replaced; the operation's dim is fuzzed only where the instance
 # holds no box check, whose cost grows as (2r+3)^(2 dim)
@@ -372,6 +402,15 @@ FUZZ_INSTANCES = (
         (("op", "dim"), ("dim",), ("A", 0, 1), ("B", 1, 0)),
     ),
     (
+        {"op": ORDERED, "A": [[0, 0], [1, 1]], "B": [[0, 1], [1, 0]]},
+        "set-bm",
+        (
+            ("op", "dim"),
+            ("op", "decomposition", "blocks", 0, "dim"),
+            ("op", "decomposition", "blocks", 0, "order", "dim"),
+        ),
+    ),
+    (
         {"phi": PHI},
         "log-laplace",
         (
@@ -384,7 +423,11 @@ FUZZ_INSTANCES = (
     ),
 )
 
-# integers stay within |n| <= 6, so no replacement makes a run's work unbounded
+# integers stay within |n| <= 6, so no replacement makes a run's work
+# unbounded; operation and order dims may also be huge, since a dim is
+# checked before anything is built with it
+HUGE_DIMS = st.sampled_from((10**6, 10**8, 2**63))
+HUGE_ORDER = {"dim": 10**8, "perm": [1], "signs": [1]}
 FUZZ_VALUES = st.one_of(
     st.booleans(),
     st.floats(-6, 6),
@@ -408,7 +451,8 @@ def fuzzed_instances(draw):
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = draw(FUZZ_VALUES)
+    huge = path[0] == "op" and path[-1] == "dim"
+    parent[path[-1]] = draw(FUZZ_VALUES | HUGE_DIMS if huge else FUZZ_VALUES)
     return doc, check
 
 
@@ -416,6 +460,9 @@ def fuzzed_instances(draw):
 @given(fuzzed_instances())
 @example(({"op": NEGATE, "mu": MEASURE_U2, "nu": MEASURE_U2, "tolerance": math.nan}, "entropy"))
 @example(({"phi": {"dim": 1, "points": [{"x": [0], "v": math.inf}]}}, "log-laplace"))
+@example(({"op": {"kind": "midpoint", "dim": 10**8}, "mu": MEASURE_U3, "nu": MEASURE_U2}, "p-bound"))
+@example(({"op": {**ORDERED, "decomposition": {"blocks": [{"dim": 2, "order": HUGE_ORDER}]}},
+           "A": [[0, 0]], "B": [[0, 1]]}, "set-bm"))
 def test_verify_fuzzed_instance_fields(case):
     doc, check = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -435,8 +482,7 @@ def test_verify_fuzzed_instance_fields(case):
 
 # flag values: bools as strings, non-integral, negative, NaN/inf strings and
 # unknown names; huge values only where a cap or the flag's meaning bounds the
-# work (a huge --instances runs that many instances, and a huge --dim builds
-# that many blocks)
+# work (a huge --instances runs that many instances)
 JUNK = ("true", "False", "1.5", "-0.5", "2/3", "nan", "NaN", "inf", "-inf", "1e400", "", "x")
 HUGE = (str(10**8), str(2**63))
 SMALL = st.integers(-3, 2).map(str)
@@ -487,7 +533,7 @@ def cli_argvs(draw):
             "--instances",
             draw(flag_values("0", "5", huge=False)),
             *optional("--seed", flag_values("7")),
-            *optional("--dim", flag_values("1", "2", huge=False)),
+            *optional("--dim", flag_values("1", "2")),
             *optional("--checks", st.sampled_from(SUITE_CHECK_LISTS)),
             *tolerance,
         ]
@@ -505,6 +551,7 @@ def cli_argvs(draw):
 @example(["check-op", "--op", '{"kind":"midpoint","dim":2}', "--radius", str(10**8)])
 @example(["verify", "{instance}", "--check", "dbm", "--radius", str(2**63)])
 @example(["random-suite", "--instances", "2", "--seed", str(2**63), "--tolerance", "1e400"])
+@example(["random-suite", "--instances", "2", "--dim", str(10**8)])
 def test_cli_fuzzed_flags(argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "inst.json"

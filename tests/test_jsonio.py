@@ -98,6 +98,23 @@ def test_parse_operation_names_and_product():
         jsonio.parse_operation({"kind": "mystery", "dim": 1})
 
 
+def test_parse_operation_bounds_the_dimension():
+    top = jsonio.MAX_DIM
+    assert jsonio.parse_operation({"kind": "midpoint", "dim": top}).dim == top
+    assert jsonio.parse_operation("meet_join", default_dim=top).dim == top
+    too_big = [
+        {"kind": "midpoint", "dim": top + 1},
+        {"kind": "meet_join", "dim": 10**18},
+        {"kind": "difference_map", "dim": 10**18},
+        {"kind": "product", "factors": [{"kind": "midpoint", "dim": top}, {"kind": "meet_join", "dim": 1}]},
+    ]
+    for spec in too_big:
+        with pytest.raises(FormatError, match=f"exceeds the maximum {top}"):
+            jsonio.parse_operation(spec)
+    with pytest.raises(FormatError, match="exceeds"):
+        jsonio.parse_operation("midpoint", default_dim=top + 1)
+
+
 def test_parse_difference_map_defaults_and_table():
     neg = jsonio.parse_operation({"kind": "difference_map", "dim": 1, "table": [], "default": "negate"})
     assert neg.t_minus((1,), (0,)) == (-1,)

@@ -58,6 +58,9 @@ def test_order_validation():
         AdditiveTotalOrder(2, (1, 1), (1, 1))
     with pytest.raises(DomainError):
         AdditiveTotalOrder(2, (1, 2), (1, 2))
+    # the lengths are compared first: no list of 1..dim is built
+    with pytest.raises(DomainError, match="permutation"):
+        AdditiveTotalOrder(10**18, (1,), (1,))
 
 
 def test_unit_examples():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from discretebm import (
     AdditiveTotalOrder,
+    DimensionMismatch,
     DomainError,
     ExponentQuadruple,
     LatticeOperation,
@@ -28,8 +29,9 @@ from discretebm import (
     product,
     singleton_decomposition,
 )
+from discretebm import jsonio
 from discretebm.lattice import basis_point
-from discretebm.operations import MAX_BOX_PAIRS
+from discretebm.operations import _BY_CONSTRUCTION, MAX_BOX_PAIRS, _check_box_radius
 
 
 def negate_op(dim=1):
@@ -595,3 +597,266 @@ def test_check_p1_implies_reference(case):
         assert not rep.ok
     if not rep.ok:
         assert _is_p1_counterexample(op, rep.witness)
+
+
+# The constructors as they were before every operation carried its
+# difference map, kept verbatim: pair lambdas, product and section lambda
+# chains, and from_difference_map's own T-/T+.
+
+
+def reference_meet_join(dim: int) -> LatticeOperation:
+    """Coordinatewise minimum and maximum."""
+    return LatticeOperation(
+        dim=dim,
+        decomposition=singleton_decomposition(dim),
+        t_minus=lambda x, y: tuple(map(min, x, y)),
+        t_plus=lambda x, y: tuple(map(max, x, y)),
+        kind="meet_join",
+    )
+
+
+def reference_midpoint(dim: int) -> LatticeOperation:
+    """Coordinatewise floor and ceiling of the average.
+
+    Floor is toward minus infinity (max {m in Z : m <= r}), matching
+    Python's // on negative sums; the ceiling is the complement.
+    """
+    return LatticeOperation(
+        dim=dim,
+        decomposition=singleton_decomposition(dim),
+        t_minus=lambda x, y: tuple((a + b) // 2 for a, b in zip(x, y)),
+        t_plus=lambda x, y: tuple((a + b) - (a + b) // 2 for a, b in zip(x, y)),
+        kind="midpoint",
+    )
+
+
+def reference_product(a: LatticeOperation, b: LatticeOperation) -> LatticeOperation:
+    """Blockwise product: ``a`` acts on the first dim(a) coordinates, ``b``
+    on the rest.  The decomposition is the concatenation of the factors'.
+    """
+    da = a.dim
+    am, ap, bm, bp = a.t_minus, a.t_plus, b.t_minus, b.t_plus
+    return LatticeOperation(
+        dim=a.dim + b.dim,
+        decomposition=make_decomposition(a.decomposition.blocks + b.decomposition.blocks),
+        t_minus=lambda x, y: am(x[:da], y[:da]) + bm(x[da:], y[da:]),
+        t_plus=lambda x, y: ap(x[:da], y[:da]) + bp(x[da:], y[da:]),
+        kind="product",
+    )
+
+
+def reference_from_difference_map(
+    dim: int,
+    decomposition,
+    t,
+) -> LatticeOperation:
+    """Operation determined by its single-variable section t(w) = T-(w, 0).
+
+    Translation equivariance forces T-(x,y) = t(x-y) + y, and t_plus is
+    the complement, so P1 and the complement identity hold for any t.
+    P2 is NOT guaranteed and must be checked against the declared
+    decomposition (singleton standard blocks when omitted).
+    """
+    d = decomposition if decomposition is not None else singleton_decomposition(dim)
+
+    def t_minus(x: Point, y: Point) -> Point:
+        return tuple(tw + b for tw, b in zip(t(tuple(a - b for a, b in zip(x, y))), y))
+
+    def t_plus(x: Point, y: Point) -> Point:
+        tm = t_minus(x, y)
+        return tuple(a + b - m for a, b, m in zip(x, y, tm))
+
+    return LatticeOperation(
+        dim=dim, decomposition=d, t_minus=t_minus, t_plus=t_plus, kind="difference_map"
+    )
+
+
+def reference_block_section(
+    op: LatticeOperation, level: int, prefix_x: Point, prefix_y: Point
+) -> LatticeOperation:
+    """One-block operation obtained by freezing the leading blocks.
+
+    Evaluates the full pair with the given prefixes and zero suffixes and
+    extracts block ``level``.  For a triangular operation the suffix
+    choice is irrelevant; the section of a complementing pair is itself
+    complementing, and sections of P1 operations are P1 on their block.
+    """
+    d = op.decomposition
+    bdim = d.block_dim(level)
+    order = d.order(level)
+    off = d.offset(level)
+    if len(prefix_x) != off or len(prefix_y) != off:
+        raise DimensionMismatch(
+            f"block {level} expects prefixes of length {off}, got {len(prefix_x)}, {len(prefix_y)}"
+        )
+    suffix = (0,) * (op.dim - off - bdim)
+    lo, hi = off, off + bdim
+    tm, tp = op.t_minus, op.t_plus
+    return LatticeOperation(
+        dim=bdim,
+        decomposition=make_decomposition([(bdim, order)]),
+        t_minus=lambda u, v: tm(prefix_x + u + suffix, prefix_y + v + suffix)[lo:hi],
+        t_plus=lambda u, v: tp(prefix_x + u + suffix, prefix_y + v + suffix)[lo:hi],
+        kind="section",
+    )
+
+
+# check_complement as it was before the complement held by construction,
+# kept verbatim.
+
+
+def reference_check_complement(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
+    """Exhaustive check of t_minus + t_plus = x + y on the box."""
+    _check_box_radius(op.dim, box_radius)
+    pts = box_points(op.dim, box_radius)
+    tm, tp = op.t_minus, op.t_plus
+    for x in pts:
+        for y in pts:
+            total = point_add(x, y)
+            if point_add(tm(x, y), tp(x, y)) != total:
+                return VerificationReport(
+                    check="complement",
+                    outcome=VIOLATED,
+                    witness={
+                        "x": x,
+                        "y": y,
+                        "t_minus": tm(x, y),
+                        "t_plus": tp(x, y),
+                        "sum": total,
+                    },
+                )
+    return VerificationReport(
+        check="complement", outcome=VERIFIED, detail=f"{len(pts) ** 2} pairs"
+    )
+
+
+def _halved_prefix_sums(w):
+    # each block of a section depends on the prefix difference
+    return tuple(sum(w[: i + 1]) // 2 for i in range(len(w)))
+
+
+@st.composite
+def built_pairs(draw, max_dim=3, shapes=("base", "product", "difference_map", "mixing", "section")):
+    """An operation built by the library and the same operation built by the
+    reference constructors: a midpoint or meet_join, a nested product in
+    either order, a parsed difference-map spec with table overrides, a
+    difference map mixing the coordinates, or a block section of one of
+    the last three at a drawn level and prefixes."""
+    shape = draw(st.sampled_from(shapes))
+    if shape == "base" or max_dim == 1 and shape == "product":
+        dim = draw(st.integers(1, max_dim))
+        kind = draw(st.sampled_from(("midpoint", "meet_join")))
+        new, ref = (midpoint, reference_midpoint) if kind == "midpoint" else (meet_join, reference_meet_join)
+        return new(dim), ref(dim)
+    if shape == "product":
+        k = draw(st.integers(1, max_dim - 1))
+        (a, ra), (b, rb) = draw(built_pairs(k)), draw(built_pairs(max_dim - k))
+        return product(a, b), reference_product(ra, rb)
+    if shape == "difference_map":
+        dim = draw(st.integers(1, max_dim))
+        default = draw(st.sampled_from(sorted(jsonio._DIFFERENCE_DEFAULTS)))
+        coords = st.tuples(*[st.integers(-3, 3)] * dim)
+        rows = draw(st.lists(st.tuples(coords, coords), max_size=4, unique_by=lambda r: r[0]))
+        spec = {
+            "kind": "difference_map",
+            "dim": dim,
+            "default": default,
+            "table": [{"w": list(w), "t": list(t)} for w, t in rows],
+        }
+        base, table = jsonio._DIFFERENCE_DEFAULTS[default], dict(rows)
+        ref = reference_from_difference_map(dim, None, lambda w: table.get(w, base(w)))
+        return jsonio.parse_operation(spec), ref
+    if shape == "mixing":
+        dim = draw(st.integers(1, max_dim))
+        return from_difference_map(dim, None, _halved_prefix_sums), reference_from_difference_map(
+            dim, None, _halved_prefix_sums
+        )
+    op, ref = draw(built_pairs(max_dim, ("product", "difference_map", "mixing")))
+    level = draw(st.integers(0, op.decomposition.block_count - 1))
+    prefix = st.tuples(*[st.integers(-2, 2)] * op.decomposition.offset(level))
+    px, py = draw(prefix), draw(prefix)
+    return block_section(op, level, px, py), reference_block_section(ref, level, px, py)
+
+
+THREE_BLOCKS = three_block_op(), reference_from_difference_map(3, None, three_block_op().t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(built_pairs(), st.integers(1, 2))
+# block 3 of three_block_op is negated at the prefix difference (3, 0) only
+@example(
+    (
+        block_section(THREE_BLOCKS[0], 2, (2, 1), (-1, 1)),
+        reference_block_section(THREE_BLOCKS[1], 2, (2, 1), (-1, 1)),
+    ),
+    1,
+)
+def test_derived_operations_equal_the_reference_constructors(pair, radius):
+    op, ref = pair
+    assert op.t is not None and ref.t is None
+    assert (op.dim, op.decomposition) == (ref.dim, ref.decomposition)
+    pts = box_points(op.dim, radius if op.dim < 3 else 1)
+    for x in pts:
+        for y in pts:
+            assert op.t_minus(x, y) == ref.t_minus(x, y)
+            assert op.t_plus(x, y) == ref.t_plus(x, y)
+
+
+BUILT_INS = [
+    midpoint(1),
+    meet_join(1),
+    midpoint(2),
+    meet_join(2),
+    midpoint(3),
+    meet_join(3),
+    product(midpoint(1), meet_join(1)),
+    product(meet_join(1), product(midpoint(1), meet_join(1))),
+    product(product(midpoint(2), meet_join(1)), midpoint(1)),
+    from_difference_map(2, None, lambda w: tuple(c // 2 for c in w)),
+    block_section(product(midpoint(1), meet_join(2)), 2, (3, -1), (0, 2)),
+]
+
+
+def test_builtins_pass_the_kept_p1_and_complement_scans():
+    for op in BUILT_INS:
+        for radius in (1, 2) if op.dim < 3 else (1,):
+            assert reference_check_p1(op, radius).ok
+            assert reference_check_complement(op, radius).ok
+            assert check_p1(op, radius).detail == _BY_CONSTRUCTION
+            assert check_complement(op, radius).detail == _BY_CONSTRUCTION
+
+
+def test_by_construction_checks_evaluate_nothing_and_still_reject_huge_boxes():
+    def unreachable(w):
+        raise AssertionError("the difference map was evaluated")
+
+    op = from_difference_map(2, None, unreachable)
+    for check in (check_p1, check_complement):
+        rep = check(op, 2)
+        assert rep.ok and rep.detail == _BY_CONSTRUCTION and rep.witness is None
+        with pytest.raises(DomainError, match="box checks scan at most"):
+            check(op, 10**8)
+
+
+def test_pairs_given_directly_cannot_be_combined():
+    direct = reference_midpoint(1)
+    with pytest.raises(DomainError, match="no difference map"):
+        product(direct, midpoint(1))
+    with pytest.raises(DomainError, match="no difference map"):
+        product(midpoint(1), direct)
+    with pytest.raises(DomainError, match="no difference map"):
+        block_section(direct, 0, (), ())
+    two = reference_product(direct, reference_meet_join(1))
+    with pytest.raises(DomainError, match="no difference map"):
+        block_section(two, 1, (0,), (0,))
+    # a pair given directly is still scanned
+    assert check_p1(direct, 1).detail == "25 pairs in the radius-2 box"
+    assert check_complement(direct, 1).detail == "9 pairs"
+
+
+def test_section_of_a_single_block_is_the_operation():
+    block = make_decomposition([(2, AdditiveTotalOrder(2, (2, 1), (1, -1)))])
+    op = from_difference_map(2, block, lambda w: w)
+    assert block_section(op, 0, (), ()) is op
+    with pytest.raises(DimensionMismatch):
+        block_section(op, 0, (1,), ())

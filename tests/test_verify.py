@@ -262,6 +262,22 @@ def test_log_laplace_underflowed_maximizer_weight():
     assert rep.lhs == rep.rhs == 1000.0
 
 
+@pytest.mark.parametrize("phi", [{(0,): 1e308, (1,): 1e308}, {(x,): 1.7e308 for x in range(3)}])
+def test_log_laplace_near_the_float_limit(phi):
+    # the plain sums of w * phi(x) overflow; L - R is taken for phi minus its
+    # maximum, where the maximizer is uniform and L = R = max + log n
+    gap, rep = log_laplace_gap(phi)
+    top = max(phi.values())
+    assert rep.ok and abs(gap) <= 1e-15
+    assert rep.lhs == rep.rhs == top
+
+
+def test_log_laplace_overflow_keeps_points_far_below_the_maximum():
+    # phi - max is -inf in floats at the point -1.7e308; its weight is 0
+    gap, rep = log_laplace_gap({(0,): -1.7e308, (1,): 1.7e308, (2,): 1.7e308})
+    assert rep.ok and gap == 0.0 and rep.lhs == rep.rhs == 1.7e308
+
+
 def test_log_laplace_empty():
     from discretebm import EmptySupportError
 
