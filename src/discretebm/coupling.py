@@ -72,7 +72,6 @@ from .lattice import (
     zero_point,
 )
 from .measures import (
-    ONE,
     ZERO,
     ProbabilityMeasure,
     _add_into,
@@ -167,12 +166,6 @@ class Coupling:
         if side == "second":
             return self._project(1)
         raise DomainError(f"side must be 'first' or 'second', got {side!r}")
-
-    def as_measure(self) -> ProbabilityMeasure:
-        """The coupling as a measure on Z^(2n), coordinates concatenated."""
-        return ProbabilityMeasure._trusted(
-            2 * self.dim, {x + y: w for (x, y), w in self.items()}, ONE
-        )
 
     def pushforward_by(self, pair_map) -> ProbabilityMeasure:
         """Image measure under a map (x, y) -> point of Z^m.

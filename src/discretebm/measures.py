@@ -300,20 +300,6 @@ class ConditionalFamily:
                 f"prefix {prefix} has zero mass at level {level}; no conditional exists"
             ) from None
 
-    def recombined_weight(self, point) -> Fraction:
-        """Product of conditional weights along the prefix path of ``point``."""
-        x = as_point(point, self.decomposition.total_dim)
-        w = ONE
-        for i in range(self.decomposition.block_count):
-            prefix = self.decomposition.prefix(x, i)
-            cond = self.levels[i].get(prefix)
-            if cond is None:
-                return ZERO
-            w *= cond.weight_at(self.decomposition.block(x, i))
-            if w == 0:
-                return ZERO
-        return w
-
 
 def cumulative_weights(
     measure: ProbabilityMeasure, order: AdditiveTotalOrder, den: int

@@ -14,22 +14,19 @@ P2, Knothe monotonicity
     arguments, is weakly monotone in each of its two entries under the
     block order.
 
-Every operation this module builds carries the difference map t it is
-derived from, T-(x,y) = t(x-y) + y with T+ the complement, so P1 and the
-complement identity hold by construction.  Z^n is infinite, so the box
-checks (``check_p2``, and ``check_p1`` and ``check_complement`` for a
-pair given directly) are sound but incomplete certificates.  ``check_p2``
-reads each map once per x - y, as T(x, y) = T(x - y, 0) + y, which the
-``check_p1`` scan certifies on the radius-(r+1) box.  Their work grows
-with the (2r+3)^(2n) pairs of that box, so a radius whose box holds more
-than ``MAX_BOX_PAIRS`` pairs is rejected before any map is evaluated.
+Every operation is built from its difference map t, T-(x,y) = t(x-y) + y
+with T+ the complement, so P1 and the complement identity hold by
+construction.  Z^n is infinite, so ``check_p2`` is a sound but incomplete
+certificate on a box; it reads t once per x - y.  A radius whose
+radius-(r+1) box holds more than ``MAX_BOX_PAIRS`` pairs is rejected by
+every check before any map is evaluated.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, sub
 from typing import Callable, Collection
@@ -56,21 +53,22 @@ MAX_BOX_PAIRS = 2_000_000
 
 _BY_CONSTRUCTION = "by construction from the difference map"
 
+
 @dataclass(frozen=True)
 class LatticeOperation:
-    """A complementing pair (t_minus, t_plus) with a declared decomposition.
+    """The complementing pair of the difference map t, with a declared
+    decomposition: T-(x,y) = y + t(w) and T+(x,y) = x - t(w), w = x - y.
 
-    The maps must be total on Z^dim x Z^dim and are trusted to be pure.
-    ``t`` is the difference map they are derived from (see ``_derived``),
-    or None for a pair given directly, whose P1 and complement are scanned.
+    ``t`` must be total on Z^dim and is trusted to be pure; it is cached,
+    so each pair map evaluates it once per difference.
     """
 
     dim: int
     decomposition: Decomposition
-    t_minus: PairMap
-    t_plus: PairMap
+    t: Callable[[Point], Point]
     kind: str
-    t: Callable[[Point], Point] | None = None
+    t_minus: PairMap = field(init=False, repr=False, compare=False)
+    t_plus: PairMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -81,31 +79,22 @@ class LatticeOperation:
             raise DimensionMismatch(
                 f"decomposition of Z^{self.decomposition.total_dim} does not match operation on Z^{self.dim}"
             )
+        t = functools.cache(self.t)
 
+        def t_minus(x: Point, y: Point) -> Point:
+            return tuple(map(add, t(tuple(map(sub, x, y))), y))
 
-def _derived(dim: int, decomposition: Decomposition, t: Callable, kind: str) -> LatticeOperation:
-    """The operation with difference map t: T-(x,y) = y + t(w) and
-    T+(x,y) = x - t(w), w = x - y, with t evaluated once per difference."""
-    t = functools.cache(t)
+        def t_plus(x: Point, y: Point) -> Point:
+            return tuple(map(sub, x, t(tuple(map(sub, x, y)))))
 
-    def t_minus(x: Point, y: Point) -> Point:
-        return tuple(map(add, t(tuple(map(sub, x, y))), y))
-
-    def t_plus(x: Point, y: Point) -> Point:
-        return tuple(map(sub, x, t(tuple(map(sub, x, y)))))
-
-    return LatticeOperation(dim, decomposition, t_minus, t_plus, kind, t)
-
-
-def _difference_map(op: LatticeOperation) -> Callable:
-    if op.t is None:
-        raise DomainError("a pair of maps given directly has no difference map")
-    return op.t
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t_minus", t_minus)
+        object.__setattr__(self, "t_plus", t_plus)
 
 
 def meet_join(dim: int) -> LatticeOperation:
     """Coordinatewise minimum and maximum: t(w) = min(w, 0)."""
-    return _derived(
+    return LatticeOperation(
         dim, singleton_decomposition(dim), lambda w: tuple(min(c, 0) for c in w), "meet_join"
     )
 
@@ -116,7 +105,7 @@ def midpoint(dim: int) -> LatticeOperation:
     Floor is toward minus infinity (max {m in Z : m <= r}), matching
     Python's // on negative sums; the ceiling is the complement.
     """
-    return _derived(
+    return LatticeOperation(
         dim, singleton_decomposition(dim), lambda w: tuple(c // 2 for c in w), "midpoint"
     )
 
@@ -124,9 +113,11 @@ def midpoint(dim: int) -> LatticeOperation:
 def product(a: LatticeOperation, b: LatticeOperation) -> LatticeOperation:
     """Blockwise product: ``a`` acts on the first dim(a) coordinates, ``b``
     on the rest; decompositions and difference maps are concatenated."""
-    da, ta, tb = a.dim, _difference_map(a), _difference_map(b)
+    da, ta, tb = a.dim, a.t, b.t
     decomposition = make_decomposition(a.decomposition.blocks + b.decomposition.blocks)
-    return _derived(da + b.dim, decomposition, lambda w: ta(w[:da]) + tb(w[da:]), "product")
+    return LatticeOperation(
+        da + b.dim, decomposition, lambda w: ta(w[:da]) + tb(w[da:]), "product"
+    )
 
 
 def from_difference_map(
@@ -142,7 +133,7 @@ def from_difference_map(
     decomposition (singleton standard blocks when omitted).
     """
     d = decomposition if decomposition is not None else singleton_decomposition(dim)
-    return _derived(dim, d, t, "difference_map")
+    return LatticeOperation(dim, d, t, "difference_map")
 
 
 def block_section(
@@ -162,13 +153,13 @@ def block_section(
         raise DimensionMismatch(
             f"block {level} expects prefixes of length {off}, got {len(prefix_x)}, {len(prefix_y)}"
         )
-    t = _difference_map(op)
     if d.block_count == 1:
         return op
     p = tuple(map(sub, prefix_x, prefix_y))
     suffix = (0,) * (op.dim - off - bdim)
     section = make_decomposition([(bdim, d.order(level))])
-    return _derived(bdim, section, lambda w: t(p + w + suffix)[off : off + bdim], "section")
+    t = op.t
+    return LatticeOperation(bdim, section, lambda w: t(p + w + suffix)[off : off + bdim], "section")
 
 
 def image_sets(
@@ -260,77 +251,34 @@ def _check_box_radius(dim: int, box_radius: int) -> None:
 
 
 def check_complement(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
-    """Check of t_minus + t_plus = x + y: by construction when the operation
-    carries its difference map, else exhaustively on the box."""
+    """t_minus + t_plus = x + y, which holds by construction from the
+    difference map; only the radius is checked."""
     _check_box_radius(op.dim, box_radius)
-    if op.t is not None:
-        return VerificationReport(check="complement", outcome=VERIFIED, detail=_BY_CONSTRUCTION)
-    pts = box_points(op.dim, box_radius)
-    tm, tp = op.t_minus, op.t_plus
-    for x in pts:
-        for y in pts:
-            total = point_add(x, y)
-            if point_add(tm(x, y), tp(x, y)) != total:
-                return VerificationReport(
-                    check="complement",
-                    outcome=VIOLATED,
-                    witness={
-                        "x": x,
-                        "y": y,
-                        "t_minus": tm(x, y),
-                        "t_plus": tp(x, y),
-                        "sum": total,
-                    },
-                )
-    return VerificationReport(
-        check="complement", outcome=VERIFIED, detail=f"{len(pts) ** 2} pairs"
-    )
-
-
-def _difference_tables(op: LatticeOperation) -> list[tuple[str, PairMap, Callable]]:
-    """Each pair map T with its tag and T(w, 0), evaluated once per difference w."""
-    zero = (0,) * op.dim
-    return [
-        (tag, tmap, functools.cache(lambda w, tmap=tmap: tmap(w, zero)))
-        for tag, tmap in (("minus", op.t_minus), ("plus", op.t_plus))
-    ]
+    return VerificationReport(check="complement", outcome=VERIFIED, detail=_BY_CONSTRUCTION)
 
 
 def check_p1(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
-    """Translation-equivariance check: by construction when the operation
-    carries its difference map, else exhaustively on the box.
-
-    The scan checks T(x, y) = T(x - y, 0) + y for both maps at every pair
-    of the radius-(r+1) box: it holds every unit or all-ones shift of a
-    radius-r pair and every table entry ``check_p2`` reads at radius r.  A
-    failure (x, y) is reported with z = -y, so T(x + z, y + z) != T(x, y) + z.
-    """
+    """Translation equivariance, which holds by construction from the
+    difference map; only the radius is checked."""
     _check_box_radius(op.dim, box_radius)
-    if op.t is not None:
-        return VerificationReport(check="p1", outcome=VERIFIED, detail=_BY_CONSTRUCTION)
-    pts = box_points(op.dim, box_radius + 1)
-    tables = _difference_tables(op)
-    for x in pts:
-        for y in pts:
-            w = tuple(map(sub, x, y))
-            for _, tmap, t in tables:
-                if tmap(x, y) != tuple(map(add, t(w), y)):
-                    return VerificationReport(
-                        check="p1",
-                        outcome=VIOLATED,
-                        witness={"x": x, "y": y, "z": tuple(-c for c in y)},
-                    )
-    detail = f"{len(pts) ** 2} pairs in the radius-{box_radius + 1} box"
-    return VerificationReport(check="p1", outcome=VERIFIED, detail=detail)
+    return VerificationReport(check="p1", outcome=VERIFIED, detail=_BY_CONSTRUCTION)
+
+
+def _difference_tables(op: LatticeOperation) -> list[tuple[str, Callable]]:
+    """Each pair map's tag and T(w, 0), evaluated once per difference w."""
+    t = op.t
+    return [
+        ("minus", functools.cache(t)),
+        ("plus", functools.cache(lambda w: tuple(map(sub, w, t(w))))),
+    ]
 
 
 def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     """Blockwise Knothe-monotonicity and triangularity check on the box.
 
-    Relies on P1, T(x, y) = T(x - y, 0) + y, which holds by construction
-    or is scanned by ``check_p1`` at the same radius beside it in
-    ``check_operation`` and ``verify_dbm``: each map is evaluated once per
-    difference w = x - y and every block section is read from that table.
+    Each map is read as T(x, y) = T(x - y, 0) + y, with T-(w, 0) = t(w)
+    and T+(w, 0) = w - t(w) evaluated once per difference w = x - y, and
+    every block section is read from that table.
     The section of block i at prefixes (a, b) of the box depends only on
     p = a - b; each p is scanned once, at the first pair (a, b) of the box
     in lexicographic order.  The section maps are scanned along
@@ -359,7 +307,7 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
             for a in [tuple(max(c, 0) - box_radius for c in p)]
         )
         for a, b, p in firsts:
-            for tag, _, t in tables:
+            for tag, t in tables:
                 for fixed in block_pts:
                     prev_u = prev = prev_keys = None
                     for u in block_pts:
@@ -392,7 +340,7 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
                                 )
                         prev_u, prev, prev_keys = u, cur, cur_keys
         # triangularity: block i must ignore coordinates of later blocks
-        for tag, _, t in tables:
+        for tag, t in tables:
             for w in differences if hi < n else ():
                 for j in range(hi, n):
                     for delta in (1, -1):
@@ -412,7 +360,7 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
                                     "delta": delta,
                                 },
                             )
-    evaluations = sum(t.cache_info().currsize for _, _, t in tables)
+    evaluations = sum(t.cache_info().currsize for _, t in tables)
     return VerificationReport(check="p2", outcome=VERIFIED, detail=f"{evaluations} evaluations")
 
 

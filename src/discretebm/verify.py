@@ -297,6 +297,20 @@ def _lowest_terms(nums: dict[Point, int], den: int) -> dict[Point, tuple[int, in
     return out
 
 
+def _term(
+    km: tuple[int, int], kp: tuple[int, int], mw: Fraction, nw: Fraction, powers
+) -> tuple[int, int]:
+    """kappa-^c kappa+^d / (mu^a nu^b) as an integer ratio (top, bottom),
+    cross-multiplied from the weights' numerators and denominators under
+    the integer exponents ``powers`` = (a, b, c, d)."""
+    a, b, c, d = powers
+    (kmn, kmd), (kpn, kpd) = km, kp
+    return (
+        kmn**c * kpn**d * mw.denominator**a * nw.denominator**b,
+        kmd**c * kpd**d * mw.numerator**a * nw.numerator**b,
+    )
+
+
 def pointwise_term_bound(
     mu: ProbabilityMeasure,
     nu: ProbabilityMeasure,
@@ -326,7 +340,7 @@ def pointwise_term_bound(
     d = op.decomposition
     if d.total_dim != pi.dim:
         raise DimensionMismatch("operation decomposition does not match coupling dimension")
-    a_n, b_n, c_n, d_n = exponents.integer_exponents()
+    powers = a_n, b_n, c_n, d_n = exponents.integer_exponents()
     fam_mu = mu.disintegrate(d)
     fam_nu = nu.disintegrate(d)
     terms = 0
@@ -335,13 +349,11 @@ def pointwise_term_bound(
         mu_block = fam_mu.conditional(level, px)._atoms
         nu_block = fam_nu.conditional(level, py)._atoms
         for (xb, yb), (zm, zp) in zip(cond._atoms, images):
-            (kmn, kmd), (kpn, kpd) = kappa_minus[zm], kappa_plus[zp]
             mw, nw = mu_block[xb], nu_block[yb]
             terms += 1
-            if (
-                kmn**c_n * kpn**d_n * mw.denominator**a_n * nw.denominator**b_n
-                > kmd**c_n * kpd**d_n * mw.numerator**a_n * nw.numerator**b_n
-            ):
+            top, bottom = _term(kappa_minus[zm], kappa_plus[zp], mw, nw, powers)
+            if top > bottom:
+                (kmn, kmd), (kpn, kpd) = kappa_minus[zm], kappa_plus[zp]
                 return VerificationReport(
                     check="pointwise",
                     outcome=VIOLATED,
@@ -373,17 +385,14 @@ def p_value(
     _require_marginals(pi, mu, nu)
     if op.dim != pi.dim:
         raise DimensionMismatch("operation and coupling dimensions differ")
-    a_n, b_n, c_n, d_n = exponents.integer_exponents()
+    powers = exponents.integer_exponents()
     n = exponents.common_denominator
     images, kappa_minus, kappa_plus = _transport(pi, op)
     mu_atoms, nu_atoms = mu._atoms, nu._atoms
     logs: list[float] = []
     all_terms_bounded = True
     for ((x, y), w), (zm, zp) in zip(pi.items(), images):
-        (kmn, kmd), (kpn, kpd) = kappa_minus[zm], kappa_plus[zp]
-        mw, nw = mu_atoms[x], nu_atoms[y]
-        top = kmn**c_n * kpn**d_n * mw.denominator**a_n * nw.denominator**b_n
-        bottom = kmd**c_n * kpd**d_n * mw.numerator**a_n * nw.numerator**b_n
+        top, bottom = _term(kappa_minus[zm], kappa_plus[zp], mu_atoms[x], nu_atoms[y], powers)
         if top > bottom:
             all_terms_bounded = False
         g = math.gcd(top, bottom)

@@ -102,11 +102,8 @@ def test_coupling_validation():
         monotone_coupling(uniform([(0, 0)]), uniform([0]), ORDER1)
 
 
-def test_as_measure_and_pushforward():
+def test_pushforward_by_pair_maps():
     pi = monotone_coupling(uniform([0, 1, 2]), uniform([0, 1]), ORDER1)
-    doubled = pi.as_measure()
-    assert doubled.dim == 2
-    assert doubled.weight_at((1, 0)) == F(1, 6)
     km = pi.pushforward_by(midpoint(1).t_minus)
     assert km == ProbabilityMeasure(1, [(0, F(1, 2)), (1, F(1, 2))])
     kp = pi.pushforward_by(midpoint(1).t_plus)
@@ -394,7 +391,6 @@ def test_internal_measures_equal_validated_ones(mu, nu):
         pi.marginal("second"),
         pi.pushforward_by(op.t_minus),
         pi.pushforward_by(op.t_plus),
-        pi.as_measure(),
         mu.pushforward(lambda x: (x[0] + x[1],)),
     ):
         _assert_validated_equal(m)

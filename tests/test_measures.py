@@ -183,10 +183,15 @@ def test_disintegrate_product_measure():
 @settings(max_examples=80)
 def test_recombination_identity(entries):
     m = FiniteMeasure(2, [((a, b), F(w)) for a, b, w in entries]).normalize()
-    fam = m.disintegrate(singleton_decomposition(2))
+    d = singleton_decomposition(2)
+    fam = m.disintegrate(d)
     for x, w in m.items():
-        assert fam.recombined_weight(x) == w
-    assert fam.recombined_weight((99, 99)) == 0
+        recombined = F(1)
+        for i in range(d.block_count):
+            recombined *= fam.conditional(i, d.prefix(x, i)).weight_at(d.block(x, i))
+        assert recombined == w
+    with pytest.raises(DomainError, match="zero mass"):
+        fam.conditional(1, (99,))
 
 
 def test_disintegrate_dimension_mismatch():

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from discretebm import (
     AdditiveTotalOrder,
+    Decomposition,
     DimensionMismatch,
     DomainError,
     ExponentQuadruple,
@@ -116,68 +118,14 @@ def test_difference_map_always_p1_and_complement():
         assert check_complement(op, 3).ok
 
 
-def test_check_p1_catches_handcrafted_violation():
-    # T(x, y) = x + y is not translation equivariant
-    op = LatticeOperation(
-        dim=1,
-        decomposition=singleton_decomposition(1),
-        t_minus=lambda x, y: (x[0] + y[0],),
-        t_plus=lambda x, y: (0,),
-        kind="difference_map",
-    )
-    rep = check_p1(op, 2)
-    assert not rep.ok
-    w = rep.witness
-    x, y, z = tuple(w["x"]), tuple(w["y"]), tuple(w["z"])
-    assert op.t_minus(point_add(x, z), point_add(y, z)) != point_add(op.t_minus(x, y), z)
-    # only T+ = 0 breaks it here
-    plus_only = LatticeOperation(
-        1, singleton_decomposition(1), midpoint(1).t_minus, op.t_plus, "midpoint"
-    )
-    rep = check_p1(plus_only, 2)
-    assert not rep.ok and _is_p1_counterexample(plus_only, rep.witness)
-
-
-def perturbed(op, x0, y0, value):
-    """``op`` with T-(x0, y0) set to ``value`` and T+ kept as the complement."""
-
-    def t_minus(x, y):
-        return value if (x, y) == (x0, y0) else op.t_minus(x, y)
-
-    def t_plus(x, y):
-        return tuple(a + b - m for a, b, m in zip(x, y, t_minus(x, y)))
-
-    return LatticeOperation(op.dim, op.decomposition, t_minus, t_plus, op.kind)
-
-
-def _is_p1_counterexample(op, w):
-    x, y, z = tuple(w["x"]), tuple(w["y"]), tuple(w["z"])
-    return any(
-        tmap(point_add(x, z), point_add(y, z)) != point_add(tmap(x, y), z)
-        for tmap in (op.t_minus, op.t_plus)
-    )
-
-
-def test_check_p1_covers_the_differences_check_p2_reads():
-    # check_p2 at r = 2 reads T-(4, 0) as the entry of the difference 4; no
-    # unit or all-ones shift of a pair of the radius-2 box reaches (4, 0)
-    op = perturbed(midpoint(1), (4,), (0,), (7,))
-    rep = check_p1(op, 2)
-    assert not rep.ok and _is_p1_counterexample(op, rep.witness)
-    agg = check_operation(op, 2)
-    assert agg.detail == "p1 failed" and agg.witness == rep.witness
-
-
-def test_check_complement_catches_violation():
-    op = LatticeOperation(
-        dim=1,
-        decomposition=singleton_decomposition(1),
-        t_minus=lambda x, y: ((x[0] + y[0]) // 2,),
-        t_plus=lambda x, y: (0,),
-        kind="difference_map",
-    )
-    rep = check_complement(op, 2)
-    assert not rep.ok and rep.witness is not None
+def test_operation_derives_its_pair_maps_from_t():
+    op = LatticeOperation(1, singleton_decomposition(1), lambda w: (w[0] // 3,), "difference_map")
+    assert op.t((7,)) == (2,) and op.t((-1,)) == (-1,)
+    for x in box_points(1, 4):
+        for y in box_points(1, 4):
+            low = (x[0] - y[0]) // 3 + y[0]
+            assert op.t_minus(x, y) == (low,)
+            assert op.t_plus(x, y) == (x[0] + y[0] - low,)
 
 
 def test_check_p2_negation_witness():
@@ -246,11 +194,11 @@ def test_check_radius_validation():
 
 
 def test_box_checks_reject_oversized_boxes_before_any_evaluation():
-    def unreachable(x, y):
+    def unreachable(w):
         raise AssertionError("a map was evaluated")
 
     for dim, radius in ((1, 10**8), (1, 2**63), (2, 20), (3, 5), (4, 2), (1000, 1)):
-        op = LatticeOperation(dim, singleton_decomposition(dim), unreachable, unreachable, "section")
+        op = from_difference_map(dim, None, unreachable)
         for check in (check_p1, check_p2, check_complement, check_operation):
             with pytest.raises(DomainError, match="box checks scan at most 2000000"):
                 check(op, radius)
@@ -554,59 +502,25 @@ def reference_check_p1(op: LatticeOperation, box_radius: int = 4) -> Verificatio
     )
 
 
-_P1_BASES = [
-    midpoint(1),
-    meet_join(1),
-    midpoint(2),
-    meet_join(2),
-    product(midpoint(1), meet_join(1)),
-    product(meet_join(1), midpoint(1)),
-    negate_op(1),
-    from_difference_map(1, None, lambda w: (5 * w[0],)),
-    from_difference_map(2, None, lambda w: (w[0] + w[1], -w[1])),
-]
-
-
-@st.composite
-def p1_cases(draw):
-    """A built-in or difference-map operation in dim 1-2 and a radius 1-3,
-    changed at one pair of the radius-(2r+1) box, or left as it is."""
-    op = draw(st.sampled_from(_P1_BASES))
-    radius = draw(st.integers(1, 3))
-    changed = draw(st.booleans())
-    if changed:
-        coords = st.tuples(*[st.integers(-2 * radius - 1, 2 * radius + 1)] * op.dim)
-        x0, y0 = draw(coords), draw(coords)
-        delta = draw(st.tuples(*[st.integers(-2, 2)] * op.dim).filter(any))
-        op = perturbed(op, x0, y0, point_add(op.t_minus(x0, y0), delta))
-    return op, radius, changed
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(p1_cases())
-@example((perturbed(midpoint(1), (4,), (0,), (7,)), 2, True))
-@example((perturbed(meet_join(2), (1, -1), (0, 1), (1, -1)), 1, True))
-@example((product(midpoint(2), meet_join(1)), 1, False))
-def test_check_p1_implies_reference(case):
-    op, radius, changed = case
-    ref = reference_check_p1(op, radius)
-    rep = check_p1(op, radius)
-    if not changed:
-        assert ref.ok and rep.ok
-    if not ref.ok:
-        assert not rep.ok
-    if not rep.ok:
-        assert _is_p1_counterexample(op, rep.witness)
-
-
 # The constructors as they were before every operation carried its
-# difference map, kept verbatim: pair lambdas, product and section lambda
-# chains, and from_difference_map's own T-/T+.
+# difference map, kept verbatim but for the pair type: pair lambdas,
+# product and section lambda chains, and from_difference_map's own T-/T+.
 
 
-def reference_meet_join(dim: int) -> LatticeOperation:
+class ReferencePair(NamedTuple):
+    """A pair of maps given directly, as LatticeOperation once allowed."""
+
+    dim: int
+    decomposition: Decomposition
+    t_minus: Callable
+    t_plus: Callable
+    kind: str
+    t: Callable | None = None
+
+
+def reference_meet_join(dim: int) -> ReferencePair:
     """Coordinatewise minimum and maximum."""
-    return LatticeOperation(
+    return ReferencePair(
         dim=dim,
         decomposition=singleton_decomposition(dim),
         t_minus=lambda x, y: tuple(map(min, x, y)),
@@ -615,13 +529,13 @@ def reference_meet_join(dim: int) -> LatticeOperation:
     )
 
 
-def reference_midpoint(dim: int) -> LatticeOperation:
+def reference_midpoint(dim: int) -> ReferencePair:
     """Coordinatewise floor and ceiling of the average.
 
     Floor is toward minus infinity (max {m in Z : m <= r}), matching
     Python's // on negative sums; the ceiling is the complement.
     """
-    return LatticeOperation(
+    return ReferencePair(
         dim=dim,
         decomposition=singleton_decomposition(dim),
         t_minus=lambda x, y: tuple((a + b) // 2 for a, b in zip(x, y)),
@@ -630,13 +544,13 @@ def reference_midpoint(dim: int) -> LatticeOperation:
     )
 
 
-def reference_product(a: LatticeOperation, b: LatticeOperation) -> LatticeOperation:
+def reference_product(a: ReferencePair, b: ReferencePair) -> ReferencePair:
     """Blockwise product: ``a`` acts on the first dim(a) coordinates, ``b``
     on the rest.  The decomposition is the concatenation of the factors'.
     """
     da = a.dim
     am, ap, bm, bp = a.t_minus, a.t_plus, b.t_minus, b.t_plus
-    return LatticeOperation(
+    return ReferencePair(
         dim=a.dim + b.dim,
         decomposition=make_decomposition(a.decomposition.blocks + b.decomposition.blocks),
         t_minus=lambda x, y: am(x[:da], y[:da]) + bm(x[da:], y[da:]),
@@ -649,7 +563,7 @@ def reference_from_difference_map(
     dim: int,
     decomposition,
     t,
-) -> LatticeOperation:
+) -> ReferencePair:
     """Operation determined by its single-variable section t(w) = T-(w, 0).
 
     Translation equivariance forces T-(x,y) = t(x-y) + y, and t_plus is
@@ -666,14 +580,14 @@ def reference_from_difference_map(
         tm = t_minus(x, y)
         return tuple(a + b - m for a, b, m in zip(x, y, tm))
 
-    return LatticeOperation(
+    return ReferencePair(
         dim=dim, decomposition=d, t_minus=t_minus, t_plus=t_plus, kind="difference_map"
     )
 
 
 def reference_block_section(
-    op: LatticeOperation, level: int, prefix_x: Point, prefix_y: Point
-) -> LatticeOperation:
+    op: ReferencePair, level: int, prefix_x: Point, prefix_y: Point
+) -> ReferencePair:
     """One-block operation obtained by freezing the leading blocks.
 
     Evaluates the full pair with the given prefixes and zero suffixes and
@@ -692,7 +606,7 @@ def reference_block_section(
     suffix = (0,) * (op.dim - off - bdim)
     lo, hi = off, off + bdim
     tm, tp = op.t_minus, op.t_plus
-    return LatticeOperation(
+    return ReferencePair(
         dim=bdim,
         decomposition=make_decomposition([(bdim, order)]),
         t_minus=lambda u, v: tm(prefix_x + u + suffix, prefix_y + v + suffix)[lo:hi],
@@ -838,20 +752,68 @@ def test_by_construction_checks_evaluate_nothing_and_still_reject_huge_boxes():
             check(op, 10**8)
 
 
-def test_pairs_given_directly_cannot_be_combined():
-    direct = reference_midpoint(1)
-    with pytest.raises(DomainError, match="no difference map"):
-        product(direct, midpoint(1))
-    with pytest.raises(DomainError, match="no difference map"):
-        product(midpoint(1), direct)
-    with pytest.raises(DomainError, match="no difference map"):
-        block_section(direct, 0, (), ())
-    two = reference_product(direct, reference_meet_join(1))
-    with pytest.raises(DomainError, match="no difference map"):
-        block_section(two, 1, (0,), (0,))
-    # a pair given directly is still scanned
-    assert check_p1(direct, 1).detail == "25 pairs in the radius-2 box"
-    assert check_complement(direct, 1).detail == "9 pairs"
+def _reference_radius(op, radius):
+    # the reference scans read every pair of the box; keep dim 3 at radius 1
+    return radius if op.dim < 3 else 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(difference_map_ops(), builtin_ops))
+@example((from_difference_map(1, None, lambda w: (7,) if w == (4,) else (w[0] // 2,)), 2))
+def test_check_p1_implies_reference(case):
+    op, radius = case
+    radius = _reference_radius(op, radius)
+    assert check_p1(op, radius).ok
+    assert reference_check_p1(op, radius).ok
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(difference_map_ops(), builtin_ops))
+def test_check_complement_implies_reference(case):
+    op, radius = case
+    radius = _reference_radius(op, radius)
+    assert check_complement(op, radius).ok
+    assert reference_check_complement(op, radius).ok
+
+
+def test_pair_maps_are_set_on_the_instance_not_given():
+    op = midpoint(1)
+    assert {"t_minus", "t_plus"} <= vars(op).keys()
+    assert "t_minus" not in repr(op) and "t_plus" not in repr(op)
+    with pytest.raises(TypeError):
+        LatticeOperation(1, singleton_decomposition(1), op.t_minus, op.t_plus, "midpoint")
+    with pytest.raises(TypeError):
+        LatticeOperation(1, singleton_decomposition(1), op.t, "midpoint", t_minus=op.t_minus)
+    with pytest.raises(AttributeError):
+        op.t_minus = op.t_plus
+    # a hook may still replace a pair map on the instance, as a profiler does
+    object.__setattr__(op, "t_minus", lambda x, y: (99,))
+    assert op.t_minus((0,), (0,)) == (99,)
+
+
+def test_t_is_evaluated_once_per_difference():
+    seen = []
+
+    def t(w):
+        seen.append(w)
+        return (w[0] // 2,)
+
+    op = from_difference_map(1, None, t)
+    for x in box_points(1, 2):
+        for y in box_points(1, 2):
+            op.t_minus(x, y)
+            op.t_plus(x, y)
+            op.t_minus(x, y)
+    assert sorted(seen) == box_points(1, 4)
+
+
+def test_check_p2_counts_its_own_evaluations():
+    fresh = check_p2(midpoint(2), 2)
+    op = midpoint(2)
+    for w in box_points(2, 5):
+        op.t(w)
+    assert check_p2(op, 2).detail == check_p2(op, 2).detail == fresh.detail
+    assert fresh.detail.endswith(" evaluations")
 
 
 def test_section_of_a_single_block_is_the_operation():

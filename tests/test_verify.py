@@ -40,7 +40,7 @@ from discretebm import (
 from discretebm.measures import _log_fraction
 from discretebm.suite import generate_instance, random_exponents, random_quadruple
 from discretebm.seeding import stream
-from discretebm.verify import DEFAULT_TOLERANCE, _logsumexp, _require_marginals
+from discretebm.verify import DEFAULT_TOLERANCE, _logsumexp, _require_marginals, _term
 from helpers import dirac, uniform
 
 ORDER1 = standard_order(1)
@@ -541,3 +541,20 @@ def test_exact_terms_match_fraction_reference(case):
     ref_log_p, ref_prep = reference_p_value(mu, nu, pi, op, exponents)
     assert log_p == ref_log_p and repr(log_p) == repr(ref_log_p)
     assert prep.to_json_dict() == ref_prep.to_json_dict()
+
+
+_positive = st.integers(1, 40)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(
+    st.tuples(_positive, _positive),
+    st.tuples(_positive, _positive),
+    st.fractions(min_value=F(1, 50), max_value=1, max_denominator=50),
+    st.fractions(min_value=F(1, 50), max_value=1, max_denominator=50),
+    st.tuples(*[st.integers(0, 4)] * 4),
+)
+def test_term_is_the_cross_multiplied_ratio(km, kp, mw, nw, powers):
+    a, b, c, d = powers
+    top, bottom = _term(km, kp, mw, nw, powers)
+    assert F(top, bottom) == F(*km) ** c * F(*kp) ** d / (mw**a * nw**b)
