@@ -11,8 +11,6 @@ pair of complementing lattice operations.
 
 from .coupling import (
     Coupling,
-    FiberIndex,
-    blockwise_fiber_check,
     check_fiber_structure,
     check_support_monotone,
     fibers,
@@ -86,7 +84,6 @@ __all__ = [
     "DomainError",
     "EmptySupportError",
     "ExponentQuadruple",
-    "FiberIndex",
     "FiniteMeasure",
     "FormatError",
     "FunctionQuadruple",
@@ -102,7 +99,6 @@ __all__ = [
     "VIOLATED",
     "VerificationReport",
     "as_point",
-    "blockwise_fiber_check",
     "block_section",
     "box_points",
     "check_complement",

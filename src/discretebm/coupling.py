@@ -24,9 +24,12 @@ integer numerators over a common denominator; weights stay ``Fraction``
 values.  A coupling keeps the numerators and the denominator it was
 certified on, so that arithmetic never recomputes them.
 
-For a monotone coupling on a single ordered block and a complementing
-operation pair, :func:`check_fiber_structure` verifies the following
-shape claims about the fibers S(a) = {(x, y) in supp pi : T(x, y) = a}:
+For a coupling and a complementing operation pair,
+:func:`check_fiber_structure` verifies the following shape claims about
+the fibers S(a) = {(x, y) in supp pi : T(x, y) = a} of a monotone
+coupling on one ordered block.  On a single block it checks the coupling
+itself; on several it checks every conditional block coupling against
+the operation's block section at the same prefixes:
 
 * every fiber has at most two elements;
 * a two-element fiber is {(x0, y0), (x0, y0+u)} or {(x0, y0), (x0+u, y0)}
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator
@@ -356,27 +358,21 @@ def _cross(p, q) -> bool:
     return (px < qx and py > qy) or (px > qx and py < qy)
 
 
-@dataclass(frozen=True)
-class FiberIndex:
-    """Support pairs of a coupling grouped by their image under one map.
+def fibers(
+    pi: Coupling, op: LatticeOperation, sign: str
+) -> dict[Point, tuple[tuple[Point, Point], ...]]:
+    """Group supp pi by the image under t_minus (sign='minus') or t_plus.
 
     The groups partition the support: every support pair appears in
     exactly one fiber.
     """
-
-    sign: str
-    groups: dict[Point, tuple[tuple[Point, Point], ...]]
-
-
-def fibers(pi: Coupling, op: LatticeOperation, sign: str) -> FiberIndex:
-    """Group supp pi by the image under t_minus (sign='minus') or t_plus."""
     if sign not in ("minus", "plus"):
         raise DomainError(f"sign must be 'minus' or 'plus', got {sign!r}")
     fn = op.t_minus if sign == "minus" else op.t_plus
     groups: dict[Point, list[tuple[Point, Point]]] = {}
     for x, y in pi.support():
         groups.setdefault(fn(x, y), []).append((x, y))
-    return FiberIndex(sign, {a: tuple(ps) for a, ps in groups.items()})
+    return {a: tuple(ps) for a, ps in groups.items()}
 
 
 def _fiber_sorted(pairs, order: AdditiveTotalOrder):
@@ -384,24 +380,38 @@ def _fiber_sorted(pairs, order: AdditiveTotalOrder):
 
 
 def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationReport:
-    """Verify the fiber shape of a monotone coupling on one ordered block.
+    """Verify the fiber shape of ``pi`` on every block of ``op``.
 
-    Preconditions: ``op`` is a complementing pair declared on a single
-    block and passing the P1/P2 checks (caller's responsibility), and
-    ``pi`` has order-monotone support.  A multi-block operation or a
-    non-monotone coupling yields an ``inapplicable`` report, not a shape
-    violation; for Knothe couplings use :func:`blockwise_fiber_check`.
+    On a single block the shape is checked on ``pi`` itself.  On several
+    blocks it is checked on every conditional block coupling of ``pi``
+    along ``op.decomposition``, against the block section of ``op`` at
+    the matching prefixes; a violation adds ``block``, ``prefix_x`` and
+    ``prefix_y`` to its witness.  Preconditions: ``op`` is a complementing
+    pair passing the P2 check (caller's responsibility).  A coupling, or
+    conditional block coupling, whose support is not monotone yields an
+    ``inapplicable`` report, not a shape violation.
     """
     if op.dim != pi.dim:
         raise DimensionMismatch("operation and coupling dimensions differ")
-    if op.decomposition.block_count != 1:
+    d = op.decomposition
+    if d.block_count > 1:
+        checked = 0
+        for level, px, py, cond in iter_conditional_couplings(pi, d):
+            rep = check_fiber_structure(cond, block_section(op, level, px, py))
+            if rep.outcome == VIOLATED:
+                return VerificationReport(
+                    check="fibers",
+                    outcome=VIOLATED,
+                    witness={**rep.witness, "block": level + 1, "prefix_x": px, "prefix_y": py},
+                    detail=rep.detail,
+                )
+            if not rep.ok:
+                return rep
+            checked += 1
         return VerificationReport(
-            check="fibers",
-            outcome=INAPPLICABLE,
-            detail="fiber shape applies to a single ordered block; "
-            "use blockwise_fiber_check for multi-block operations",
+            check="fibers", outcome=VERIFIED, detail=f"{checked} conditional block couplings"
         )
-    order = op.decomposition.order(0)
+    order = d.order(0)
     mono = check_support_monotone(pi, order)
     if not mono.ok:
         return VerificationReport(
@@ -416,8 +426,8 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
         "minus": (fibers(pi, op, "minus"), op.t_plus),
         "plus": (fibers(pi, op, "plus"), op.t_minus),
     }
-    for sign, (index, other_map) in by_sign.items():
-        for a, pairs in index.groups.items():
+    for sign, (groups, other_map) in by_sign.items():
+        for a, pairs in groups.items():
             if len(pairs) > 2:
                 return VerificationReport(
                     check="fibers",
@@ -445,11 +455,11 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
                         detail="complementary map does not shift by the unit across the fiber",
                     )
     # alignment whenever both fibers through a support pair have two elements
-    minus_index = by_sign["minus"][0]
-    plus_index = by_sign["plus"][0]
+    minus_fibers = by_sign["minus"][0]
+    plus_fibers = by_sign["plus"][0]
     for x, y in pi.support():
-        sm = minus_index.groups[op.t_minus(x, y)]
-        sp = plus_index.groups[op.t_plus(x, y)]
+        sm = minus_fibers[op.t_minus(x, y)]
+        sp = plus_fibers[op.t_plus(x, y)]
         if len(sm) == 2 and len(sp) == 2:
             if not (_aligned(sm, sp, unit) and _aligned(sp, sm, unit)):
                 return VerificationReport(
@@ -466,7 +476,7 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
     return VerificationReport(
         check="fibers",
         outcome=VERIFIED,
-        detail=f"{len(minus_index.groups)} minus-fibers, {len(plus_index.groups)} plus-fibers",
+        detail=f"{len(minus_fibers)} minus-fibers, {len(plus_fibers)} plus-fibers",
     )
 
 
@@ -487,34 +497,3 @@ def _aligned(first, second, unit: Point) -> bool:
         if not hit:
             return False
     return True
-
-
-def blockwise_fiber_check(
-    mu: ProbabilityMeasure, nu: ProbabilityMeasure, op: LatticeOperation
-) -> VerificationReport:
-    """Fiber checks for the Knothe coupling, one conditional block at a time.
-
-    The single-block fiber shape is applied to every conditional block
-    coupling, against the operation's block section for the matching
-    prefixes.  Reduces to ``check_fiber_structure`` of the monotone
-    coupling when the decomposition has one block.
-    """
-    d = op.decomposition
-    pi = knothe_coupling(mu, nu, d)
-    blocks_checked = 0
-    for level, px, py, cond in iter_conditional_couplings(pi, d):
-        section = block_section(op, level, px, py)
-        rep = check_fiber_structure(cond, section)
-        blocks_checked += 1
-        if not rep.ok:
-            witness = dict(rep.witness or {})
-            witness.update({"block": level + 1, "prefix_x": px, "prefix_y": py})
-            return VerificationReport(
-                check="fibers",
-                outcome=rep.outcome,
-                witness=witness if rep.outcome == VIOLATED else rep.witness,
-                detail=rep.detail,
-            )
-    return VerificationReport(
-        check="fibers", outcome=VERIFIED, detail=f"{blocks_checked} conditional block couplings"
-    )

@@ -18,8 +18,8 @@ Every operation is built from its difference map t, T-(x,y) = t(x-y) + y
 with T+ the complement, so P1 and the complement identity hold by
 construction.  Z^n is infinite, so ``check_p2`` is a sound but incomplete
 certificate on a box; it reads t once per x - y.  A radius whose
-radius-(r+1) box holds more than ``MAX_BOX_PAIRS`` pairs is rejected by
-every check before any map is evaluated.
+radius-r box of pairs holds more than ``MAX_BOX_PAIRS`` pairs is rejected
+by every check before any map is evaluated.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ PairMap = Callable[[Point, Point], Point]
 
 _KINDS = ("meet_join", "midpoint", "product", "difference_map", "section")
 
-# the default radius 4 in dimension 3 reads 11^6 = 1,771,561 pairs
+# radius 5 in dimension 3 reads 11^6 = 1,771,561 pairs
 MAX_BOX_PAIRS = 2_000_000
 
 _BY_CONSTRUCTION = "by construction from the difference map"
@@ -237,13 +237,13 @@ class ExponentQuadruple:
 
 
 def _check_box_radius(dim: int, box_radius: int) -> None:
-    """Reject a radius below 1, or one whose radius-(r+1) box holds more
-    than ``MAX_BOX_PAIRS`` pairs."""
+    """Reject a radius below 1, or one whose radius-r box of pairs, the
+    box ``check_p2`` scans, holds more than ``MAX_BOX_PAIRS`` pairs."""
     if box_radius < 1:
         raise DomainError("box radius must be >= 1")
-    side = 2 * box_radius + 3
-    # side >= 5 and 5^10 > MAX_BOX_PAIRS, so ten factors decide the cap
-    if side ** min(2 * dim, 10) > MAX_BOX_PAIRS:
+    side = 2 * box_radius + 1
+    # side >= 3 and 3^14 > MAX_BOX_PAIRS, so fourteen factors decide the cap
+    if side ** min(2 * dim, 14) > MAX_BOX_PAIRS:
         raise DomainError(
             f"box radius {box_radius} in dimension {dim} spans {side}^{2 * dim} pairs; "
             f"box checks scan at most {MAX_BOX_PAIRS}"

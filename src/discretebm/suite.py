@@ -17,11 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .coupling import (
-    blockwise_fiber_check,
-    check_fiber_structure,
-    knothe_coupling,
-)
+from .coupling import check_fiber_structure, knothe_coupling
 from .errors import DomainError
 from .lattice import Point
 from .measures import FiniteMeasure, ProbabilityMeasure, _log_fraction
@@ -153,10 +149,7 @@ def run_instance(
             )
             reports.append(rep)
         elif name == "fibers":
-            if op.decomposition.block_count == 1:
-                reports.append(check_fiber_structure(pi, op))
-            else:
-                reports.append(blockwise_fiber_check(instance.mu, instance.nu, op))
+            reports.append(check_fiber_structure(pi, op))
         elif name == "marginals":
             reports.append(marginal_exactness(pi, instance.mu, instance.nu))
         else:

@@ -14,7 +14,10 @@ from discretebm import (
     MarginalMismatch,
     Ordering,
     ProbabilityMeasure,
-    blockwise_fiber_check,
+    VERIFIED,
+    VIOLATED,
+    VerificationReport,
+    block_section,
     check_fiber_structure,
     check_support_monotone,
     fibers,
@@ -114,14 +117,14 @@ def test_fibers_derived_example():
     pi = monotone_coupling(uniform([0, 1, 2]), uniform([0, 1]), ORDER1)
     op = midpoint(1)
     fm = fibers(pi, op, "minus")
-    assert fm.groups[(0,)] == (((0,), (0,)), ((1,), (0,)))
-    assert fm.groups[(1,)] == (((1,), (1,)), ((2,), (1,)))
+    assert fm[(0,)] == (((0,), (0,)), ((1,), (0,)))
+    assert fm[(1,)] == (((1,), (1,)), ((2,), (1,)))
     fp = fibers(pi, op, "plus")
-    assert fp.groups[(0,)] == (((0,), (0,)),)
-    assert fp.groups[(1,)] == (((1,), (0,)), ((1,), (1,)))
-    assert fp.groups[(2,)] == (((2,), (1,)),)
+    assert fp[(0,)] == (((0,), (0,)),)
+    assert fp[(1,)] == (((1,), (0,)), ((1,), (1,)))
+    assert fp[(2,)] == (((2,), (1,)),)
     # fibers partition the support
-    assert sorted(p for ps in fm.groups.values() for p in ps) == pi.support()
+    assert sorted(p for ps in fm.values() for p in ps) == pi.support()
 
 
 def test_fiber_structure_derived_and_dirac():
@@ -137,8 +140,28 @@ def test_fiber_structure_guards():
     pi2 = monotone_coupling(
         uniform([(0, 0), (1, 1)]), uniform([(0, 0), (2, 2)]), standard_order(2)
     )
+    # pi2 is the Knothe coupling along the two blocks, which are checked
+    # as the level-0 coupling and one conditional coupling per prefix pair
     rep2 = check_fiber_structure(pi2, product(midpoint(1), meet_join(1)))
-    assert rep2.outcome == "inapplicable"
+    assert rep2.outcome == "verified"
+    assert rep2.detail == "3 conditional block couplings"
+
+
+def test_multi_block_fiber_check_reports_the_first_non_monotone_block():
+    # block 1 is a Dirac pair; block 2 given the prefixes is an independent,
+    # non-monotone coupling of {0, 1} with itself
+    m = uniform([(0, 0), (0, 1)])
+    pi = product_coupling(m, m)
+    op = product(midpoint(1), meet_join(1))
+    rep = check_fiber_structure(pi, op)
+    first_bad = next(
+        check_fiber_structure(cond, block_section(op, level, px, py))
+        for level, px, py, cond in iter_conditional_couplings(pi, op.decomposition)
+        if not check_support_monotone(cond, ORDER1).ok
+    )
+    assert rep.outcome == "inapplicable"
+    assert rep == first_bad
+    assert "block" not in rep.witness
 
 
 def test_fiber_cardinality_unbounded_for_meet_join():
@@ -148,7 +171,7 @@ def test_fiber_cardinality_unbounded_for_meet_join():
     nu = uniform([-7, 1, 2, 10])
     pi = monotone_coupling(mu, nu, ORDER1)
     op = meet_join(1)
-    fiber = fibers(pi, op, "minus").groups[(1,)]
+    fiber = fibers(pi, op, "minus")[(1,)]
     assert len(fiber) == 3
     rep = check_fiber_structure(pi, op)
     assert not rep.ok
@@ -174,7 +197,7 @@ def test_midpoint_fiber_cardinality_shape_shift_hold_randomly():
         inst = generate_instance(11, i, 1)
         pi = monotone_coupling(inst.mu, inst.nu, ORDER1)
         for sign, other in (("minus", op.t_plus), ("plus", op.t_minus)):
-            for pairs in fibers(pi, op, sign).groups.values():
+            for pairs in fibers(pi, op, sign).values():
                 assert len(pairs) <= 2
                 if len(pairs) == 2:
                     (x1, y1), (x2, y2) = sorted(pairs)
@@ -247,11 +270,63 @@ def test_knothe_marginals_and_block_monotonicity(ea, eb):
         )
 
 
-def test_blockwise_fiber_check_runs_per_block():
+def test_fiber_check_runs_per_block():
     op = product(midpoint(1), meet_join(1))
     mu = uniform([(0, 0), (1, 1)])
     nu = uniform([(0, 1), (1, 0)])
-    assert blockwise_fiber_check(mu, nu, op).ok
+    assert check_fiber_structure(knothe_coupling(mu, nu, op.decomposition), op).ok
+
+
+# The multi-block fiber check as it was before check_fiber_structure took
+# any decomposition, kept verbatim: it rebuilds the Knothe coupling from the
+# marginals and checks each conditional block coupling.
+
+
+def reference_blockwise_fiber_check(
+    mu: ProbabilityMeasure, nu: ProbabilityMeasure, op
+) -> VerificationReport:
+    """Fiber checks for the Knothe coupling, one conditional block at a time.
+
+    The single-block fiber shape is applied to every conditional block
+    coupling, against the operation's block section for the matching
+    prefixes.  Reduces to ``check_fiber_structure`` of the monotone
+    coupling when the decomposition has one block.
+    """
+    d = op.decomposition
+    pi = knothe_coupling(mu, nu, d)
+    blocks_checked = 0
+    for level, px, py, cond in iter_conditional_couplings(pi, d):
+        section = block_section(op, level, px, py)
+        rep = check_fiber_structure(cond, section)
+        blocks_checked += 1
+        if not rep.ok:
+            witness = dict(rep.witness or {})
+            witness.update({"block": level + 1, "prefix_x": px, "prefix_y": py})
+            return VerificationReport(
+                check="fibers",
+                outcome=rep.outcome,
+                witness=witness if rep.outcome == VIOLATED else rep.witness,
+                detail=rep.detail,
+            )
+    return VerificationReport(
+        check="fibers", outcome=VERIFIED, detail=f"{blocks_checked} conditional block couplings"
+    )
+
+
+@pytest.mark.parametrize(
+    "op",
+    [product(midpoint(1), meet_join(1)), product(meet_join(1), midpoint(1))],
+    ids=["midpoint-meet_join", "meet_join-midpoint"],
+)
+def test_fiber_check_matches_reference_blockwise(op):
+    outcomes = set()
+    for i in range(300):
+        inst = generate_instance(7, i, 2)
+        pi = knothe_coupling(inst.mu, inst.nu, op.decomposition)
+        got = check_fiber_structure(pi, op).to_json_dict()
+        assert got == reference_blockwise_fiber_check(inst.mu, inst.nu, op).to_json_dict()
+        outcomes.add(got["outcome"])
+    assert outcomes == {"verified", "violated"}
 
 
 def test_stochastic_dominance_gives_ordered_support():

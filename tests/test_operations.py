@@ -197,13 +197,19 @@ def test_box_checks_reject_oversized_boxes_before_any_evaluation():
     def unreachable(w):
         raise AssertionError("a map was evaluated")
 
-    for dim, radius in ((1, 10**8), (1, 2**63), (2, 20), (3, 5), (4, 2), (1000, 1)):
+    for dim, radius in ((1, 10**8), (1, 2**63), (2, 20), (3, 6), (4, 3), (1000, 1)):
         op = from_difference_map(dim, None, unreachable)
         for check in (check_p1, check_p2, check_complement, check_operation):
             with pytest.raises(DomainError, match="box checks scan at most 2000000"):
                 check(op, radius)
-    # the largest boxes the cap admits: radius 4 in dim 3, 11^6 = 1,771,561 pairs
+    # the largest boxes the cap admits: the radius-r pair box that check_p2
+    # scans, radius 5 in dim 3 with 11^6 = 1,771,561 pairs
     assert MAX_BOX_PAIRS == 2_000_000 and 11**6 <= MAX_BOX_PAIRS < 13**6
+
+
+def test_midpoint_dim3_verifies_at_the_largest_admitted_radius():
+    rep = check_operation(midpoint(3), 5)
+    assert rep.ok and [r.outcome for r in rep.subchecks] == ["verified"] * 3
 
 
 def three_block_op():
