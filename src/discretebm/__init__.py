@@ -35,17 +35,12 @@ from .lattice import (
     Point,
     as_point,
     box_points,
-    make_decomposition,
     point_add,
     point_sub,
     singleton_decomposition,
     standard_order,
 )
-from .measures import (
-    ConditionalFamily,
-    FiniteMeasure,
-    ProbabilityMeasure,
-)
+from .measures import FiniteMeasure, ProbabilityMeasure
 from .operations import (
     ExponentQuadruple,
     LatticeOperation,
@@ -77,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdditiveTotalOrder",
-    "ConditionalFamily",
     "Coupling",
     "Decomposition",
     "DimensionMismatch",
@@ -113,7 +107,6 @@ __all__ = [
     "iter_conditional_couplings",
     "knothe_coupling",
     "log_laplace_gap",
-    "make_decomposition",
     "marginal_exactness",
     "meet_join",
     "midpoint",

@@ -26,7 +26,7 @@ from . import jsonio
 from .coupling import knothe_coupling, monotone_coupling
 from .errors import FormatError, LatticeError
 from .lattice import standard_order
-from .operations import ExponentQuadruple, check_operation
+from .operations import check_operation
 from .report import INAPPLICABLE, VERIFIED, VIOLATED, VerificationReport
 from .suite import SUITE_CHECKS, run_suite
 from .verify import (
@@ -48,6 +48,7 @@ EXIT_INAPPLICABLE = 3
 _OUTCOME_CODES = {VERIFIED: EXIT_OK, VIOLATED: EXIT_VIOLATED, INAPPLICABLE: EXIT_INAPPLICABLE}
 
 VERIFY_CHECKS = ("dbm", "set-bm", "entropy", "p-bound", "pointwise", "log-laplace")
+_EXPONENTS = ("alpha", "beta", "gamma", "delta")
 
 
 def _tolerance(flag: float | None, instance: float | None = None) -> float:
@@ -79,7 +80,7 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _parse_op_args(args, required: bool = True):
+def _parse_op_args(args):
     if args.op is not None:
         raw = args.op
         spec = json.loads(raw) if raw.lstrip().startswith("{") else raw
@@ -88,29 +89,11 @@ def _parse_op_args(args, required: bool = True):
         if args.dim is None:
             raise LatticeError("--kind needs --dim")
         return jsonio.parse_operation({"kind": args.kind, "dim": args.dim})
-    if required:
-        raise LatticeError("an operation is required: pass --op or --kind with --dim")
-    return None
-
-
-def _exponents_from_args(args, base: ExponentQuadruple | None) -> ExponentQuadruple:
-    current = base or ExponentQuadruple.unit()
-    overrides = {}
-    for name in ("alpha", "beta", "gamma", "delta"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = jsonio.parse_fraction(value)
-    if not overrides:
-        return current
-    merged = {
-        name: overrides.get(name, getattr(current, name))
-        for name in ("alpha", "beta", "gamma", "delta")
-    }
-    return ExponentQuadruple(**merged)
+    raise LatticeError("an operation is required: pass --op or --kind with --dim")
 
 
 def _add_exponent_flags(sub) -> None:
-    for name in ("alpha", "beta", "gamma", "delta"):
+    for name in _EXPONENTS:
         sub.add_argument(f"--{name}", metavar="p/q", help=f"exponent {name} (default 1)")
 
 
@@ -200,7 +183,8 @@ def cmd_couple(args) -> int:
 
 def _run_verify_check(args, spec: jsonio.InstanceSpec, tolerance: float) -> VerificationReport:
     name = args.check
-    exponents = _exponents_from_args(args, spec.exponents)
+    flags = {n: getattr(args, n) for n in _EXPONENTS if getattr(args, n) is not None}
+    exponents = jsonio.parse_exponents(flags, spec.exponents)
     radius = args.radius if args.radius is not None else spec.radius
 
     def need(field: str, value):

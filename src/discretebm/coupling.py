@@ -158,8 +158,9 @@ class Coupling:
     def support(self) -> list[tuple[Point, Point]]:
         return list(self._atoms)
 
-    def weight_at(self, x: Point, y: Point) -> Fraction:
-        return self._atoms.get((tuple(x), tuple(y)), ZERO)
+    def weight_at(self, x, y) -> Fraction:
+        """Exact weight of the pair (x, y) (0 off the support)."""
+        return self._atoms.get((as_point(x, self.dim), as_point(y, self.dim)), ZERO)
 
     def marginal(self, side: str) -> ProbabilityMeasure:
         """Exact projection onto the first or second factor."""
@@ -263,17 +264,13 @@ def knothe_coupling(
     fam_mu = mu.disintegrate(decomposition)
     fam_nu = nu.disintegrate(decomposition)
     frontier = list(
-        monotone_coupling(
-            fam_mu.conditional(0, ()), fam_nu.conditional(0, ()), decomposition.order(0)
-        ).items()
+        monotone_coupling(fam_mu[0][()], fam_nu[0][()], decomposition.order(0)).items()
     )
     for level in range(1, decomposition.block_count):
         order = decomposition.order(level)
         grown: list[tuple[tuple[Point, Point], Fraction]] = []
         for (px, py), w in frontier:
-            block_pi = monotone_coupling(
-                fam_mu.conditional(level, px), fam_nu.conditional(level, py), order
-            )
+            block_pi = monotone_coupling(fam_mu[level][px], fam_nu[level][py], order)
             grown.extend(((px + xb, py + yb), w * wb) for (xb, yb), wb in block_pi.items())
         frontier = grown
     return Coupling(mu.dim, frontier, mu, nu)

@@ -18,7 +18,6 @@ from .lattice import (
     Decomposition,
     Point,
     as_point,
-    make_decomposition,
     singleton_decomposition,
 )
 from .measures import ONE, FiniteMeasure, ProbabilityMeasure
@@ -109,12 +108,12 @@ def order_to_json(order: AdditiveTotalOrder) -> dict:
 
 def parse_decomposition(obj) -> Decomposition:
     try:
-        blocks = [
+        blocks = tuple(
             (_integer(b["dim"], "block dim"), parse_order(b["order"])) for b in obj["blocks"]
-        ]
+        )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"bad decomposition spec {obj!r}") from exc
-    return make_decomposition(blocks)
+    return Decomposition(blocks)
 
 
 def decomposition_to_json(d: Decomposition) -> dict:
@@ -252,11 +251,18 @@ def parse_exponents(obj, defaults: ExponentQuadruple | None = None) -> ExponentQ
 
 
 def parse_phi(obj) -> dict[Point, float]:
+    """Function document; each point may be listed once."""
     try:
         dim = _integer(obj["dim"], "function dim")
-        return {as_point(row["x"], dim): _finite(row["v"], "phi value") for row in obj["points"]}
+        rows = [(as_point(row["x"], dim), _finite(row["v"], "phi value")) for row in obj["points"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad function document: {exc}") from exc
+    phi: dict[Point, float] = {}
+    for x, v in rows:
+        if x in phi:
+            raise FormatError(f"function document lists the point {list(x)} more than once")
+        phi[x] = v
+    return phi
 
 
 def parse_point_set(rows, dim: int) -> list[Point]:

@@ -12,9 +12,8 @@ scope.
 
 A decomposition splits Z^n into an ordered list of blocks Z^{d_1} x ... x
 Z^{d_k}, each carrying its own order.  Triangular operations and Knothe
-couplings are defined relative to a decomposition, and the prefix and
-block accessors here are the only coordinate bookkeeping the rest of the
-library needs.
+couplings are defined relative to a decomposition; block i occupies the
+coordinates ``offset(i)`` to ``offset(i) + block_dim(i)`` of a point.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DimensionMismatch, DomainError
 
@@ -181,28 +180,6 @@ class Decomposition:
 
     def block_dim(self, i: int) -> int:
         return self.blocks[i][0]
-
-    def block(self, x: Point, i: int) -> Point:
-        """Coordinates of ``x`` belonging to block ``i``."""
-        off = self.offset(i)
-        return x[off : off + self.blocks[i][0]]
-
-    def prefix(self, x: Point, i: int) -> Point:
-        """Concatenated coordinates of the first ``i`` blocks (empty for i=0)."""
-        return x[: self.offset(i)]
-
-    def split(self, x: Point) -> tuple[Point, ...]:
-        """Break ``x`` into its per-block coordinate tuples."""
-        if len(x) != self.total_dim:
-            raise DimensionMismatch(
-                f"cannot split a point of dimension {len(x)} along a decomposition of Z^{self.total_dim}"
-            )
-        return tuple(self.block(x, i) for i in range(self.block_count))
-
-
-def make_decomposition(blocks: Sequence[tuple[int, AdditiveTotalOrder]]) -> Decomposition:
-    """Validated decomposition from (block_dim, order) pairs."""
-    return Decomposition(tuple((int(b), o) for b, o in blocks))
 
 
 def singleton_decomposition(dim: int) -> Decomposition:

@@ -235,20 +235,22 @@ class ProbabilityMeasure(FiniteMeasure):
         """
         return math.fsum(float(w) * _log_fraction(w) for w in self._atoms.values())
 
-    def disintegrate(self, decomposition: Decomposition) -> "ConditionalFamily":
+    def disintegrate(self, decomposition: Decomposition) -> tuple[dict, ...]:
         """Exact conditional tree along the blocks of ``decomposition``.
 
-        Level i maps each prefix of positive mass to the conditional
-        probability measure of block i given that prefix.  Prefixes of
-        zero mass do not appear.  With a single block the only
-        conditional is the measure itself.
+        Entry i maps each prefix (the coordinates of blocks 0..i-1) of
+        positive mass to the conditional probability measure of block i
+        given that prefix; prefixes of zero mass do not appear.  With a
+        single block the only conditional is the measure itself.
+        Multiplying conditionals along a full prefix path reproduces the
+        original weight of every support point exactly.
         """
         if decomposition.total_dim != self.dim:
             raise DimensionMismatch(
                 f"decomposition of Z^{decomposition.total_dim} does not match measure on Z^{self.dim}"
             )
         if decomposition.block_count == 1:
-            return ConditionalFamily(decomposition, ({(): self},))
+            return ({(): self},)
         nums, _ = _numerators(self._atoms.values())
         levels: list[dict[Point, ProbabilityMeasure]] = []
         for i in range(decomposition.block_count):
@@ -261,7 +263,7 @@ class ProbabilityMeasure(FiniteMeasure):
                 b = x[lo:hi]
                 bucket[b] = bucket.get(b, 0) + n
             levels.append({p: _normalized(bdim, bucket) for p, bucket in groups.items()})
-        return ConditionalFamily(decomposition, tuple(levels))
+        return tuple(levels)
 
 
 def _normalized(dim: int, weights: dict[Point, int]) -> ProbabilityMeasure:
@@ -270,35 +272,6 @@ def _normalized(dim: int, weights: dict[Point, int]) -> ProbabilityMeasure:
     return ProbabilityMeasure._trusted(
         dim, {p: Fraction(n, mass) for p, n in weights.items()}, ONE
     )
-
-
-class ConditionalFamily:
-    """Per-block conditional measures of a disintegrated measure.
-
-    Multiplying conditionals along a full prefix path reproduces the
-    original weight of every support point exactly.
-    """
-
-    __slots__ = ("decomposition", "levels")
-
-    def __init__(
-        self,
-        decomposition: Decomposition,
-        levels: tuple[dict[Point, ProbabilityMeasure], ...],
-    ):
-        self.decomposition = decomposition
-        self.levels = levels
-
-    def prefixes(self, level: int) -> list[Point]:
-        return list(self.levels[level])
-
-    def conditional(self, level: int, prefix: Point) -> ProbabilityMeasure:
-        try:
-            return self.levels[level][prefix]
-        except KeyError:
-            raise DomainError(
-                f"prefix {prefix} has zero mass at level {level}; no conditional exists"
-            ) from None
 
 
 def cumulative_weights(

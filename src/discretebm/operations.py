@@ -37,7 +37,6 @@ from .lattice import (
     Point,
     basis_point,
     box_points,
-    make_decomposition,
     point_add,
     point_sub,
     singleton_decomposition,
@@ -45,8 +44,6 @@ from .lattice import (
 from .report import VERIFIED, VIOLATED, VerificationReport
 
 PairMap = Callable[[Point, Point], Point]
-
-_KINDS = ("meet_join", "midpoint", "product", "difference_map", "section")
 
 # radius 5 in dimension 3 reads 11^6 = 1,771,561 pairs
 MAX_BOX_PAIRS = 2_000_000
@@ -59,26 +56,17 @@ class LatticeOperation:
     """The complementing pair of the difference map t, with a declared
     decomposition: T-(x,y) = y + t(w) and T+(x,y) = x - t(w), w = x - y.
 
-    ``t`` must be total on Z^dim and is trusted to be pure; it is cached,
-    so each pair map evaluates it once per difference.
+    ``t`` must be total on Z^dim, dim = ``decomposition.total_dim``, and is
+    trusted to be pure; it is cached, so each pair map evaluates it once
+    per difference.
     """
 
-    dim: int
     decomposition: Decomposition
     t: Callable[[Point], Point]
-    kind: str
     t_minus: PairMap = field(init=False, repr=False, compare=False)
     t_plus: PairMap = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise DomainError("operation dimension must be >= 1")
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown operation kind {self.kind!r}")
-        if self.decomposition.total_dim != self.dim:
-            raise DimensionMismatch(
-                f"decomposition of Z^{self.decomposition.total_dim} does not match operation on Z^{self.dim}"
-            )
         t = functools.cache(self.t)
 
         def t_minus(x: Point, y: Point) -> Point:
@@ -91,12 +79,14 @@ class LatticeOperation:
         object.__setattr__(self, "t_minus", t_minus)
         object.__setattr__(self, "t_plus", t_plus)
 
+    @property
+    def dim(self) -> int:
+        return self.decomposition.total_dim
+
 
 def meet_join(dim: int) -> LatticeOperation:
     """Coordinatewise minimum and maximum: t(w) = min(w, 0)."""
-    return LatticeOperation(
-        dim, singleton_decomposition(dim), lambda w: tuple(min(c, 0) for c in w), "meet_join"
-    )
+    return LatticeOperation(singleton_decomposition(dim), lambda w: tuple(min(c, 0) for c in w))
 
 
 def midpoint(dim: int) -> LatticeOperation:
@@ -105,19 +95,15 @@ def midpoint(dim: int) -> LatticeOperation:
     Floor is toward minus infinity (max {m in Z : m <= r}), matching
     Python's // on negative sums; the ceiling is the complement.
     """
-    return LatticeOperation(
-        dim, singleton_decomposition(dim), lambda w: tuple(c // 2 for c in w), "midpoint"
-    )
+    return LatticeOperation(singleton_decomposition(dim), lambda w: tuple(c // 2 for c in w))
 
 
 def product(a: LatticeOperation, b: LatticeOperation) -> LatticeOperation:
     """Blockwise product: ``a`` acts on the first dim(a) coordinates, ``b``
     on the rest; decompositions and difference maps are concatenated."""
     da, ta, tb = a.dim, a.t, b.t
-    decomposition = make_decomposition(a.decomposition.blocks + b.decomposition.blocks)
-    return LatticeOperation(
-        da + b.dim, decomposition, lambda w: ta(w[:da]) + tb(w[da:]), "product"
-    )
+    decomposition = Decomposition(a.decomposition.blocks + b.decomposition.blocks)
+    return LatticeOperation(decomposition, lambda w: ta(w[:da]) + tb(w[da:]))
 
 
 def from_difference_map(
@@ -130,10 +116,15 @@ def from_difference_map(
     Translation equivariance forces T-(x,y) = t(x-y) + y, and t_plus is
     the complement, so P1 and the complement identity hold for any t.
     P2 is NOT guaranteed and must be checked against the declared
-    decomposition (singleton standard blocks when omitted).
+    decomposition (singleton standard blocks when omitted), which must
+    span Z^dim.
     """
     d = decomposition if decomposition is not None else singleton_decomposition(dim)
-    return LatticeOperation(dim, d, t, "difference_map")
+    if d.total_dim != dim:
+        raise DimensionMismatch(
+            f"decomposition of Z^{d.total_dim} does not match operation on Z^{dim}"
+        )
+    return LatticeOperation(d, t)
 
 
 def block_section(
@@ -157,9 +148,9 @@ def block_section(
         return op
     p = tuple(map(sub, prefix_x, prefix_y))
     suffix = (0,) * (op.dim - off - bdim)
-    section = make_decomposition([(bdim, d.order(level))])
+    section = Decomposition((d.blocks[level],))
     t = op.t
-    return LatticeOperation(bdim, section, lambda w: t(p + w + suffix)[off : off + bdim], "section")
+    return LatticeOperation(section, lambda w: t(p + w + suffix)[off : off + bdim])
 
 
 def image_sets(

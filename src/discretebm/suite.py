@@ -37,6 +37,9 @@ MAX_ATOMS = 8
 COORD_BOUND = 10
 MAX_WEIGHT = 20
 EXPONENT_MAX_DENOMINATOR = 4
+PHI_MAX_POINTS = 10
+PHI_VALUE_BOUND = 3.0
+MAXIMAL_GRID = 1024
 
 SUITE_CHECKS = ("pointwise", "p-bound", "entropy", "fibers", "marginals")
 
@@ -55,25 +58,18 @@ def random_points(
     return out
 
 
-def random_measure(
-    rng: random.Random,
-    dim: int,
-    max_atoms: int = MAX_ATOMS,
-    bound: int = COORD_BOUND,
-) -> ProbabilityMeasure:
-    count = rng.randint(1, max_atoms)
-    points = random_points(rng, dim, count, bound)
+def random_measure(rng: random.Random, dim: int) -> ProbabilityMeasure:
+    count = rng.randint(1, MAX_ATOMS)
+    points = random_points(rng, dim, count)
     weights = [Fraction(rng.randint(1, MAX_WEIGHT)) for _ in points]
     return FiniteMeasure(dim, zip(points, weights)).normalize()
 
 
-def random_exponents(
-    rng: random.Random, max_denominator: int = EXPONENT_MAX_DENOMINATOR
-) -> ExponentQuadruple:
-    """Valid exponents with denominators <= max_denominator.
+def random_exponents(rng: random.Random) -> ExponentQuadruple:
+    """Valid exponents with denominators <= EXPONENT_MAX_DENOMINATOR.
 
     All four are drawn from the palette of rationals p/q in (0, 1] with
-    q <= max_denominator; gamma and delta are then raised to
+    q <= EXPONENT_MAX_DENOMINATOR; gamma and delta are then raised to
     max(alpha, beta) when needed.  The palette is capped at 1 because
     the aggregated transport bound is provable there (every term is
     dominated by the unit-exponent term to the power max(alpha, beta))
@@ -82,7 +78,7 @@ def random_exponents(
     palette = sorted(
         {
             Fraction(p, q)
-            for q in range(1, max_denominator + 1)
+            for q in range(1, EXPONENT_MAX_DENOMINATOR + 1)
             for p in range(1, q + 1)
         }
     )
@@ -93,17 +89,13 @@ def random_exponents(
     return ExponentQuadruple(alpha, beta, gamma, delta)
 
 
-def random_phi(
-    rng: random.Random,
-    dim: int = 1,
-    max_points: int = 10,
-    value_bound: float = 3.0,
-    coord_bound: int = COORD_BOUND,
-) -> dict[Point, float]:
-    """Random finitely supported real-valued function for the log-Laplace check."""
-    count = rng.randint(1, max_points)
-    points = random_points(rng, dim, count, coord_bound)
-    return {p: rng.uniform(-value_bound, value_bound) for p in points}
+def random_phi(rng: random.Random) -> dict[Point, float]:
+    """Random finitely supported real-valued function on Z for the
+    log-Laplace check: at most PHI_MAX_POINTS points, values in
+    [-PHI_VALUE_BOUND, PHI_VALUE_BOUND]."""
+    count = rng.randint(1, PHI_MAX_POINTS)
+    points = random_points(rng, 1, count)
+    return {p: rng.uniform(-PHI_VALUE_BOUND, PHI_VALUE_BOUND) for p in points}
 
 
 @dataclass(frozen=True)
@@ -253,23 +245,20 @@ def random_quadruple(
         return FunctionQuadruple(scale(f, down), scale(g, down), scale(h, up), scale(k, up))
     if mode == "maximal":
         quad = random_quadruple(rng, op, exponents, "scaled")
-        return maximal_f_quadruple(quad, exponents, op, grid=1024)
+        return maximal_f_quadruple(quad, exponents, op)
     raise DomainError(f"unknown quadruple mode {mode!r}")
 
 
 def maximal_f_quadruple(
-    quad: FunctionQuadruple,
-    exponents: ExponentQuadruple,
-    op: LatticeOperation,
-    grid: int = 1024,
+    quad: FunctionQuadruple, exponents: ExponentQuadruple, op: LatticeOperation
 ) -> FunctionQuadruple:
     """Replace f by the largest grid rational the hypothesis allows.
 
     For each x in supp f, the supremum over admissible values is
     min over y in supp g of (h^c(T-) k^d(T+) / g^b(y))^(1/a).  The float
-    evaluation is rounded down to a multiple of 1/grid and then halved
-    until the exact integer-power hypothesis holds at x, so rounding can
-    never fake a true hypothesis.
+    evaluation is rounded down to a multiple of 1/MAXIMAL_GRID and then
+    halved until the exact integer-power hypothesis holds at x, so
+    rounding can never fake a true hypothesis.
     """
     alpha = float(exponents.alpha)
     beta = float(exponents.beta)
@@ -294,7 +283,7 @@ def maximal_f_quadruple(
             )
             best = bound if best is None else min(best, bound)
         assert best is not None
-        value = Fraction(max(0, math.floor(best * grid)), grid)
+        value = Fraction(max(0, math.floor(best * MAXIMAL_GRID)), MAXIMAL_GRID)
         while value > 0 and not verify_hypothesis(
             FunctionQuadruple(FiniteMeasure(quad.dim, [(x, value)]), quad.g, quad.h, quad.k),
             exponents,

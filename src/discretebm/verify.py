@@ -92,6 +92,7 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-9
+LOG_LAPLACE_COMPETITORS = 100
 
 
 @dataclass(frozen=True)
@@ -346,8 +347,8 @@ def pointwise_term_bound(
     terms = 0
     for level, px, py, cond in iter_conditional_couplings(pi, d):
         images, kappa_minus, kappa_plus = _transport(cond, block_section(op, level, px, py))
-        mu_block = fam_mu.conditional(level, px)._atoms
-        nu_block = fam_nu.conditional(level, py)._atoms
+        mu_block = fam_mu[level][px]._atoms
+        nu_block = fam_nu[level][py]._atoms
         for (xb, yb), (zm, zp) in zip(cond._atoms, images):
             mw, nw = mu_block[xb], nu_block[yb]
             terms += 1
@@ -498,10 +499,7 @@ def _measure_payload(m: FiniteMeasure) -> dict:
 
 
 def log_laplace_gap(
-    phi: Mapping,
-    tolerance: float = DEFAULT_TOLERANCE,
-    competitors: int = 100,
-    seed: int = 0,
+    phi: Mapping, tolerance: float = DEFAULT_TOLERANCE, seed: int = 0
 ) -> tuple[float, VerificationReport]:
     """Variational identity for the log-sum of exponentials.
 
@@ -509,22 +507,30 @@ def log_laplace_gap(
     R = int phi d(nu*) - sum nu* log nu* for the explicit maximizer
     nu*(x) = e^phi(x) / sum e^phi, and no probability measure on the
     domain may beat L.  Verified when |L - R| <= tolerance and none of
-    ``competitors`` seeded random measures exceeds L + tolerance.  Where
-    a sum of w * phi(x) leaves the float range, everything is computed for
-    phi minus its maximum m, and m is added back to L, R and the objectives.
+    ``LOG_LAPLACE_COMPETITORS`` seeded random measures exceeds
+    L + tolerance.  Where a sum of w * phi(x) leaves the float range,
+    everything is computed for phi minus its maximum m, and m is added
+    back to L, R and the objectives.  Every key of ``phi`` is coerced to
+    a point of the first key's dimension, and no two may coincide.
     """
-    entries = sorted((as_point(x), float(v)) for x, v in phi.items())
-    if not entries:
+    if not phi:
         raise EmptySupportError("the function must have nonempty support")
-    values = [v for _, v in entries]
+    dim = len(as_point(next(iter(phi))))
+    entries: dict[Point, float] = {}
+    for x, v in phi.items():
+        point = as_point(x, dim)
+        if point in entries:
+            raise DomainError(f"the function lists the point {point} more than once")
+        entries[point] = float(v)
+    values = [entries[x] for x in sorted(entries)]
     try:
-        gap, lhs, rhs, winner = _log_laplace_sides(values, tolerance, competitors, seed)
+        gap, lhs, rhs, winner = _log_laplace_sides(values, tolerance, seed)
     except OverflowError:
         top = max(values)
         # a value further than the float range below m has weight 0 in nu*;
         # the clamp keeps its 0 * (phi - m) a number
         shifted = [max(v - top, -sys.float_info.max) for v in values]
-        gap, lhs, rhs, winner = _log_laplace_sides(shifted, tolerance, competitors, seed)
+        gap, lhs, rhs, winner = _log_laplace_sides(shifted, tolerance, seed)
         lhs, rhs = lhs + top, rhs + top
     report = functools.partial(
         VerificationReport, check="log-laplace", lhs=lhs, rhs=rhs, gap=gap, tolerance_used=tolerance
@@ -533,11 +539,11 @@ def log_laplace_gap(
         return gap, report(outcome=VIOLATED, witness={"gap": gap})
     if winner is not None:
         return gap, report(outcome=VIOLATED, witness={"competitor": winner, "objective": rhs})
-    return gap, report(outcome=VERIFIED, detail=f"{competitors} competitors")
+    return gap, report(outcome=VERIFIED, detail=f"{LOG_LAPLACE_COMPETITORS} competitors")
 
 
 def _log_laplace_sides(
-    values: list[float], tolerance: float, competitors: int, seed: int
+    values: list[float], tolerance: float, seed: int
 ) -> tuple[float, float, float, int | None]:
     """(L - R, L, R, None), or (L - R, L, objective, j) for the first
     competitor j whose objective exceeds L + tolerance."""
@@ -549,7 +555,7 @@ def _log_laplace_sides(
     gap = log_total - attained
     if abs(gap) > tolerance:
         return gap, log_total, attained, None
-    for j in range(competitors):
+    for j in range(LOG_LAPLACE_COMPETITORS):
         rng = stream(seed, j)
         raw = [rng.randint(1, 20) for _ in values]
         total = sum(raw)

@@ -236,6 +236,16 @@ def test_verify_log_laplace(tmp_path, capsys):
     assert math.isclose(lines[0]["lhs"], math.log(4), abs_tol=1e-9)
 
 
+def test_verify_log_laplace_rejects_a_repeated_point(tmp_path, capsys):
+    points = [{"x": [0], "v": 1.0}, {"x": [0], "v": 5.0}]
+    inst = write(tmp_path, "inst.json", {"phi": {"dim": 1, "points": points}})
+    assert main(["verify", inst, "--check", "log-laplace"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert not captured.out and len(err) == 1
+    assert "more than once" in json.loads(err[0])["error"]
+
+
 def test_verify_missing_field_exits_2(tmp_path, capsys):
     inst = write(tmp_path, "inst.json", {"op": {"kind": "midpoint", "dim": 1}})
     assert main(["verify", inst, "--check", "p-bound"]) == 2

@@ -9,6 +9,7 @@ from discretebm import (
     AdditiveTotalOrder,
     Coupling,
     DimensionMismatch,
+    DomainError,
     FiniteMeasure,
     InvalidWeightError,
     MarginalMismatch,
@@ -62,6 +63,17 @@ def test_monotone_coupling_dirac_factor():
     nu = uniform([3, 7])
     pi = monotone_coupling(dirac(0), nu, ORDER1)
     assert dict(pi.items()) == {((0,), (3,)): F(1, 2), ((0,), (7,)): F(1, 2)}
+
+
+def test_coupling_weight_at_coerces_points_like_measures():
+    pi = monotone_coupling(uniform([0, 1]), uniform([0, 1]), ORDER1)
+    assert pi.weight_at(0, 0) == pi.weight_at((0,), [0]) == F(1, 2)
+    assert pi.weight_at(0, 1) == 0
+    for x, y in (((0, 0), (0,)), ((0,), (0, 0))):
+        with pytest.raises(DimensionMismatch):
+            pi.weight_at(x, y)
+    with pytest.raises(DomainError):
+        pi.weight_at(0.5, 0)
 
 
 @given(measures_1d, measures_1d)
@@ -265,9 +277,7 @@ def test_knothe_marginals_and_block_monotonicity(ea, eb):
     fam_nu = nu.disintegrate(d)
     for level, px, py, cond in iter_conditional_couplings(pi, d):
         assert check_support_monotone(cond, ORDER1).ok
-        assert cond == monotone_coupling(
-            fam_mu.conditional(level, px), fam_nu.conditional(level, py), ORDER1
-        )
+        assert cond == monotone_coupling(fam_mu[level][px], fam_nu[level][py], ORDER1)
 
 
 def test_fiber_check_runs_per_block():
@@ -458,8 +468,8 @@ def test_internal_measures_equal_validated_ones(mu, nu):
     _assert_validated_equal(mu)  # normalize
     for fam in (mu.disintegrate(d), nu.disintegrate(d)):
         for level in range(d.block_count):
-            for prefix in fam.prefixes(level):
-                _assert_validated_equal(fam.conditional(level, prefix))
+            for prefix in list(fam[level]):
+                _assert_validated_equal(fam[level][prefix])
     pi = knothe_coupling(mu, nu, d)
     for m in (
         pi.marginal("first"),

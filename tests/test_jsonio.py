@@ -3,11 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 from discretebm import (
+    Decomposition,
     FormatError,
     LatticeError,
     MarginalMismatch,
     box_points,
-    make_decomposition,
     midpoint,
     monotone_coupling,
     singleton_decomposition,
@@ -40,7 +40,7 @@ def test_order_round_trip():
 
 
 def test_decomposition_round_trip():
-    d = make_decomposition([(2, standard_order(2)), (1, standard_order(1))])
+    d = Decomposition(((2, standard_order(2)), (1, standard_order(1))))
     assert jsonio.parse_decomposition(jsonio.decomposition_to_json(d)) == d
 
 
@@ -86,7 +86,7 @@ def test_parse_coupling_certifies_its_marginals(monkeypatch):
 
 def test_parse_operation_names_and_product():
     op = jsonio.parse_operation({"kind": "midpoint", "dim": 2})
-    assert op.kind == "midpoint" and op.dim == 2
+    assert op.t((3, -3)) == (1, -2) and op.dim == 2
     assert jsonio.parse_operation("meet_join", default_dim=3).dim == 3
     prod = jsonio.parse_operation(
         {"kind": "product", "factors": [{"kind": "midpoint", "dim": 1}, {"kind": "meet_join", "dim": 2}]}
@@ -150,7 +150,7 @@ def test_parse_instance_full():
         "seed": 9,
     }
     spec = jsonio.parse_instance(obj)
-    assert spec.op.kind == "midpoint"
+    assert spec.op.t((3,)) == (1,) and spec.op.t((-3,)) == (-2,)
     assert spec.mu.weight_at(1) == F(1, 2)
     assert spec.exponents.alpha == F(1, 2)
     assert spec.exponents.gamma == 1
@@ -169,3 +169,6 @@ def test_parse_phi():
     assert phi == {(0,): 0.5, (2,): -1.0}
     with pytest.raises(FormatError):
         jsonio.parse_phi({"dim": 1, "points": [{"x": [0]}]})
+    repeated = {"dim": 1, "points": [{"x": [0], "v": 1.0}, {"x": [1], "v": 0}, {"x": [0], "v": 5.0}]}
+    with pytest.raises(FormatError, match=r"point \[0\] more than once"):
+        jsonio.parse_phi(repeated)

@@ -4,12 +4,12 @@ from hypothesis import strategies as st
 
 from discretebm import (
     AdditiveTotalOrder,
+    Decomposition,
     DimensionMismatch,
     DomainError,
     Ordering,
     as_point,
     box_points,
-    make_decomposition,
     point_add,
     point_sub,
     singleton_decomposition,
@@ -124,25 +124,11 @@ def test_totality_transitivity_additivity(data):
         assert order.leq(x, z)
 
 
-def test_decomposition_prefix_and_split():
-    d = singleton_decomposition(2)
-    assert d.prefix((5, 7), 0) == ()
-    assert d.prefix((5, 7), 1) == (5,)
-    assert d.split((5, 7)) == ((5,), (7,))
-
-    d2 = make_decomposition([(2, standard_order(2)), (1, standard_order(1))])
-    assert d2.total_dim == 3
-    assert d2.split((1, 2, 3)) == ((1, 2), (3,))
-    assert d2.prefix((1, 2, 3), 1) == (1, 2)
-
-
 def test_decomposition_validation():
     with pytest.raises(DimensionMismatch):
-        make_decomposition([(2, standard_order(1))])
+        Decomposition(((2, standard_order(1)),))
     with pytest.raises(DomainError):
-        make_decomposition([(0, standard_order(1))])
-    with pytest.raises(DimensionMismatch):
-        singleton_decomposition(2).split((1, 2, 3))
+        Decomposition(((0, standard_order(1)),))
 
 
 def test_box_points_sorted_and_complete():

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discretebm import (
+    Decomposition,
     DimensionMismatch,
     DomainError,
     EmptySupportError,
     FiniteMeasure,
     InvalidWeightError,
     ProbabilityMeasure,
-    make_decomposition,
     singleton_decomposition,
     standard_order,
 )
@@ -146,20 +146,21 @@ def test_pushforward_preserves_mass(m):
 
 def test_disintegrate_single_block():
     m = uniform([(0, 0), (1, 2)])
-    fam = m.disintegrate(make_decomposition([(2, standard_order(2))]))
-    assert fam.conditional(0, ()) == m
-    assert fam.conditional(0, ()) is m
+    fam = m.disintegrate(Decomposition(((2, standard_order(2)),)))
+    assert fam == ({(): m},)
+    assert fam[0][()] is m
 
 
 def test_disintegrate_example():
     m = uniform([(0, 0), (0, 1), (1, 0)])
     fam = m.disintegrate(singleton_decomposition(2))
-    root = fam.conditional(0, ())
+    root = fam[0][()]
     assert root == ProbabilityMeasure(1, [(0, F(2, 3)), (1, F(1, 3))])
-    assert fam.conditional(1, (0,)) == uniform([0, 1])
-    assert fam.conditional(1, (1,)) == dirac(0)
-    with pytest.raises(DomainError):
-        fam.conditional(1, (7,))
+    assert fam[1][(0,)] == uniform([0, 1])
+    assert fam[1][(1,)] == dirac(0)
+    # prefixes of zero mass have no conditional
+    with pytest.raises(KeyError):
+        fam[1][(7,)]
 
 
 def test_disintegrate_product_measure():
@@ -169,8 +170,9 @@ def test_disintegrate_product_measure():
         2, [((a, b), wa * wb) for (a,), wa in rho.items() for (b,), wb in sigma.items()]
     )
     fam = prod.disintegrate(singleton_decomposition(2))
-    for prefix in fam.prefixes(1):
-        assert fam.conditional(1, prefix) == sigma
+    assert list(fam[1]) == [(0,), (3,)]
+    for prefix in fam[1]:
+        assert fam[1][prefix] == sigma
 
 
 @given(
@@ -188,10 +190,11 @@ def test_recombination_identity(entries):
     for x, w in m.items():
         recombined = F(1)
         for i in range(d.block_count):
-            recombined *= fam.conditional(i, d.prefix(x, i)).weight_at(d.block(x, i))
+            lo = d.offset(i)
+            recombined *= fam[i][x[:lo]].weight_at(x[lo : lo + d.block_dim(i)])
         assert recombined == w
-    with pytest.raises(DomainError, match="zero mass"):
-        fam.conditional(1, (99,))
+    with pytest.raises(KeyError):
+        fam[1][(99,)]
 
 
 def test_disintegrate_dimension_mismatch():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 from typing import Callable, NamedTuple
 
@@ -24,12 +25,12 @@ from discretebm import (
     check_p1,
     check_p2,
     from_difference_map,
-    make_decomposition,
     meet_join,
     midpoint,
     point_add,
     product,
     singleton_decomposition,
+    standard_order,
 )
 from discretebm import jsonio
 from discretebm.lattice import basis_point
@@ -119,13 +120,27 @@ def test_difference_map_always_p1_and_complement():
 
 
 def test_operation_derives_its_pair_maps_from_t():
-    op = LatticeOperation(1, singleton_decomposition(1), lambda w: (w[0] // 3,), "difference_map")
+    op = LatticeOperation(singleton_decomposition(1), lambda w: (w[0] // 3,))
     assert op.t((7,)) == (2,) and op.t((-1,)) == (-1,)
     for x in box_points(1, 4):
         for y in box_points(1, 4):
             low = (x[0] - y[0]) // 3 + y[0]
             assert op.t_minus(x, y) == (low,)
             assert op.t_plus(x, y) == (x[0] + y[0] - low,)
+
+
+def test_operation_is_its_decomposition_and_difference_map():
+    fields = [f.name for f in dataclasses.fields(LatticeOperation)]
+    assert fields == ["decomposition", "t", "t_minus", "t_plus"]
+    two = product(midpoint(1), meet_join(2))
+    ops = [midpoint(3), meet_join(2), negate_op(2), two, product(two, midpoint(1))]
+    ops += [block_section(two, 1, (4,), (-1,)), block_section(two, 2, (0, 1), (1, 0))]
+    for op in ops:
+        assert op.dim == op.decomposition.total_dim
+    assert [op.dim for op in ops] == [3, 2, 2, 3, 4, 1, 1]
+    message = r"decomposition of Z\^1 does not match operation on Z\^2"
+    with pytest.raises(DimensionMismatch, match=message):
+        from_difference_map(2, Decomposition(((1, standard_order(1)),)), lambda w: w)
 
 
 def test_check_p2_negation_witness():
@@ -388,10 +403,10 @@ def difference_map_ops(draw):
     if shape == "singleton":
         decomposition = singleton_decomposition(dim)
     elif shape == "one-block" or dim == 1:
-        decomposition = make_decomposition([(dim, draw(_orders(dim)))])
+        decomposition = Decomposition(((dim, draw(_orders(dim))),))
     else:
         k = draw(st.integers(1, dim - 1))
-        decomposition = make_decomposition([(k, draw(_orders(k))), (dim - k, draw(_orders(dim - k)))])
+        decomposition = Decomposition(((k, draw(_orders(k))), (dim - k, draw(_orders(dim - k)))))
     base = draw(st.sampled_from(_BASES))
     coords = st.integers(-2 * radius, 2 * radius)
     keys = draw(st.lists(st.tuples(*[coords] * dim), max_size=3, unique=True))
@@ -558,7 +573,7 @@ def reference_product(a: ReferencePair, b: ReferencePair) -> ReferencePair:
     am, ap, bm, bp = a.t_minus, a.t_plus, b.t_minus, b.t_plus
     return ReferencePair(
         dim=a.dim + b.dim,
-        decomposition=make_decomposition(a.decomposition.blocks + b.decomposition.blocks),
+        decomposition=Decomposition(a.decomposition.blocks + b.decomposition.blocks),
         t_minus=lambda x, y: am(x[:da], y[:da]) + bm(x[da:], y[da:]),
         t_plus=lambda x, y: ap(x[:da], y[:da]) + bp(x[da:], y[da:]),
         kind="product",
@@ -614,7 +629,7 @@ def reference_block_section(
     tm, tp = op.t_minus, op.t_plus
     return ReferencePair(
         dim=bdim,
-        decomposition=make_decomposition([(bdim, order)]),
+        decomposition=Decomposition(((bdim, order),)),
         t_minus=lambda u, v: tm(prefix_x + u + suffix, prefix_y + v + suffix)[lo:hi],
         t_plus=lambda u, v: tp(prefix_x + u + suffix, prefix_y + v + suffix)[lo:hi],
         kind="section",
@@ -787,9 +802,9 @@ def test_pair_maps_are_set_on_the_instance_not_given():
     assert {"t_minus", "t_plus"} <= vars(op).keys()
     assert "t_minus" not in repr(op) and "t_plus" not in repr(op)
     with pytest.raises(TypeError):
-        LatticeOperation(1, singleton_decomposition(1), op.t_minus, op.t_plus, "midpoint")
+        LatticeOperation(singleton_decomposition(1), op.t_minus, op.t_plus)
     with pytest.raises(TypeError):
-        LatticeOperation(1, singleton_decomposition(1), op.t, "midpoint", t_minus=op.t_minus)
+        LatticeOperation(singleton_decomposition(1), op.t, t_minus=op.t_minus)
     with pytest.raises(AttributeError):
         op.t_minus = op.t_plus
     # a hook may still replace a pair map on the instance, as a profiler does
@@ -823,7 +838,7 @@ def test_check_p2_counts_its_own_evaluations():
 
 
 def test_section_of_a_single_block_is_the_operation():
-    block = make_decomposition([(2, AdditiveTotalOrder(2, (2, 1), (1, -1)))])
+    block = Decomposition(((2, AdditiveTotalOrder(2, (2, 1), (1, -1))),))
     op = from_difference_map(2, block, lambda w: w)
     assert block_section(op, 0, (), ()) is op
     with pytest.raises(DimensionMismatch):

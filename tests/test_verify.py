@@ -285,6 +285,26 @@ def test_log_laplace_empty():
         log_laplace_gap({})
 
 
+def test_log_laplace_coerces_keys_to_the_first_dimension():
+    phi = {(0,): 0.0, (1,): math.log(3)}
+    assert log_laplace_gap({0: 0.0, 1: math.log(3)}) == log_laplace_gap(phi)
+    assert log_laplace_gap({(1,): math.log(3), (0,): 0.0}) == log_laplace_gap(phi)
+    with pytest.raises(DimensionMismatch):
+        log_laplace_gap({(0,): 0.0, (0, 1): 1.0})
+    with pytest.raises(DimensionMismatch):
+        log_laplace_gap({0: 0.0, (0, 1): 1.0})
+
+
+def test_log_laplace_rejects_coinciding_points():
+    from discretebm import DomainError
+
+    # 0 and (0,) are the same point of Z; counting it twice would change L
+    with pytest.raises(DomainError, match="more than once"):
+        log_laplace_gap({0: 1.0, (0,): 2.0})
+    with pytest.raises(DomainError, match="more than once"):
+        log_laplace_gap({(1,): 0.5, (0,): 1.0, 0: 2.0})
+
+
 # -- cross-checks and invariants -------------------------------------------------
 
 
@@ -418,8 +438,8 @@ def reference_pointwise_term_bound(
         section = block_section(op, level, px, py)
         kappa_minus = cond.pushforward_by(section.t_minus)
         kappa_plus = cond.pushforward_by(section.t_plus)
-        mu_block = fam_mu.conditional(level, px)
-        nu_block = fam_nu.conditional(level, py)
+        mu_block = fam_mu[level][px]
+        nu_block = fam_nu[level][py]
         for (xb, yb), _ in cond.items():
             lhs = (
                 kappa_minus.weight_at(section.t_minus(xb, yb)) ** c_n
