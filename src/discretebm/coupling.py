@@ -11,7 +11,10 @@ the result is a chain in the product order and has at most
 
 The Knothe coupling relative to a block decomposition couples the first
 block marginals monotonically, then recurses on the conditional measures
-of each support prefix pair, block by block in decomposition order.
+of each support prefix pair, block by block in decomposition order.  The
+inner block merges are integer intermediates, not couplings: only the
+first-block coupling and the assembled Knothe coupling are constructed,
+and the assembled one is certified once against both measures.
 
 Every :class:`Coupling` is certified when it is constructed, whether it
 comes from a caller, from JSON, or from this module: the constructor
@@ -95,9 +98,11 @@ class Coupling:
     validates its entries, then projects them on integer numerators and
     requires both projections to equal the declared marginals exactly; a
     mismatch raises :class:`MarginalMismatch`.  This constructor is the
-    one place where marginals are certified.  It keeps the integer view it
-    certified: ``_nums[i]`` over ``_den`` is the weight of the i-th atom
-    in ``_atoms`` order.
+    one place where marginals are certified.  The inner block merges of
+    :func:`knothe_coupling` build no instance: they stay integer
+    intermediates, and the coupling they assemble is certified once.  It
+    keeps the integer view it certified: ``_nums[i]`` over ``_den`` is the
+    weight of the i-th atom in ``_atoms`` order.
     """
 
     __slots__ = ("dim", "_atoms", "_nums", "_den", "left", "right")
@@ -206,6 +211,34 @@ def _equals_measure(numerators: dict[Point, int], den: int, m: ProbabilityMeasur
     )
 
 
+def _quantile_merge(
+    mu: ProbabilityMeasure, nu: ProbabilityMeasure, order: AdditiveTotalOrder
+) -> tuple[list[tuple[Point, Point]], list[int], int]:
+    """Support pairs of the quantile coupling with their integer weights.
+
+    Returns (pairs, numerators, den): the pair pairs[i] carries the exact
+    mass numerators[i] / den, where den is the least common denominator of
+    both measures' weights.  The pairs are distinct and ascend along the
+    order in both coordinates.
+    """
+    den = math.lcm(*[w.denominator for m in (mu, nu) for _, w in m.items()])
+    xs, cx = cumulative_weights(mu, order, den)
+    ys, cy = cumulative_weights(nu, order, den)
+    pairs: list[tuple[Point, Point]] = []
+    nums: list[int] = []
+    i = j = prev = 0
+    while i < len(xs) and j < len(ys):
+        breakpoint_ = min(cx[i], cy[j])
+        pairs.append((xs[i], ys[j]))
+        nums.append(breakpoint_ - prev)
+        if cx[i] == breakpoint_:
+            i += 1
+        if cy[j] == breakpoint_:
+            j += 1
+        prev = breakpoint_
+    return pairs, nums, den
+
+
 def monotone_coupling(
     mu: ProbabilityMeasure, nu: ProbabilityMeasure, order: AdditiveTotalOrder
 ) -> Coupling:
@@ -221,20 +254,8 @@ def monotone_coupling(
         raise DimensionMismatch(
             f"measures on Z^{mu.dim}, Z^{nu.dim} and order on Z^{order.dim} do not agree"
         )
-    den = math.lcm(*[w.denominator for m in (mu, nu) for _, w in m.items()])
-    xs, cx = cumulative_weights(mu, order, den)
-    ys, cy = cumulative_weights(nu, order, den)
-    atoms: dict[tuple[Point, Point], Fraction] = {}
-    i = j = prev = 0
-    while i < len(xs) and j < len(ys):
-        breakpoint_ = min(cx[i], cy[j])
-        atoms[(xs[i], ys[j])] = Fraction(breakpoint_ - prev, den)
-        if cx[i] == breakpoint_:
-            i += 1
-        if cy[j] == breakpoint_:
-            j += 1
-        prev = breakpoint_
-    return Coupling(mu.dim, atoms, mu, nu)
+    pairs, nums, den = _quantile_merge(mu, nu, order)
+    return Coupling(mu.dim, zip(pairs, [Fraction(n, den) for n in nums]), mu, nu)
 
 
 def product_coupling(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> Coupling:
@@ -254,8 +275,12 @@ def knothe_coupling(
 
     Couples the first-block marginals monotonically, then for every
     support pair of prefixes couples the conditional block measures, in
-    decomposition order.  Marginals are exact by construction.  For a
-    single block this is exactly :func:`monotone_coupling`.
+    decomposition order.  The inner block merges are not certified one by
+    one: each grows its prefix pair's weight by integer numerators over
+    the merge's denominator, and the assembled coupling is certified once
+    against ``mu`` and ``nu``.  The conditionals come from the measures'
+    cached disintegrations.  For a single block this is exactly
+    :func:`monotone_coupling`.
     """
     if mu.dim != nu.dim or decomposition.total_dim != mu.dim:
         raise DimensionMismatch(
@@ -270,8 +295,11 @@ def knothe_coupling(
         order = decomposition.order(level)
         grown: list[tuple[tuple[Point, Point], Fraction]] = []
         for (px, py), w in frontier:
-            block_pi = monotone_coupling(fam_mu[level][px], fam_nu[level][py], order)
-            grown.extend(((px + xb, py + yb), w * wb) for (xb, yb), wb in block_pi.items())
+            pairs, nums, den = _quantile_merge(fam_mu[level][px], fam_nu[level][py], order)
+            wn, wd = w.numerator, w.denominator * den
+            grown.extend(
+                ((px + xb, py + yb), Fraction(wn * n, wd)) for (xb, yb), n in zip(pairs, nums)
+            )
         frontier = grown
     return Coupling(mu.dim, frontier, mu, nu)
 

@@ -95,7 +95,7 @@ class FiniteMeasure:
     support must be nonempty.
     """
 
-    __slots__ = ("dim", "_atoms", "total_mass")
+    __slots__ = ("dim", "_atoms", "total_mass", "_families")
 
     def __init__(self, dim: int, entries: Iterable[tuple[object, object]]):
         if dim < 1:
@@ -112,6 +112,7 @@ class FiniteMeasure:
         self._atoms = {pt: acc[pt] for pt in sorted(acc)}
         nums, den = _numerators(self._atoms.values())
         self.total_mass = Fraction(sum(nums), den)
+        self._families = None
 
     @classmethod
     def _trusted(cls, dim: int, atoms: dict[Point, Fraction], total_mass: Fraction):
@@ -125,6 +126,7 @@ class FiniteMeasure:
         m.dim = dim
         m._atoms = {pt: atoms[pt] for pt in sorted(atoms)}
         m.total_mass = total_mass
+        m._families = None
         return m
 
     # -- container protocol ------------------------------------------------
@@ -132,8 +134,8 @@ class FiniteMeasure:
     def __len__(self) -> int:
         return len(self._atoms)
 
-    def __contains__(self, point: Point) -> bool:
-        return point in self._atoms
+    def __contains__(self, point) -> bool:
+        return as_point(point, self.dim) in self._atoms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMeasure):
@@ -244,6 +246,10 @@ class ProbabilityMeasure(FiniteMeasure):
         single block the only conditional is the measure itself.
         Multiplying conditionals along a full prefix path reproduces the
         original weight of every support point exactly.
+
+        With several blocks the family is computed once per decomposition
+        and kept on the measure, so every caller of one measure shares it:
+        treat it as read-only.
         """
         if decomposition.total_dim != self.dim:
             raise DimensionMismatch(
@@ -251,6 +257,10 @@ class ProbabilityMeasure(FiniteMeasure):
             )
         if decomposition.block_count == 1:
             return ({(): self},)
+        if self._families is None:
+            self._families = {}
+        elif decomposition in self._families:
+            return self._families[decomposition]
         nums, _ = _numerators(self._atoms.values())
         levels: list[dict[Point, ProbabilityMeasure]] = []
         for i in range(decomposition.block_count):
@@ -263,7 +273,8 @@ class ProbabilityMeasure(FiniteMeasure):
                 b = x[lo:hi]
                 bucket[b] = bucket.get(b, 0) + n
             levels.append({p: _normalized(bdim, bucket) for p, bucket in groups.items()})
-        return tuple(levels)
+        family = self._families[decomposition] = tuple(levels)
+        return family
 
 
 def _normalized(dim: int, weights: dict[Point, int]) -> ProbabilityMeasure:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -342,6 +343,21 @@ def test_stdout_is_byte_identical(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second and first
+
+
+def test_dim2_suite_stdout_digest(capsys):
+    # sha256 of this run's stdout as the code printed it before inner Knothe
+    # levels merged on integers and disintegrations were cached
+    op = {"kind": "product", "factors": [{"kind": "midpoint", "dim": 1}, {"kind": "meet_join", "dim": 1}]}
+    code = main(
+        ["random-suite", "--seed", "7", "--instances", "200", "--dim", "2", "--op", json.dumps(op),
+         "--checks", "pointwise,p-bound,entropy,fibers,marginals"]
+    )
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cd32cc304e8bb601edcc452c9e8a5fbfb87c9e9a53db78857227e7d18e2b3fb6"
+    )
 
 
 def test_out_file(tmp_path, capsys):

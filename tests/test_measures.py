@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discretebm import (
+    AdditiveTotalOrder,
+    Coupling,
     Decomposition,
     DimensionMismatch,
     DomainError,
@@ -195,6 +197,73 @@ def test_recombination_identity(entries):
         assert recombined == w
     with pytest.raises(KeyError):
         fam[1][(99,)]
+
+
+def test_contains_coerces_like_weight_at():
+    m = ProbabilityMeasure(1, [(0, F(1, 2)), (1, F(1, 2))])
+    assert 0 in m and (1,) in m and [0] in m
+    assert 2 not in m
+    assert m.weight_at(0) == F(1, 2)
+    with pytest.raises(DimensionMismatch):
+        (0, 0) in m
+    with pytest.raises(DomainError):
+        "a" in m
+
+
+def _fresh_family(m, d):
+    # the family of an equal measure that has never been disintegrated
+    return ProbabilityMeasure(m.dim, list(m.items())).disintegrate(d)
+
+
+measures_3d = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 9)),
+    min_size=1,
+    max_size=8,
+).map(lambda e: FiniteMeasure(3, [((a, b, c), F(w)) for a, b, c, w in e]).normalize())
+
+
+@given(measures_3d)
+@settings(max_examples=40, derandomize=True)
+def test_disintegration_is_computed_once_per_decomposition(m):
+    singletons = singleton_decomposition(3)
+    blocks = Decomposition(
+        ((2, AdditiveTotalOrder(2, (2, 1), (-1, 1))), (1, standard_order(1)))
+    )
+    fam = m.disintegrate(singletons)
+    assert m.disintegrate(singletons) is fam
+    assert m.disintegrate(singleton_decomposition(3)) is fam  # an equal key
+    assert fam == _fresh_family(m, singletons)
+    other = m.disintegrate(blocks)
+    assert m.disintegrate(blocks) is other
+    assert other == _fresh_family(m, blocks)
+    assert len(other) == 2 and len(fam) == 3
+    assert other[1].keys() == {x[:2] for x in m.support()}
+    # the first family is still the one handed out before
+    assert m.disintegrate(singletons) is fam
+
+
+def test_trusted_measures_disintegrate():
+    d = singleton_decomposition(2)
+    raw = FiniteMeasure(2, [((0, 0), 1), ((0, 1), 2), ((1, 0), 3)])
+    normalized = raw.normalize()
+    fam = normalized.disintegrate(d)
+    assert fam == _fresh_family(normalized, d)
+    assert fam[1][(0,)] == ProbabilityMeasure(1, [(0, F(1, 3)), (1, F(2, 3))])
+    nu = uniform([(1, 1), (2, -1)])
+    pi = Coupling(2, [(((0, 0), (1, 1)), F(1, 6)), (((0, 1), (1, 1)), F(1, 3)),
+                      (((1, 0), (2, -1)), F(1, 2))], normalized, nu)
+    for side in ("first", "second"):
+        marginal = pi.marginal(side)
+        assert marginal.disintegrate(d) == _fresh_family(marginal, d)
+
+
+def test_cached_disintegration_keeps_equality_and_repr():
+    m = uniform([(0, 0), (0, 1), (1, 0)])
+    twin = uniform([(0, 0), (0, 1), (1, 0)])
+    before = repr(m)
+    m.disintegrate(singleton_decomposition(2))
+    assert m == twin and twin == m
+    assert repr(m) == before == "ProbabilityMeasure(dim=2, atoms=3, mass=1)"
 
 
 def test_disintegrate_dimension_mismatch():
