@@ -218,8 +218,8 @@ def _quantile_merge(
 
     Returns (pairs, numerators, den): the pair pairs[i] carries the exact
     mass numerators[i] / den, where den is the least common denominator of
-    both measures' weights.  The pairs are distinct and ascend along the
-    order in both coordinates.
+    both measures' weights.  The pairs are distinct, and each coordinate
+    is nondecreasing along ``order`` from one pair to the next.
     """
     den = math.lcm(*[w.denominator for m in (mu, nu) for _, w in m.items()])
     xs, cx = cumulative_weights(mu, order, den)
