@@ -360,6 +360,94 @@ def test_dim2_suite_stdout_digest(capsys):
     )
 
 
+# golden stdout digests: sha256 of each run's stdout as the code printed it
+# while weights were stored as Fractions
+
+ALL_SUITE_CHECKS = "pointwise,p-bound,entropy,fibers,marginals"
+COUPLE_MU = {"dim": 2, "atoms": [
+    {"x": [0, 0], "w": "1/6"}, {"x": [0, 2], "w": "1/12"}, {"x": [1, -1], "w": "1/4"},
+    {"x": [1, 3], "w": "1/4"}, {"x": [-1, 2], "w": "1/4"},
+]}
+COUPLE_NU = {"dim": 2, "atoms": [
+    {"x": [0, 1], "w": "2/5"}, {"x": [0, -1], "w": "1/10"}, {"x": [2, 0], "w": "3/10"},
+    {"x": [2, 2], "w": "1/5"},
+]}
+
+
+def stdout_digest(capsys, argv) -> tuple[int, str]:
+    code = main(argv)
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_dim1_suite_stdout_digest(capsys):
+    argv = ["random-suite", "--seed", "7", "--instances", "300", "--dim", "1",
+            "--op", "midpoint", "--checks", ALL_SUITE_CHECKS]
+    assert stdout_digest(capsys, argv) == (
+        1, "0730f555c44e16ff99e1e2bd94123ed39a7e422ada715a4afaf09fbebae5a5e3"
+    )
+
+
+def test_dim3_suite_stdout_digest(capsys):
+    argv = ["random-suite", "--seed", "3", "--instances", "40", "--dim", "3",
+            "--op", "midpoint", "--checks", ALL_SUITE_CHECKS]
+    assert stdout_digest(capsys, argv) == (
+        1, "761d8bbd2689d83bc3e6535cb7624896d112a23b1e183a6376d687ca996eae35"
+    )
+
+
+def test_couple_stdout_digests(tmp_path, capsys):
+    mu = write(tmp_path, "mu.json", COUPLE_MU)
+    nu = write(tmp_path, "nu.json", COUPLE_NU)
+    order = '{"dim":2,"perm":[2,1],"signs":[1,-1]}'
+    blocks = '{"blocks":[{"dim":1,"order":{"dim":1,"perm":[1],"signs":[-1]}},' \
+             '{"dim":1,"order":{"dim":1,"perm":[1],"signs":[1]}}]}'
+    digests = [
+        stdout_digest(capsys, ["couple", mu, nu]),
+        stdout_digest(capsys, ["couple", mu, nu, "--order", order]),
+        stdout_digest(capsys, ["couple", mu, nu, "--mode", "knothe"]),
+        stdout_digest(capsys, ["couple", nu, mu, "--mode", "knothe", "--decomposition", blocks]),
+    ]
+    assert digests == [
+        (0, "990670ef86e3f6c42fbe37b5f1536dcde37010eb6eb7f044ae4ec473a9f23074"),
+        (0, "af0727e2ba8e5f7eb145dad8e006b0b83fd2265c4ad957480c68ac83a770269a"),
+        (0, "0d5f9e8fa286a7b33d58ba9b481e142c1db39bcb94add8c724d0bcd3d89c52ee"),
+        (0, "0f1f24a43017cd2390a947cde07d8cfc935c4ab7f231e75c232aca1a293458b3"),
+    ]
+
+
+def test_verify_stdout_digests(tmp_path, capsys):
+    midpoint = {**FLAG_INSTANCE, "op": {"kind": "midpoint", "dim": 1}, "mu": MEASURE_U3, "nu": MEASURE_U2}
+    powered = {**midpoint, "nu": MEASURE_U02, "alpha": "1/2", "beta": "1/3", "gamma": "3/4", "delta": "1"}
+    out = []
+    for doc in (FLAG_INSTANCE, midpoint, powered):
+        inst = write(tmp_path, "inst.json", doc)
+        for check in VERIFY_CHECKS[:-1]:
+            out.append(stdout_digest(capsys, ["verify", inst, "--check", check]))
+    assert out == [
+        # FLAG_INSTANCE: the negation operation fails P2
+        (3, "518ac534f9c67b61456082e194ff0dd5da2958e4859cfc047625e8e3331a7c07"),
+        (0, "177901c30345e1f7b252e4f8bea39f81a8db1eee9b89b6dbff17ed4472ae9523"),
+        (1, "b53228741a749db2acde482216453c8ce5f3e000fa75efa119a33624f2fa3cad"),
+        (1, "7025a06561cde771cb9f9e2255c60da82bc23ffcc4fbe4cf40b5d237564f2adc"),
+        (1, "bd33b7d57eb1108c7856ae573abe092d32c56b56954b5851d0196fe570912b59"),
+        (0, "982b085e997fd7172d86e94cc0be008c4944f83bdb2f7546a61e048a2abf4bff"),
+        # midpoint
+        (0, "2489caf5a07821da5937508d02ebe00a40b3c11e2398daa928b00e8addbe9b59"),
+        (0, "177901c30345e1f7b252e4f8bea39f81a8db1eee9b89b6dbff17ed4472ae9523"),
+        (0, "5c1afe815ccd97a047c4081cd4943e778de2b773ba7f1c506823c4c03f4e726d"),
+        (0, "0f297b64c1c9a46b13c32327a630bdc805fb48b3cc6d0a2c4e823c15622fbc20"),
+        (0, "1e0318a9ed9cbf2e15ddd1d27f570684b7d3a308534e6dd33c9f3e1e66b41c94"),
+        (0, "982b085e997fd7172d86e94cc0be008c4944f83bdb2f7546a61e048a2abf4bff"),
+        # midpoint with exponents of common denominator 12
+        (0, "6770b5365b7d857fa58121a81fcff1f2c971d0d637063c4c9436f403bc601538"),
+        (0, "2ec415d73178f284d9396e9f62bf911738552b106cb5b7b5f183b8e46993c941"),
+        (0, "b096c9ff5393a683d70d2450c7821d93d894d101f694be67e8137bd6544079ac"),
+        (0, "e4ef12e086247a5e5e97cab74ffd5ffc1dcebb73192cc33236001126cf17b26f"),
+        (0, "1e0318a9ed9cbf2e15ddd1d27f570684b7d3a308534e6dd33c9f3e1e66b41c94"),
+        (0, "982b085e997fd7172d86e94cc0be008c4944f83bdb2f7546a61e048a2abf4bff"),
+    ]
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "report.jsonl"
     code = main(["random-suite", "--seed", "1", "--instances", "3", "--op", "midpoint",
