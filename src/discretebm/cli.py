@@ -75,15 +75,22 @@ def _emit(lines: list[str], out: str | None) -> None:
             fh.write(text)
 
 
+def _json(text: str | bytes):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # malformed JSON or text, or an integer longer than int() reads
+        raise FormatError(str(exc)) from exc
+
+
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    with open(path, "rb") as fh:
+        return _json(fh.read())
 
 
 def _parse_op_args(args):
     if args.op is not None:
         raw = args.op
-        spec = json.loads(raw) if raw.lstrip().startswith("{") else raw
+        spec = _json(raw) if raw.lstrip().startswith("{") else raw
         return jsonio.parse_operation(spec, getattr(args, "dim", None))
     if getattr(args, "kind", None) is not None:
         if args.dim is None:
@@ -162,7 +169,7 @@ def cmd_couple(args) -> int:
     nu = jsonio.parse_probability_measure(_load_json(args.nu))
     if args.mode == "monotone":
         order = (
-            jsonio.parse_order(json.loads(args.order))
+            jsonio.parse_order(_json(args.order))
             if args.order
             else standard_order(mu.dim)
         )
@@ -171,7 +178,7 @@ def cmd_couple(args) -> int:
         from .lattice import singleton_decomposition
 
         decomposition = (
-            jsonio.parse_decomposition(json.loads(args.decomposition))
+            jsonio.parse_decomposition(_json(args.decomposition))
             if args.decomposition
             else singleton_decomposition(mu.dim)
         )
@@ -255,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (LatticeError, OSError, json.JSONDecodeError) as exc:
+    except (LatticeError, OSError) as exc:
         sys.stderr.write(_dumps({"error": str(exc)}) + "\n")
         return EXIT_ERROR
 

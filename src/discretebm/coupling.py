@@ -19,13 +19,13 @@ and the assembled one is certified once against both measures.
 Every :class:`Coupling` is certified when it is constructed, whether it
 comes from a caller, from JSON, or from this module: the constructor
 validates points and weights and requires the exact projections to equal
-the declared marginals.  Marginals, pushforwards, and the marginals of
-conditional block couplings are derived from certified atoms and are
-built as trusted measures without a second validation.  The hot
-arithmetic (the merge, projections, pushforwards, conditionals) runs on
-integer numerators over a common denominator; weights stay ``Fraction``
-values.  A coupling keeps the numerators and the denominator it was
-certified on, so that arithmetic never recomputes them.
+the declared marginals.  A coupling stores its weights in the form of a
+measure (see :mod:`discretebm.measures`): integer numerators keyed by
+(x, y) over one denominator, in lowest common terms, so certification
+is plain equality of a projection's fields with a marginal's.
+Marginals, pushforwards, and the marginals of conditional block
+couplings are summed on those integers and built as trusted measures
+without a second validation.
 
 For a coupling and a complementing operation pair,
 :func:`check_fiber_structure` verifies the following shape claims about
@@ -79,10 +79,10 @@ from .lattice import (
 from .measures import (
     ZERO,
     ProbabilityMeasure,
-    _add_into,
-    _as_weight,
+    _exact_weights,
+    _mass_text,
     _normalized,
-    _numerators,
+    _reduced,
     cumulative_weights,
 )
 from .operations import LatticeOperation, block_section
@@ -93,19 +93,18 @@ class Coupling:
     """Probability measure on Z^n x Z^n with certified marginals.
 
     Atom keys are (x, y) pairs, stored in ascending order of the
-    concatenated coordinates for determinism.  Every construction, also
-    inside the library, validates the atoms as :class:`FiniteMeasure`
-    validates its entries, then projects them on integer numerators and
-    requires both projections to equal the declared marginals exactly; a
-    mismatch raises :class:`MarginalMismatch`.  This constructor is the
-    one place where marginals are certified.  The inner block merges of
+    concatenated coordinates for determinism; the weight of a pair is
+    ``_atoms[(x, y)] / _den`` in lowest common terms.  Every
+    construction, also inside the library, validates the atoms as
+    :class:`FiniteMeasure` validates its entries, then requires both
+    projections to equal the declared marginals exactly; a mismatch
+    raises :class:`MarginalMismatch`.  This constructor is the one place
+    where marginals are certified.  The inner block merges of
     :func:`knothe_coupling` build no instance: they stay integer
-    intermediates, and the coupling they assemble is certified once.  It
-    keeps the integer view it certified: ``_nums[i]`` over ``_den`` is the
-    weight of the i-th atom in ``_atoms`` order.
+    intermediates, and the coupling they assemble is certified once.
     """
 
-    __slots__ = ("dim", "_atoms", "_nums", "_den", "left", "right")
+    __slots__ = ("dim", "_atoms", "_den", "left", "right")
 
     def __init__(
         self,
@@ -116,33 +115,25 @@ class Coupling:
     ):
         if left.dim != dim or right.dim != dim:
             raise DimensionMismatch("marginals must live on Z^dim of the coupling")
-        acc: dict[tuple[Point, Point], Fraction] = {}
         items = atoms.items() if hasattr(atoms, "items") else atoms
-        for (x, y), w in items:
-            key = (as_point(x, dim), as_point(y, dim))
-            w = _as_weight(w)
-            if w:
-                _add_into(acc, key, w)
-        if not acc:
+        nums, den = _exact_weights(items, lambda pair: _as_pair(pair, dim))
+        if not nums:
             raise EmptySupportError("coupling has empty support")
+        nums, den = _reduced(nums, den)
         self.dim = dim
-        self._atoms = {k: acc[k] for k in sorted(acc)}
+        self._atoms = {k: nums[k] for k in sorted(nums)}
+        self._den = den
         self.left = left
         self.right = right
-        nums, den = _numerators(self._atoms.values())
-        self._nums, self._den = nums, den
-        total = sum(nums)
+        total = sum(nums.values())
         if total != den:
             raise InvalidWeightError(
-                f"coupling must have total mass 1, got {Fraction(total, den)}"
+                f"coupling must have total mass 1, got {_mass_text(Fraction(total, den))}"
             )
         for side, declared in ((0, left), (1, right)):
-            projected = _pair_projection(zip(self._atoms, nums), side)
-            if not _equals_measure(projected, den, declared):
+            projected, pden = _reduced(_pair_projection(nums.items(), side), den)
+            if pden != declared._den or projected != declared._atoms:
                 raise MarginalMismatch("coupling projections do not match declared marginals")
-
-    def _project(self, side: int) -> ProbabilityMeasure:
-        return _normalized(self.dim, _pair_projection(zip(self._atoms, self._nums), side))
 
     def __len__(self) -> int:
         return len(self._atoms)
@@ -150,7 +141,9 @@ class Coupling:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Coupling):
             return NotImplemented
-        return self.dim == other.dim and self._atoms == other._atoms
+        return (
+            self.dim == other.dim and self._den == other._den and self._atoms == other._atoms
+        )
 
     __hash__ = None
 
@@ -158,22 +151,23 @@ class Coupling:
         return f"Coupling(dim={self.dim}, atoms={len(self._atoms)})"
 
     def items(self) -> Iterator[tuple[tuple[Point, Point], Fraction]]:
-        return iter(self._atoms.items())
+        den = self._den
+        return ((pair, Fraction(n, den)) for pair, n in self._atoms.items())
 
     def support(self) -> list[tuple[Point, Point]]:
         return list(self._atoms)
 
     def weight_at(self, x, y) -> Fraction:
         """Exact weight of the pair (x, y) (0 off the support)."""
-        return self._atoms.get((as_point(x, self.dim), as_point(y, self.dim)), ZERO)
+        n = self._atoms.get((as_point(x, self.dim), as_point(y, self.dim)))
+        return ZERO if n is None else Fraction(n, self._den)
 
     def marginal(self, side: str) -> ProbabilityMeasure:
         """Exact projection onto the first or second factor."""
-        if side == "first":
-            return self._project(0)
-        if side == "second":
-            return self._project(1)
-        raise DomainError(f"side must be 'first' or 'second', got {side!r}")
+        if side not in ("first", "second"):
+            raise DomainError(f"side must be 'first' or 'second', got {side!r}")
+        projected = _pair_projection(self._atoms.items(), side == "second")
+        return ProbabilityMeasure._trusted(self.dim, projected, self._den)
 
     def pushforward_by(self, pair_map) -> ProbabilityMeasure:
         """Image measure under a map (x, y) -> point of Z^m.
@@ -183,7 +177,7 @@ class Coupling:
         """
         out: dict[Point, int] = {}
         out_dim = None
-        for (x, y), n in zip(self._atoms, self._nums):
+        for (x, y), n in self._atoms.items():
             z = tuple(pair_map(x, y))
             if out_dim is None:
                 out_dim = len(z)
@@ -191,7 +185,12 @@ class Coupling:
                 raise DimensionMismatch("pair map produced points of mixed dimension")
             out[z] = out.get(z, 0) + n
         assert out_dim is not None
-        return _normalized(out_dim, out)
+        return ProbabilityMeasure._trusted(out_dim, out, self._den)
+
+
+def _as_pair(pair, dim: int) -> tuple[Point, Point]:
+    x, y = pair
+    return as_point(x, dim), as_point(y, dim)
 
 
 def _pair_projection(weighted_pairs, side: int) -> dict[Point, int]:
@@ -203,25 +202,17 @@ def _pair_projection(weighted_pairs, side: int) -> dict[Point, int]:
     return out
 
 
-def _equals_measure(numerators: dict[Point, int], den: int, m: ProbabilityMeasure) -> bool:
-    """Whether the weights numerators[p] / den are exactly the atoms of ``m``."""
-    atoms = m._atoms
-    return numerators.keys() == atoms.keys() and all(
-        n * atoms[p].denominator == atoms[p].numerator * den for p, n in numerators.items()
-    )
-
-
 def _quantile_merge(
     mu: ProbabilityMeasure, nu: ProbabilityMeasure, order: AdditiveTotalOrder
 ) -> tuple[list[tuple[Point, Point]], list[int], int]:
     """Support pairs of the quantile coupling with their integer weights.
 
     Returns (pairs, numerators, den): the pair pairs[i] carries the exact
-    mass numerators[i] / den, where den is the least common denominator of
-    both measures' weights.  The pairs are distinct, and each coordinate
-    is nondecreasing along ``order`` from one pair to the next.
+    mass numerators[i] / den, where den is the least common multiple of
+    both measures' denominators.  The pairs are distinct, and each
+    coordinate is nondecreasing along ``order`` from one pair to the next.
     """
-    den = math.lcm(*[w.denominator for m in (mu, nu) for _, w in m.items()])
+    den = math.lcm(mu._den, nu._den)
     xs, cx = cumulative_weights(mu, order, den)
     ys, cy = cumulative_weights(nu, order, den)
     pairs: list[tuple[Point, Point]] = []
@@ -247,8 +238,8 @@ def monotone_coupling(
     Mass of (x_i, y_j) is the exact overlap length of their half-open
     cumulative intervals, computed by a single merge over the sorted
     supports.  The merge runs on integer cumulative numerators over L,
-    the least common denominator of both measures' weights, so each atom
-    costs one Fraction(k, L).
+    the least common multiple of both measures' denominators, so each
+    atom costs one Fraction(k, L).
     """
     if mu.dim != nu.dim or order.dim != mu.dim:
         raise DimensionMismatch(
@@ -262,8 +253,11 @@ def product_coupling(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> Coupling
     """Independent coupling mu (x) nu; useful as a negative control."""
     if mu.dim != nu.dim:
         raise DimensionMismatch("product coupling needs marginals of equal dimension")
+    den = mu._den * nu._den
     atoms = {
-        (x, y): wx * wy for x, wx in mu.items() for y, wy in nu.items()
+        (x, y): Fraction(wx * wy, den)
+        for x, wx in mu._atoms.items()
+        for y, wy in nu._atoms.items()
     }
     return Coupling(mu.dim, atoms, mu, nu)
 
@@ -276,11 +270,11 @@ def knothe_coupling(
     Couples the first-block marginals monotonically, then for every
     support pair of prefixes couples the conditional block measures, in
     decomposition order.  The inner block merges are not certified one by
-    one: each grows its prefix pair's weight by integer numerators over
-    the merge's denominator, and the assembled coupling is certified once
-    against ``mu`` and ``nu``.  The conditionals come from the measures'
-    cached disintegrations.  For a single block this is exactly
-    :func:`monotone_coupling`.
+    one: each multiplies its prefix pair's integer weight by the merge's
+    numerators and its denominator by the merge's, and the assembled
+    coupling is certified once against ``mu`` and ``nu``.  The
+    conditionals come from the measures' cached disintegrations.  For a
+    single block this is exactly :func:`monotone_coupling`.
     """
     if mu.dim != nu.dim or decomposition.total_dim != mu.dim:
         raise DimensionMismatch(
@@ -288,20 +282,18 @@ def knothe_coupling(
         )
     fam_mu = mu.disintegrate(decomposition)
     fam_nu = nu.disintegrate(decomposition)
-    frontier = list(
-        monotone_coupling(fam_mu[0][()], fam_nu[0][()], decomposition.order(0)).items()
-    )
+    first = monotone_coupling(fam_mu[0][()], fam_nu[0][()], decomposition.order(0))
+    # (pair, numerator, denominator) of every support pair so far
+    frontier = [(pair, n, first._den) for pair, n in first._atoms.items()]
     for level in range(1, decomposition.block_count):
         order = decomposition.order(level)
-        grown: list[tuple[tuple[Point, Point], Fraction]] = []
-        for (px, py), w in frontier:
+        grown: list[tuple[tuple[Point, Point], int, int]] = []
+        for (px, py), wn, wd in frontier:
             pairs, nums, den = _quantile_merge(fam_mu[level][px], fam_nu[level][py], order)
-            wn, wd = w.numerator, w.denominator * den
-            grown.extend(
-                ((px + xb, py + yb), Fraction(wn * n, wd)) for (xb, yb), n in zip(pairs, nums)
-            )
+            wd *= den
+            grown.extend(((px + xb, py + yb), wn * n, wd) for (xb, yb), n in zip(pairs, nums))
         frontier = grown
-    return Coupling(mu.dim, frontier, mu, nu)
+    return Coupling(mu.dim, [(pair, Fraction(n, d)) for pair, n, d in frontier], mu, nu)
 
 
 def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition):
@@ -316,14 +308,12 @@ def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition):
         raise DimensionMismatch(
             f"decomposition of Z^{decomposition.total_dim} does not match coupling on Z^{pi.dim}"
         )
-    pairs = pi.support()
-    nums = pi._nums
     for level in range(decomposition.block_count):
         bdim = decomposition.block_dim(level)
         lo = decomposition.offset(level)
         hi = lo + bdim
         groups: dict[tuple[Point, Point], dict[tuple[Point, Point], int]] = {}
-        for (x, y), n in zip(pairs, nums):
+        for (x, y), n in pi._atoms.items():
             bucket = groups.setdefault((x[:lo], y[:lo]), {})
             pair = (x[lo:hi], y[lo:hi])
             bucket[pair] = bucket.get(pair, 0) + n
@@ -453,32 +443,23 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
     }
     for sign, (groups, other_map) in by_sign.items():
         for a, pairs in groups.items():
+            flaw = None
             if len(pairs) > 2:
+                flaw = "fiber has more than two elements"
+            elif len(pairs) == 2:
+                (x1, y1), (x2, y2) = _fiber_sorted(pairs, order)
+                dx, dy = point_sub(x2, x1), point_sub(y2, y1)
+                if not ((dx == unit and dy == zero) or (dx == zero and dy == unit)):
+                    flaw = "two-element fiber is not a single unit step in one argument"
+                elif other_map(x2, y2) != point_add(other_map(x1, y1), unit):
+                    flaw = "complementary map does not shift by the unit across the fiber"
+            if flaw is not None:
                 return VerificationReport(
                     check="fibers",
                     outcome=VIOLATED,
                     witness={"sign": sign, "image": a, "fiber": pairs},
-                    detail="fiber has more than two elements",
+                    detail=flaw,
                 )
-            if len(pairs) == 2:
-                (x1, y1), (x2, y2) = _fiber_sorted(pairs, order)
-                dx, dy = point_sub(x2, x1), point_sub(y2, y1)
-                if not (
-                    (dx == unit and dy == zero) or (dx == zero and dy == unit)
-                ):
-                    return VerificationReport(
-                        check="fibers",
-                        outcome=VIOLATED,
-                        witness={"sign": sign, "image": a, "fiber": pairs},
-                        detail="two-element fiber is not a single unit step in one argument",
-                    )
-                if other_map(x2, y2) != point_add(other_map(x1, y1), unit):
-                    return VerificationReport(
-                        check="fibers",
-                        outcome=VIOLATED,
-                        witness={"sign": sign, "image": a, "fiber": pairs},
-                        detail="complementary map does not shift by the unit across the fiber",
-                    )
     # alignment whenever both fibers through a support pair have two elements
     minus_fibers = by_sign["minus"][0]
     plus_fibers = by_sign["plus"][0]

@@ -2,12 +2,16 @@
 
 All weights travel as decimal-free exact rational strings ("p/q", or the
 bare integer when the denominator is 1); parse(serialize(x)) == x for
-every value produced by this module.
+every value produced by this module.  A weight or an exponent read from
+input is a JSON integer or a string of the form ``[+-]?[0-9]+(/[0-9]+)?``;
+serialization reads a measure's or a coupling's integer numerators and
+denominator and writes each weight in lowest terms.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +24,7 @@ from .lattice import (
     as_point,
     singleton_decomposition,
 )
-from .measures import ONE, FiniteMeasure, ProbabilityMeasure
+from .measures import FiniteMeasure, ProbabilityMeasure, _mass_text, _ratio_text
 from .operations import (
     ExponentQuadruple,
     LatticeOperation,
@@ -34,6 +38,14 @@ from .operations import (
 # checked before one block per coordinate is built (tests, README examples
 # and benchmark items use at most 3)
 MAX_DIM = 64
+
+# the largest common denominator N of the exponents read from input, and
+# the largest integer exponent alpha*N, ..., delta*N: the exact checks
+# raise every weight to those integer powers, so their cost grows with
+# them (suites draw N <= 12 and integer exponents <= 12)
+MAX_EXPONENT_POWER = 1000
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 _DIFFERENCE_DEFAULTS = {
     "floor_half": lambda w: tuple(c // 2 for c in w),
@@ -79,9 +91,11 @@ def parse_tolerance(value, name: str) -> float:
 
 
 def parse_fraction(value) -> Fraction:
-    if isinstance(value, int):
+    """A JSON integer (not a bool), or a string "p/q" or "p" of decimal digits
+    with an optional sign."""
+    if type(value) is int:
         return Fraction(value)
-    if not isinstance(value, str) or "." in value:
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
         raise FormatError(f"weights must be exact rational strings like '2/3', got {value!r}")
     try:
         return Fraction(value)
@@ -136,15 +150,17 @@ def parse_measure(obj) -> FiniteMeasure:
 
 def parse_probability_measure(obj) -> ProbabilityMeasure:
     m = parse_measure(obj)
-    if m.total_mass != 1:
-        raise FormatError(f"expected a probability measure, total mass is {m.total_mass}")
-    return ProbabilityMeasure._trusted(m.dim, m._atoms, ONE)
+    mass = m.total_mass
+    if mass != 1:
+        raise FormatError(f"expected a probability measure, total mass is {_mass_text(mass)}")
+    return m.normalize()
 
 
 def measure_to_json(m: FiniteMeasure) -> dict:
+    den = m._den
     return {
         "dim": m.dim,
-        "atoms": [{"x": list(x), "w": str(w)} for x, w in m.items()],
+        "atoms": [{"x": list(x), "w": _ratio_text(n, den)} for x, n in m._atoms.items()],
     }
 
 
@@ -167,11 +183,12 @@ def parse_coupling(obj) -> Coupling:
 
 
 def coupling_to_json(pi: Coupling) -> dict:
+    den = pi._den
     return {
         "dim": pi.dim,
         "atoms": [
-            {"x": list(x), "y": list(y), "w": str(w)}
-            for (x, y), w in pi.items()
+            {"x": list(x), "y": list(y), "w": _ratio_text(n, den)}
+            for (x, y), n in pi._atoms.items()
         ],
     }
 
@@ -240,6 +257,9 @@ def parse_operation(obj, default_dim: int | None = None) -> LatticeOperation:
 
 
 def parse_exponents(obj, defaults: ExponentQuadruple | None = None) -> ExponentQuadruple:
+    """Exponents from an instance file or flags, over ``defaults``; their
+    common denominator and integer exponents are capped by
+    ``MAX_EXPONENT_POWER``."""
     base = defaults or ExponentQuadruple.unit()
     values = {}
     for name in ("alpha", "beta", "gamma", "delta"):
@@ -247,7 +267,13 @@ def parse_exponents(obj, defaults: ExponentQuadruple | None = None) -> ExponentQ
             values[name] = parse_fraction(obj[name])
         else:
             values[name] = getattr(base, name)
-    return ExponentQuadruple(**values)
+    exponents = ExponentQuadruple(**values)
+    if max(exponents.common_denominator, *exponents.integer_exponents()) > MAX_EXPONENT_POWER:
+        raise FormatError(
+            "exponents need a common denominator and integer exponents of at most "
+            f"{MAX_EXPONENT_POWER}"
+        )
+    return exponents
 
 
 def parse_phi(obj) -> dict[Point, float]:

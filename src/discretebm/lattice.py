@@ -19,7 +19,8 @@ coordinates ``offset(i)`` to ``offset(i) + block_dim(i)`` of a point.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from itertools import product as _cartesian
 from typing import Iterable
 
@@ -151,6 +152,8 @@ class Decomposition:
     """
 
     blocks: tuple[tuple[int, AdditiveTotalOrder], ...]
+    # offsets[i] is the start index of block i; offsets[-1] is the total dim
+    _offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.blocks:
@@ -162,10 +165,12 @@ class Decomposition:
                 raise DimensionMismatch(
                     f"block of dimension {bdim} paired with an order on Z^{order.dim}"
                 )
+        offsets = tuple(accumulate((bdim for bdim, _ in self.blocks), initial=0))
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def total_dim(self) -> int:
-        return sum(bdim for bdim, _ in self.blocks)
+        return self._offsets[-1]
 
     @property
     def block_count(self) -> int:
@@ -173,7 +178,7 @@ class Decomposition:
 
     def offset(self, i: int) -> int:
         """Start index of block ``i`` inside a full coordinate tuple."""
-        return sum(bdim for bdim, _ in self.blocks[:i])
+        return self._offsets[i]
 
     def order(self, i: int) -> AdditiveTotalOrder:
         return self.blocks[i][1]

@@ -1,13 +1,15 @@
 """Exact finitely supported measures on Z^n.
 
-Weights are :class:`fractions.Fraction` values throughout, so masses,
-cumulative distributions, quantiles, pushforwards, marginals, and
-disintegrations are all computed without rounding.  Sums over many atoms
-are taken on integer numerators over the least common denominator of the
-weights, which gives the same exact result as chained ``Fraction``
-additions at a fraction of the cost.  The only quantities that leave the
-rational world are entropies, which are accumulated in double precision
-from exact atoms.
+A measure stores its weights in one exact form: integer numerators
+``_atoms[p]`` over one denominator ``_den``, in lowest common terms
+(``gcd(_den, *numerators) == 1``), so two equal measures have equal
+fields.  Masses, cumulative distributions, quantiles, pushforwards,
+marginals and disintegrations are integer sums over that denominator,
+and :func:`_reduced` restores the form wherever one is made.
+``Fraction`` stays the public weight type: it is built only where a
+weight leaves the library (``items``, ``weight_at``, ``total_mass``,
+``cdf``).  The only quantities that leave the rational world are
+entropies, which are accumulated in double precision from exact atoms.
 
 Atoms are stored sorted by the ambient lexicographic order, so iteration,
 equality, and serialization are deterministic.
@@ -36,12 +38,11 @@ from .errors import (
 from .lattice import AdditiveTotalOrder, Decomposition, Point, as_point
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
-def _as_weight(value) -> Fraction:
-    """Coerce an outside weight to a nonnegative Fraction; floats are refused."""
-    if type(value) is Fraction:
+def _as_weight(value) -> Fraction | int:
+    """Coerce an outside weight to a nonnegative Fraction or int; floats are refused."""
+    if type(value) is Fraction or type(value) is int:
         w = value
     elif isinstance(value, float):
         raise InvalidWeightError(
@@ -57,33 +58,51 @@ def _as_weight(value) -> Fraction:
     return w
 
 
-def _add_into(acc: dict, key, w) -> None:
-    """acc[key] += w, without an addition for the first weight of a key."""
-    prev = acc.get(key)
-    acc[key] = w if prev is None else prev + w
-
-
-def _numerators(weights: Iterable[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of ``weights`` over their least common denominator.
-
-    Returns (numerators, denominator); weight i equals
-    Fraction(numerators[i], denominator) exactly.
-    """
-    ws = list(weights)
+def _exact_weights(entries, key: Callable) -> tuple[dict, int]:
+    """Outside (key, weight) entries as integer numerators over the least
+    common denominator of the weights: keys are coerced by ``key`` and
+    weights by :func:`_as_weight`, zero weights dropped and keys summed."""
+    weighted = [(key(k), _as_weight(w)) for k, w in entries]
     # unpack a list, not a generator: CPython builds the argument tuple from
     # a generator by resizing, which allocates outside the tuple free list
-    # but frees into it, so the free list would fill with up to 2000 dead
-    # tuples of every support size and hold that memory
-    den = math.lcm(*[w.denominator for w in ws])
-    return [w.numerator * (den // w.denominator) for w in ws], den
+    # but frees into it, so the free list would fill with dead tuples
+    den = math.lcm(*[w.denominator for _, w in weighted])
+    nums: dict = {}
+    for k, w in weighted:
+        if w:
+            nums[k] = nums.get(k, 0) + w.numerator * (den // w.denominator)
+    return nums, den
 
 
-def _log_fraction(w: Fraction) -> float:
-    """log(w) of a positive rational, from its numerator and denominator.
+def _reduced(nums: dict, den: int) -> tuple[dict, int]:
+    """The stored weight form: ``nums`` and ``den`` divided by their gcd."""
+    g = math.gcd(den, *nums.values())
+    return (nums, den) if g == 1 else ({k: n // g for k, n in nums.items()}, den // g)
 
-    Stays finite where float(w) would underflow or overflow.
-    """
-    return math.log(w.numerator) - math.log(w.denominator)
+
+def _log_ratio(n: int, d: int) -> float:
+    """log(n / d) of positive integers, taken in lowest terms as a
+    ``Fraction`` holds them, so it matches to the last bit and stays
+    finite where n / d would underflow or overflow."""
+    g = math.gcd(n, d)
+    return math.log(n // g) - math.log(d // g)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """``str(Fraction(n, d))``, without building the Fraction."""
+    g = math.gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
+def _mass_text(mass: Fraction) -> str:
+    """``str(mass)``, or its bit sizes where it has too many digits to print."""
+    try:
+        return str(mass)
+    except ValueError:
+        return (
+            f"a ratio of a {mass.numerator.bit_length()}-bit numerator "
+            f"and a {mass.denominator.bit_length()}-bit denominator"
+        )
 
 
 class FiniteMeasure:
@@ -92,42 +111,39 @@ class FiniteMeasure:
     The constructor validates its input: points are coerced by
     :func:`as_point`, weights must be exact and nonnegative, zero-weight
     entries are dropped, duplicate points are summed, and the resulting
-    support must be nonempty.
+    support must be nonempty.  The weight of ``p`` is stored as
+    ``_atoms[p] / _den`` in lowest common terms (see the module
+    docstring).
     """
 
-    __slots__ = ("dim", "_atoms", "total_mass", "_families")
+    __slots__ = ("dim", "_atoms", "_den", "_families")
 
     def __init__(self, dim: int, entries: Iterable[tuple[object, object]]):
         if dim < 1:
             raise DomainError("measure dimension must be >= 1")
-        acc: dict[Point, Fraction] = {}
-        for raw_point, raw_weight in entries:
-            pt = as_point(raw_point, dim)
-            w = _as_weight(raw_weight)
-            if w:
-                _add_into(acc, pt, w)
-        if not acc:
+        nums, den = _exact_weights(entries, lambda p: as_point(p, dim))
+        if not nums:
             raise EmptySupportError("measure has empty support")
-        self.dim = dim
-        self._atoms = {pt: acc[pt] for pt in sorted(acc)}
-        nums, den = _numerators(self._atoms.values())
-        self.total_mass = Fraction(sum(nums), den)
-        self._families = None
+        self._store(dim, nums, den)
 
     @classmethod
-    def _trusted(cls, dim: int, atoms: dict[Point, Fraction], total_mass: Fraction):
-        """Measure from atoms already known to be valid; nothing is checked.
+    def _trusted(cls, dim: int, nums: dict[Point, int], den: int):
+        """Measure of weights nums[p] / den; nothing is checked.
 
-        ``atoms`` maps points of Z^dim to positive Fractions, in any order,
-        and ``total_mass`` is their exact sum.  Only the library calls
-        this, on measures whose invariants hold by construction.
+        ``nums`` maps points of Z^dim to positive integers, in any order
+        and not necessarily in lowest terms.  Only the library calls this,
+        on measures whose invariants hold by construction.
         """
         m = cls.__new__(cls)
-        m.dim = dim
-        m._atoms = {pt: atoms[pt] for pt in sorted(atoms)}
-        m.total_mass = total_mass
-        m._families = None
+        m._store(dim, nums, den)
         return m
+
+    def _store(self, dim: int, nums: dict[Point, int], den: int) -> None:
+        nums, den = _reduced(nums, den)
+        self.dim = dim
+        self._atoms = {pt: nums[pt] for pt in sorted(nums)}
+        self._den = den
+        self._families = None
 
     # -- container protocol ------------------------------------------------
 
@@ -140,7 +156,9 @@ class FiniteMeasure:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteMeasure):
             return NotImplemented
-        return self.dim == other.dim and self._atoms == other._atoms
+        return (
+            self.dim == other.dim and self._den == other._den and self._atoms == other._atoms
+        )
 
     __hash__ = None  # mutable-by-content semantics are not wanted as dict keys
 
@@ -148,31 +166,36 @@ class FiniteMeasure:
         kind = type(self).__name__
         return f"{kind}(dim={self.dim}, atoms={len(self._atoms)}, mass={self.total_mass})"
 
+    @property
+    def total_mass(self) -> Fraction:
+        return Fraction(sum(self._atoms.values()), self._den)
+
     def items(self) -> Iterator[tuple[Point, Fraction]]:
-        return iter(self._atoms.items())
+        den = self._den
+        return ((pt, Fraction(n, den)) for pt, n in self._atoms.items())
 
     def support(self) -> list[Point]:
         return list(self._atoms)
 
     def weight_at(self, point) -> Fraction:
         """Exact weight of ``point`` (0 off the support)."""
-        return self._atoms.get(as_point(point, self.dim), ZERO)
+        n = self._atoms.get(as_point(point, self.dim))
+        return ZERO if n is None else Fraction(n, self._den)
 
     # -- measure operations --------------------------------------------------
 
     def normalize(self) -> "ProbabilityMeasure":
         """Divide every weight exactly by the total mass."""
-        nums, _ = _numerators(self._atoms.values())
-        return _normalized(self.dim, dict(zip(self._atoms, nums)))
+        return _normalized(self.dim, self._atoms)
 
     def pushforward(self, mapping: Callable[[Point], object]) -> "FiniteMeasure":
         """Image measure under ``mapping``; total mass is preserved exactly.
 
         The images are outside input and are coerced by :func:`as_point`.
         """
-        out: dict[Point, Fraction] = {}
+        out: dict[Point, int] = {}
         out_dim: int | None = None
-        for x, w in self.items():
+        for x, n in self._atoms.items():
             y = as_point(mapping(x))
             if out_dim is None:
                 out_dim = len(y)
@@ -180,9 +203,9 @@ class FiniteMeasure:
                 raise DimensionMismatch(
                     f"pushforward map produced points of dimensions {out_dim} and {len(y)}"
                 )
-            _add_into(out, y, w)
+            out[y] = out.get(y, 0) + n
         assert out_dim is not None
-        return type(self)._trusted(out_dim, out, self.total_mass)
+        return type(self)._trusted(out_dim, out, self._den)
 
 
 class ProbabilityMeasure(FiniteMeasure):
@@ -192,9 +215,9 @@ class ProbabilityMeasure(FiniteMeasure):
 
     def __init__(self, dim: int, entries: Iterable[tuple[object, object]]):
         super().__init__(dim, entries)
-        if self.total_mass != 1:
+        if sum(self._atoms.values()) != self._den:
             raise InvalidWeightError(
-                f"probability measure must have mass 1, got {self.total_mass}"
+                f"probability measure must have mass 1, got {_mass_text(self.total_mass)}"
             )
 
     def cdf(self, order: AdditiveTotalOrder, point) -> Fraction:
@@ -205,7 +228,7 @@ class ProbabilityMeasure(FiniteMeasure):
                 f"order on Z^{order.dim} does not match measure on Z^{self.dim}"
             )
         kx = order.key(x)
-        return sum((w for g, w in self.items() if order.key(g) <= kx), ZERO)
+        return Fraction(sum(n for g, n in self._atoms.items() if order.key(g) <= kx), self._den)
 
     def quantile(self, order: AdditiveTotalOrder, t) -> Point:
         """Least support point whose cdf reaches ``t``, for t in (0, 1].
@@ -222,20 +245,19 @@ class ProbabilityMeasure(FiniteMeasure):
             raise DimensionMismatch(
                 f"order on Z^{order.dim} does not match measure on Z^{self.dim}"
             )
-        running = ZERO
-        for x in order.sorted_points(self.support()):
-            running += self._atoms[x]
-            if running >= level:
-                return x
-        raise AssertionError("unreachable: cumulative mass reaches 1")
+        pts, cums = cumulative_weights(self, order, self._den)
+        target = level * self._den
+        return next(x for x, c in zip(pts, cums) if c >= target)
 
     def relative_entropy(self) -> float:
         """Sum of w*log(w) over atoms, in double precision; always <= 0.
 
         Equals 0 exactly for a Dirac measure.  Terms are accumulated in
-        the deterministic stored (lexicographic) atom order.
+        the deterministic stored (lexicographic) atom order; n / den is
+        the float of each weight, and its log is taken in lowest terms.
         """
-        return math.fsum(float(w) * _log_fraction(w) for w in self._atoms.values())
+        den = self._den
+        return math.fsum(n / den * _log_ratio(n, den) for n in self._atoms.values())
 
     def disintegrate(self, decomposition: Decomposition) -> tuple[dict, ...]:
         """Exact conditional tree along the blocks of ``decomposition``.
@@ -261,14 +283,13 @@ class ProbabilityMeasure(FiniteMeasure):
             self._families = {}
         elif decomposition in self._families:
             return self._families[decomposition]
-        nums, _ = _numerators(self._atoms.values())
         levels: list[dict[Point, ProbabilityMeasure]] = []
         for i in range(decomposition.block_count):
             bdim = decomposition.block_dim(i)
             lo = decomposition.offset(i)
             hi = lo + bdim
             groups: dict[Point, dict[Point, int]] = {}
-            for x, n in zip(self._atoms, nums):
+            for x, n in self._atoms.items():
                 bucket = groups.setdefault(x[:lo], {})
                 b = x[lo:hi]
                 bucket[b] = bucket.get(b, 0) + n
@@ -277,12 +298,9 @@ class ProbabilityMeasure(FiniteMeasure):
         return family
 
 
-def _normalized(dim: int, weights: dict[Point, int]) -> ProbabilityMeasure:
+def _normalized(dim: int, nums: dict[Point, int]) -> ProbabilityMeasure:
     """The probability measure proportional to positive integer weights."""
-    mass = sum(weights.values())
-    return ProbabilityMeasure._trusted(
-        dim, {p: Fraction(n, mass) for p, n in weights.items()}, ONE
-    )
+    return ProbabilityMeasure._trusted(dim, nums, sum(nums.values()))
 
 
 def cumulative_weights(
@@ -291,12 +309,10 @@ def cumulative_weights(
     """Support sorted by ``order`` with exact running cumulative masses.
 
     The masses are integer numerators over ``den``, which must be a
-    multiple of every weight's denominator: the cumulative mass up to and
+    multiple of the measure's denominator: the cumulative mass up to and
     including point i is Fraction(cums[i], den).
     """
     pts = order.sorted_points(measure.support())
     atoms = measure._atoms
-    cums = list(
-        accumulate(atoms[p].numerator * (den // atoms[p].denominator) for p in pts)
-    )
-    return pts, cums
+    scale = den // measure._den
+    return pts, list(accumulate(atoms[p] * scale for p in pts))

@@ -179,6 +179,8 @@ class ExponentQuadruple:
     beta: Fraction
     gamma: Fraction
     delta: Fraction
+    common_denominator: int = field(init=False, repr=False, compare=False)
+    _integer: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "delta"):
@@ -193,20 +195,15 @@ class ExponentQuadruple:
                 "exponents must satisfy max(alpha, beta) <= min(gamma, delta); "
                 f"got ({self.alpha}, {self.beta}, {self.gamma}, {self.delta})"
             )
+        values = (self.alpha, self.beta, self.gamma, self.delta)
+        n = math.lcm(*(v.denominator for v in values))
+        object.__setattr__(self, "common_denominator", n)
+        object.__setattr__(self, "_integer", tuple(int(v * n) for v in values))
 
     @classmethod
     def unit(cls) -> "ExponentQuadruple":
         one = Fraction(1)
         return cls(one, one, one, one)
-
-    @property
-    def common_denominator(self) -> int:
-        return math.lcm(
-            self.alpha.denominator,
-            self.beta.denominator,
-            self.gamma.denominator,
-            self.delta.denominator,
-        )
 
     def integer_exponents(self) -> tuple[int, int, int, int]:
         """(alpha, beta, gamma, delta) * N with N the common denominator.
@@ -214,13 +211,7 @@ class ExponentQuadruple:
         Raising both sides of an inequality of rational powers to the N-th
         power turns it into an exact comparison of integer powers.
         """
-        n = self.common_denominator
-        return (
-            int(self.alpha * n),
-            int(self.beta * n),
-            int(self.gamma * n),
-            int(self.delta * n),
-        )
+        return self._integer
 
 
 # ---------------------------------------------------------------------------

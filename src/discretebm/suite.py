@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .coupling import check_fiber_structure, knothe_coupling
 from .errors import DomainError
 from .lattice import Point
-from .measures import FiniteMeasure, ProbabilityMeasure, _log_fraction
+from .measures import FiniteMeasure, ProbabilityMeasure, _log_ratio
 from .operations import ExponentQuadruple, LatticeOperation, image_sets
 from .report import VerificationReport
 from .seeding import stream
@@ -264,20 +264,21 @@ def maximal_f_quadruple(
     beta = float(exponents.beta)
     gamma = float(exponents.gamma)
     delta = float(exponents.delta)
+    g, h, k = quad.g, quad.h, quad.k
     entries = []
-    for x, _ in quad.f.items():
+    for x in quad.f.support():
         best: float | None = None
-        for y, gw in quad.g.items():
-            hw = quad.h.weight_at(op.t_minus(x, y))
-            kw = quad.k.weight_at(op.t_plus(x, y))
-            if hw == 0 or kw == 0:
+        for y, gn in g._atoms.items():
+            hn = h._atoms.get(op.t_minus(x, y))
+            kn = k._atoms.get(op.t_plus(x, y))
+            if hn is None or kn is None:
                 best = 0.0
                 break
             bound = math.exp(
                 (
-                    gamma * _log_fraction(hw)
-                    + delta * _log_fraction(kw)
-                    - beta * _log_fraction(gw)
+                    gamma * _log_ratio(hn, h._den)
+                    + delta * _log_ratio(kn, k._den)
+                    - beta * _log_ratio(gn, g._den)
                 )
                 / alpha
             )

@@ -24,11 +24,13 @@ tolerance 0.  Only entropies and log P are floating point; their default
 absolute tolerance is 1e-9.
 
 Transport terms are evaluated once per support pair of the coupling, on
-the integer numerators and denominators of the weights: a term
-kappa-^c kappa+^d / (mu^a nu^b) exceeds 1 iff the cross-multiplied
-numerators exceed the cross-multiplied denominators, and log P takes the
-log of each term from that integer ratio in lowest terms, the value a
-``Fraction`` quotient would hold.
+the stored weight form of every measure: integer numerators over one
+denominator per measure (see :mod:`discretebm.measures`).  A term
+kappa-^c kappa+^d / (mu^a nu^b) exceeds 1 iff the numerators' powers,
+cross-multiplied with the denominators' powers, exceed the other side's,
+and log P takes the log of each term from that integer ratio in lowest
+terms, the value a ``Fraction`` quotient would hold.  ``Fraction``
+values are built only for the ``lhs``/``rhs`` a report carries.
 
 Two scope warnings, both enforced by reporting rather than assuming:
 
@@ -64,7 +66,7 @@ from .errors import (
     MarginalMismatch,
 )
 from .lattice import Decomposition, Point, as_point
-from .measures import FiniteMeasure, ProbabilityMeasure, _log_fraction
+from .measures import FiniteMeasure, ProbabilityMeasure, _log_ratio, _reduced
 from .operations import (
     ExponentQuadruple,
     LatticeOperation,
@@ -134,22 +136,24 @@ def verify_hypothesis(
     if quad.dim != op.dim:
         raise DimensionMismatch("quadruple and operation dimensions differ")
     a_n, b_n, c_n, d_n = exponents.integer_exponents()
+    f, g, h, k = quad.f, quad.g, quad.h, quad.k
+    # f^a g^b <= h^c k^d, each weight a numerator over its measure's denominator
+    lhs_den = f._den**a_n * g._den**b_n
+    rhs_den = h._den**c_n * k._den**d_n
     pairs = 0
-    for x, fw in quad.f.items():
-        f_pow = fw**a_n
-        for y, gw in quad.g.items():
-            lhs = f_pow * gw**b_n
-            rhs = (
-                quad.h.weight_at(op.t_minus(x, y)) ** c_n
-                * quad.k.weight_at(op.t_plus(x, y)) ** d_n
-            )
+    for x, fn in f._atoms.items():
+        f_pow = fn**a_n
+        for y, gn in g._atoms.items():
+            lhs = f_pow * gn**b_n
+            hn = h._atoms.get(op.t_minus(x, y), 0)
+            rhs = hn**c_n * k._atoms.get(op.t_plus(x, y), 0) ** d_n
             pairs += 1
-            if lhs > rhs:
+            if lhs * rhs_den > rhs * lhs_den:
                 return VerificationReport(
                     check="hypothesis",
                     outcome=VIOLATED,
-                    lhs=lhs,
-                    rhs=rhs,
+                    lhs=Fraction(lhs, lhs_den),
+                    rhs=Fraction(rhs, rhs_den),
                     witness={"x": x, "y": y},
                 )
     return VerificationReport(check="hypothesis", outcome=VERIFIED, detail=f"{pairs} pairs")
@@ -242,8 +246,9 @@ def set_dbm(
     pointwise hypothesis for the indicator quadruple holds by
     construction.
     """
-    points_a = {as_point(p, op.dim) for p in set_a}
-    points_b = {as_point(p, op.dim) for p in set_b}
+    dim = op.dim
+    points_a = {as_point(p, dim) for p in set_a}
+    points_b = {as_point(p, dim) for p in set_b}
     if not points_a or not points_b:
         raise EmptySupportError("set inequality needs nonempty sets")
     image_minus, image_plus = image_sets(op, points_a, points_b)
@@ -277,39 +282,29 @@ def _transport(pi: Coupling, op: LatticeOperation):
     """T- and T+ at every support pair of ``pi``, and both pushforwards.
 
     Each map is evaluated once per support pair.  Returns the image pairs
-    (T-(x, y), T+(x, y)) in ``pi``'s atom order, and kappa- and kappa+ as
-    dicts from an image to its weight in lowest terms, as the integer pair
-    (numerator, denominator), summed from ``pi``'s stored numerators.
+    (T-(x, y), T+(x, y)) in ``pi``'s atom order, and kappa- and kappa+ in
+    the stored weight form, as (numerators by image, denominator), summed
+    from ``pi``'s numerators.
     """
     images = [(tuple(op.t_minus(x, y)), tuple(op.t_plus(x, y))) for x, y in pi._atoms]
     minus: dict[Point, int] = {}
     plus: dict[Point, int] = {}
-    for (zm, zp), n in zip(images, pi._nums):
+    for (zm, zp), n in zip(images, pi._atoms.values()):
         minus[zm] = minus.get(zm, 0) + n
         plus[zp] = plus.get(zp, 0) + n
-    return images, _lowest_terms(minus, pi._den), _lowest_terms(plus, pi._den)
+    return images, _reduced(minus, pi._den), _reduced(plus, pi._den)
 
 
-def _lowest_terms(nums: dict[Point, int], den: int) -> dict[Point, tuple[int, int]]:
-    out = {}
-    for z, n in nums.items():
-        g = math.gcd(n, den)
-        out[z] = (n // g, den // g)
-    return out
+def _term(km: int, kp: int, mw: int, nw: int, powers, scales) -> tuple[int, int]:
+    """kappa-^c kappa+^d / (mu^a nu^b) as an integer ratio (top, bottom).
 
-
-def _term(
-    km: tuple[int, int], kp: tuple[int, int], mw: Fraction, nw: Fraction, powers
-) -> tuple[int, int]:
-    """kappa-^c kappa+^d / (mu^a nu^b) as an integer ratio (top, bottom),
-    cross-multiplied from the weights' numerators and denominators under
-    the integer exponents ``powers`` = (a, b, c, d)."""
+    ``km``, ``kp``, ``mw`` and ``nw`` are the weights' numerators,
+    ``powers`` the integer exponents (a, b, c, d), and ``scales`` the
+    denominators' powers (den(mu)^a den(nu)^b, den(kappa-)^c den(kappa+)^d),
+    which cross-multiply into the numerators' powers.
+    """
     a, b, c, d = powers
-    (kmn, kmd), (kpn, kpd) = km, kp
-    return (
-        kmn**c * kpn**d * mw.denominator**a * nw.denominator**b,
-        kmd**c * kpd**d * mw.numerator**a * nw.numerator**b,
-    )
+    return km**c * kp**d * scales[0], mw**a * nw**b * scales[1]
 
 
 def pointwise_term_bound(
@@ -346,20 +341,23 @@ def pointwise_term_bound(
     fam_nu = nu.disintegrate(d)
     terms = 0
     for level, px, py, cond in iter_conditional_couplings(pi, d):
-        images, kappa_minus, kappa_plus = _transport(cond, block_section(op, level, px, py))
-        mu_block = fam_mu[level][px]._atoms
-        nu_block = fam_nu[level][py]._atoms
+        images, (minus, minus_den), (plus, plus_den) = _transport(
+            cond, block_section(op, level, px, py)
+        )
+        mu_block = fam_mu[level][px]
+        nu_block = fam_nu[level][py]
+        mu_atoms, nu_atoms = mu_block._atoms, nu_block._atoms
+        scales = (mu_block._den**a_n * nu_block._den**b_n, minus_den**c_n * plus_den**d_n)
         for (xb, yb), (zm, zp) in zip(cond._atoms, images):
-            mw, nw = mu_block[xb], nu_block[yb]
+            km, kp, mw, nw = minus[zm], plus[zp], mu_atoms[xb], nu_atoms[yb]
             terms += 1
-            top, bottom = _term(kappa_minus[zm], kappa_plus[zp], mw, nw, powers)
+            top, bottom = _term(km, kp, mw, nw, powers, scales)
             if top > bottom:
-                (kmn, kmd), (kpn, kpd) = kappa_minus[zm], kappa_plus[zp]
                 return VerificationReport(
                     check="pointwise",
                     outcome=VIOLATED,
-                    lhs=Fraction(kmn**c_n * kpn**d_n, kmd**c_n * kpd**d_n),
-                    rhs=mw**a_n * nw**b_n,
+                    lhs=Fraction(km**c_n * kp**d_n, scales[1]),
+                    rhs=Fraction(mw**a_n * nw**b_n, scales[0]),
                     witness={"block": level + 1, "x": px + xb, "y": py + yb},
                 )
     return VerificationReport(check="pointwise", outcome=VERIFIED, detail=f"{terms} terms")
@@ -386,39 +384,25 @@ def p_value(
     _require_marginals(pi, mu, nu)
     if op.dim != pi.dim:
         raise DimensionMismatch("operation and coupling dimensions differ")
-    powers = exponents.integer_exponents()
+    powers = a_n, b_n, c_n, d_n = exponents.integer_exponents()
     n = exponents.common_denominator
-    images, kappa_minus, kappa_plus = _transport(pi, op)
-    mu_atoms, nu_atoms = mu._atoms, nu._atoms
+    images, (minus, minus_den), (plus, plus_den) = _transport(pi, op)
+    scales = (mu._den**a_n * nu._den**b_n, minus_den**c_n * plus_den**d_n)
+    mu_atoms, nu_atoms, den = mu._atoms, nu._atoms, pi._den
     logs: list[float] = []
     all_terms_bounded = True
-    for ((x, y), w), (zm, zp) in zip(pi.items(), images):
-        top, bottom = _term(kappa_minus[zm], kappa_plus[zp], mu_atoms[x], nu_atoms[y], powers)
+    for ((x, y), wn), (zm, zp) in zip(pi._atoms.items(), images):
+        top, bottom = _term(minus[zm], plus[zp], mu_atoms[x], nu_atoms[y], powers, scales)
         if top > bottom:
             all_terms_bounded = False
-        g = math.gcd(top, bottom)
-        logs.append((math.log(top // g) - math.log(bottom // g)) / n + _log_fraction(w))
+        logs.append(_log_ratio(top, bottom) / n + _log_ratio(wn, den))
     log_p = _logsumexp(logs)
+    report = functools.partial(VerificationReport, check="p-bound", log_p=log_p)
     if all_terms_bounded:
-        report = VerificationReport(
-            check="p-bound",
-            outcome=VERIFIED,
-            log_p=log_p,
-            detail="every support term is at most 1 exactly",
-        )
-    elif log_p <= tolerance:
-        report = VerificationReport(
-            check="p-bound", outcome=VERIFIED, log_p=log_p, tolerance_used=tolerance
-        )
-    else:
-        report = VerificationReport(
-            check="p-bound",
-            outcome=VIOLATED,
-            log_p=log_p,
-            tolerance_used=tolerance,
-            witness={"log_p": log_p},
-        )
-    return log_p, report
+        return log_p, report(outcome=VERIFIED, detail="every support term is at most 1 exactly")
+    if log_p <= tolerance:
+        return log_p, report(outcome=VERIFIED, tolerance_used=tolerance)
+    return log_p, report(outcome=VIOLATED, tolerance_used=tolerance, witness={"log_p": log_p})
 
 
 def entropy_gap(
@@ -451,26 +435,12 @@ def entropy_gap(
         exponents.delta
     ) * kappa_plus.relative_entropy()
     gap = lhs - rhs
+    report = functools.partial(
+        VerificationReport, check="entropy", lhs=lhs, rhs=rhs, gap=gap, tolerance_used=tolerance
+    )
     if gap >= -tolerance:
-        report = VerificationReport(
-            check="entropy",
-            outcome=VERIFIED,
-            lhs=lhs,
-            rhs=rhs,
-            gap=gap,
-            tolerance_used=tolerance,
-        )
-    else:
-        report = VerificationReport(
-            check="entropy",
-            outcome=VIOLATED,
-            lhs=lhs,
-            rhs=rhs,
-            gap=gap,
-            tolerance_used=tolerance,
-            witness={"gap": gap},
-        )
-    return gap, report
+        return gap, report(outcome=VERIFIED)
+    return gap, report(outcome=VIOLATED, witness={"gap": gap})
 
 
 def marginal_exactness(

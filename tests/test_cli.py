@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -137,6 +138,91 @@ def test_couple_errors(tmp_path, capsys):
     assert main(["couple", coerced, coerced]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "error" in json.loads(err[0])
+
+
+def assert_input_error(capsys, argv) -> str:
+    """Exit 2 within a second, nothing on stdout and one JSON error line;
+    returns the error message."""
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 2 and not captured.out and len(err) == 1 and elapsed < 1.0
+    return json.loads(err[0])["error"]
+
+
+def weight_instance(tmp_path, w) -> str:
+    mu = {"dim": 1, "atoms": [{"x": [0], "w": w}]}
+    return write(tmp_path, "inst.json", {"op": {"kind": "midpoint", "dim": 1}, "mu": mu, "nu": mu})
+
+
+def test_a_bool_weight_is_rejected(tmp_path, capsys):
+    # JSON true was once read as the weight 1 and the instance verified
+    inst = weight_instance(tmp_path, True)
+    assert "exact rational strings" in assert_input_error(capsys, ["verify", inst, "--check", "entropy"])
+
+
+def test_exponent_notation_weight_is_rejected(tmp_path, capsys):
+    # "1e200000" once ended in a traceback and exit 1
+    inst = weight_instance(tmp_path, "1e200000")
+    assert "exact rational strings" in assert_input_error(capsys, ["verify", inst, "--check", "entropy"])
+
+
+def test_huge_exponent_notation_weight_is_rejected_at_once(tmp_path, capsys):
+    # "1e999999999" once ran for minutes building 10^999999999
+    inst = weight_instance(tmp_path, "1e999999999")
+    assert "exact rational strings" in assert_input_error(capsys, ["verify", inst, "--check", "entropy"])
+
+
+def test_weight_strings_follow_the_documented_grammar(tmp_path, capsys):
+    for w in ("1.5", " 1/2", "1_0", "0x10", "1/-2", "+1/ 2", "١", "2/3/4", "", "nan"):
+        inst = weight_instance(tmp_path, w)
+        assert_input_error(capsys, ["verify", inst, "--check", "entropy"])
+    for w in ("1", "+1", "2/2", 1):
+        inst = weight_instance(tmp_path, w)
+        assert main(["verify", inst, "--check", "entropy"]) == 0
+        capsys.readouterr()
+
+
+def test_a_mass_too_long_to_print_is_reported(tmp_path, capsys):
+    # the total mass has about 6000 digits, more than int-to-str allows
+    big = 10**2999
+    atoms = [{"x": [0], "w": f"1/{big + 1}"}, {"x": [1], "w": f"1/{big + 3}"}]
+    mu = write(tmp_path, "mu.json", {"dim": 1, "atoms": atoms})
+    error = assert_input_error(capsys, ["couple", mu, mu])
+    assert "total mass is a ratio of a 9964-bit numerator and a 19925-bit denominator" in error
+
+
+def test_json_that_python_cannot_read_exits_2(tmp_path, capsys):
+    # an integer of more digits than int() reads, and bytes that are not
+    # UTF-8, once ended in a traceback and exit 1
+    huge = "1" + "0" * 5000
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"phi": PHI})[:-1] + f', "seed": {huge}}}')
+    assert "4300 digits" in assert_input_error(capsys, ["verify", str(inst), "--check", "log-laplace"])
+    inst.write_bytes(b"\xff{}")
+    assert "utf-8" in assert_input_error(capsys, ["verify", str(inst), "--check", "log-laplace"])
+    op = f'{{"kind":"midpoint","dim":{huge}}}'
+    assert "4300 digits" in assert_input_error(capsys, ["check-op", "--op", op, "--radius", "1"])
+
+
+def test_exponents_of_unbounded_cost_are_rejected(tmp_path, capsys):
+    # a common denominator near 10^14 once raised weights to powers near 10^7
+    mu = {"dim": 1, "atoms": [{"x": [0], "w": "1/3"}, {"x": [1], "w": "2/3"}]}
+    nu = {"dim": 1, "atoms": [{"x": [0], "w": "2/7"}, {"x": [3], "w": "5/7"}]}
+    base = {"op": {"kind": "midpoint", "dim": 1}, "mu": mu, "nu": nu}
+    for exponents in (
+        {"alpha": "1/9999991", "beta": "1/9999991", "gamma": "1/9999989", "delta": "1/9999989"},
+        {"alpha": "1000000000", "beta": "1", "gamma": "1000000000", "delta": "1000000000"},
+    ):
+        inst = write(tmp_path, "inst.json", {**base, **exponents})
+        error = assert_input_error(capsys, ["verify", inst, "--check", "pointwise"])
+        assert "at most 1000" in error
+    inst = write(tmp_path, "inst.json", base)
+    assert_input_error(capsys, ["verify", inst, "--check", "pointwise", "--alpha", "1/1001"])
+    assert main(["verify", inst, "--check", "pointwise", "--alpha", "1/1000"]) == 0
+    capsys.readouterr()
 
 
 def test_verify_p_bound_equality_instance(tmp_path, capsys):

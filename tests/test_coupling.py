@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 from itertools import accumulate
 
@@ -511,9 +512,11 @@ def test_perturbed_marginal_raises(mu, nu):
 
 
 def _assert_stored_numerators(pi):
-    # the integer view the constructor certified, in atom order
-    assert sum(pi._nums) == pi._den and len(pi._nums) == len(pi)
-    for ((x, y), w), n in zip(pi.items(), pi._nums):
+    # the stored weight form: integer numerators over one denominator, in
+    # lowest common terms and total mass 1
+    nums = list(pi._atoms.values())
+    assert sum(nums) == pi._den and math.gcd(pi._den, *nums) == 1
+    for ((x, y), w), n in zip(pi.items(), nums):
         assert F(n, pi._den) == w
 
 

@@ -276,3 +276,48 @@ def test_measure_equality_is_exact():
     b = ProbabilityMeasure(1, [(1, F(2, 3)), (0, F(1, 3))])
     assert a == b
     assert a != uniform([0, 1])
+
+
+exact_entries = st.lists(
+    st.tuples(st.integers(-3, 3), st.builds(F, st.integers(0, 12), st.integers(1, 12))),
+    min_size=1,
+    max_size=6,
+).filter(lambda entries: any(w for _, w in entries))
+
+
+@given(exact_entries, exact_entries)
+@settings(max_examples=50, derandomize=True)
+def test_stored_form_is_unique_lowest_common_terms(first, second):
+    # numerators over one denominator, in lowest common terms: equal
+    # measures have equal fields, and the form holds the summed weights
+    def summed(entries):
+        out = {}
+        for x, w in entries:
+            if w:
+                out[(x,)] = out.get((x,), 0) + w
+        return out
+
+    a, b = FiniteMeasure(1, first), FiniteMeasure(1, second)
+    for m, entries in ((a, first), (b, second)):
+        assert math.gcd(m._den, *m._atoms.values()) == 1
+        assert dict(m.items()) == summed(entries)
+        assert m.total_mass == sum(summed(entries).values())
+    assert (a == b) == (summed(first) == summed(second))
+    assert FiniteMeasure(1, first + first[::-1]) == FiniteMeasure(1, [(x, 2 * w) for x, w in first])
+    assert a.normalize() == FiniteMeasure(1, [(x, w / a.total_mass) for x, w in a.items()])
+
+
+def test_mass_errors_never_fail_to_format():
+    # the mass has about 6000 digits, more than int-to-str allows
+    big = 10**2999
+    heavy = [(0, F(1, big + 1)), (1, F(1, big + 3))]
+    bits = "a ratio of a 9964-bit numerator and a 19925-bit denominator"
+    with pytest.raises(InvalidWeightError, match=bits):
+        ProbabilityMeasure(1, heavy)
+    with pytest.raises(InvalidWeightError, match="must have mass 1, got 1/2$"):
+        ProbabilityMeasure(1, [(0, F(1, 2))])
+    mu = dirac(0)
+    with pytest.raises(InvalidWeightError, match=bits):
+        Coupling(1, [(((x,), (x,)), w) for x, w in heavy], mu, mu)
+    with pytest.raises(InvalidWeightError, match="total mass 1, got 3/2$"):
+        Coupling(1, [(((0,), (0,)), F(3, 2))], mu, mu)
