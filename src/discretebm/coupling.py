@@ -80,7 +80,7 @@ from .measures import (
     ZERO,
     ProbabilityMeasure,
     _exact_weights,
-    _mass_text,
+    _rational_text,
     _normalized,
     _reduced,
     cumulative_weights,
@@ -128,7 +128,7 @@ class Coupling:
         total = sum(nums.values())
         if total != den:
             raise InvalidWeightError(
-                f"coupling must have total mass 1, got {_mass_text(Fraction(total, den))}"
+                f"coupling must have total mass 1, got {_rational_text(Fraction(total, den))}"
             )
         for side, declared in ((0, left), (1, right)):
             projected, pden = _reduced(_pair_projection(nums.items(), side), den)
@@ -189,7 +189,10 @@ class Coupling:
 
 
 def _as_pair(pair, dim: int) -> tuple[Point, Point]:
-    x, y = pair
+    try:
+        x, y = pair
+    except (TypeError, ValueError):
+        raise DomainError(f"cannot interpret {pair!r} as a pair of points") from None
     return as_point(x, dim), as_point(y, dim)
 
 

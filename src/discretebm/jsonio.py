@@ -24,7 +24,7 @@ from .lattice import (
     as_point,
     singleton_decomposition,
 )
-from .measures import FiniteMeasure, ProbabilityMeasure, _mass_text, _ratio_text
+from .measures import FiniteMeasure, ProbabilityMeasure, _rational_text, _ratio_text
 from .operations import (
     ExponentQuadruple,
     LatticeOperation,
@@ -152,7 +152,7 @@ def parse_probability_measure(obj) -> ProbabilityMeasure:
     m = parse_measure(obj)
     mass = m.total_mass
     if mass != 1:
-        raise FormatError(f"expected a probability measure, total mass is {_mass_text(mass)}")
+        raise FormatError(f"expected a probability measure, total mass is {_rational_text(mass)}")
     return m.normalize()
 
 

@@ -54,7 +54,7 @@ def _as_weight(value) -> Fraction | int:
         except (TypeError, ValueError) as exc:
             raise InvalidWeightError(f"cannot interpret weight {value!r}") from exc
     if w.numerator < 0:
-        raise InvalidWeightError(f"negative weight {w}")
+        raise InvalidWeightError(f"negative weight {_rational_text(w)}")
     return w
 
 
@@ -94,14 +94,15 @@ def _ratio_text(n: int, d: int) -> str:
     return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
-def _mass_text(mass: Fraction) -> str:
-    """``str(mass)``, or its bit sizes where it has too many digits to print."""
+def _rational_text(q: Fraction | int) -> str:
+    """``str(q)`` for an error message, or its bit sizes where it has more
+    digits than int-to-str may print."""
     try:
-        return str(mass)
+        return str(q)
     except ValueError:
         return (
-            f"a ratio of a {mass.numerator.bit_length()}-bit numerator "
-            f"and a {mass.denominator.bit_length()}-bit denominator"
+            f"a ratio of a {q.numerator.bit_length()}-bit numerator "
+            f"and a {q.denominator.bit_length()}-bit denominator"
         )
 
 
@@ -217,7 +218,7 @@ class ProbabilityMeasure(FiniteMeasure):
         super().__init__(dim, entries)
         if sum(self._atoms.values()) != self._den:
             raise InvalidWeightError(
-                f"probability measure must have mass 1, got {_mass_text(self.total_mass)}"
+                f"probability measure must have mass 1, got {_rational_text(self.total_mass)}"
             )
 
     def cdf(self, order: AdditiveTotalOrder, point) -> Fraction:
@@ -240,7 +241,7 @@ class ProbabilityMeasure(FiniteMeasure):
             raise DomainError("quantile levels must be exact rationals")
         level = Fraction(t)
         if not 0 < level <= 1:
-            raise DomainError(f"quantile level must lie in (0, 1], got {level}")
+            raise DomainError(f"quantile level must lie in (0, 1], got {_rational_text(level)}")
         if order.dim != self.dim:
             raise DimensionMismatch(
                 f"order on Z^{order.dim} does not match measure on Z^{self.dim}"

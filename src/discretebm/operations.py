@@ -41,6 +41,7 @@ from .lattice import (
     point_sub,
     singleton_decomposition,
 )
+from .measures import _rational_text
 from .report import VERIFIED, VIOLATED, VerificationReport
 
 PairMap = Callable[[Point, Point], Point]
@@ -190,12 +191,12 @@ class ExponentQuadruple:
         for name in ("alpha", "beta", "gamma", "delta"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"exponent {name} must be positive")
+        values = (self.alpha, self.beta, self.gamma, self.delta)
         if max(self.alpha, self.beta) > min(self.gamma, self.delta):
             raise DomainError(
                 "exponents must satisfy max(alpha, beta) <= min(gamma, delta); "
-                f"got ({self.alpha}, {self.beta}, {self.gamma}, {self.delta})"
+                f"got ({', '.join(map(_rational_text, values))})"
             )
-        values = (self.alpha, self.beta, self.gamma, self.delta)
         n = math.lcm(*(v.denominator for v in values))
         object.__setattr__(self, "common_denominator", n)
         object.__setattr__(self, "_integer", tuple(int(v * n) for v in values))

@@ -206,8 +206,8 @@ def run_suite(
 # random quadruple generators for the mass-inequality suites
 
 
-def _indicator(points: Iterable[Point], dim: int) -> FiniteMeasure:
-    return FiniteMeasure(dim, [(p, 1) for p in points])
+def _indicator(points: Iterable[Point], dim: int, value=1) -> FiniteMeasure:
+    return FiniteMeasure(dim, [(p, value) for p in points])
 
 
 def random_quadruple(
@@ -228,21 +228,14 @@ def random_quadruple(
     dim = op.dim
     points_a = random_points(rng, dim, rng.randint(1, 5), 4)
     points_b = random_points(rng, dim, rng.randint(1, 5), 4)
-    minus, plus = image_sets(op, points_a, points_b)
-    f = _indicator(points_a, dim)
-    g = _indicator(points_b, dim)
-    h = _indicator(minus, dim)
-    k = _indicator(plus, dim)
+    sets = (points_a, points_b, *image_sets(op, points_a, points_b))
     if mode == "sets":
-        return FunctionQuadruple(f, g, h, k)
+        return FunctionQuadruple(*(_indicator(s, dim) for s in sets))
     if mode == "scaled":
         down = Fraction(rng.randint(1, 4), 4)
         up = Fraction(rng.randint(4, 8), 4)
-
-        def scale(m: FiniteMeasure, c: Fraction) -> FiniteMeasure:
-            return FiniteMeasure(dim, [(x, w * c) for x, w in m.items()])
-
-        return FunctionQuadruple(scale(f, down), scale(g, down), scale(h, up), scale(k, up))
+        values = (down, down, up, up)
+        return FunctionQuadruple(*(_indicator(s, dim, c) for s, c in zip(sets, values)))
     if mode == "maximal":
         quad = random_quadruple(rng, op, exponents, "scaled")
         return maximal_f_quadruple(quad, exponents, op)

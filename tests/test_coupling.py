@@ -619,3 +619,11 @@ def test_knothe_matches_reference_on_suite_instances():
         inst = generate_instance(7, i, 2)
         pi = knothe_coupling(inst.mu, inst.nu, d)
         assert pi == reference_knothe_coupling(inst.mu, inst.nu, d)
+
+
+def test_coupling_keys_must_be_pairs():
+    # keys that are not (x, y) pairs once raised a bare ValueError or TypeError
+    mu = dirac(0)
+    for key in ((0,), ((0,), (0,), (0,)), 5):
+        with pytest.raises(DomainError, match="as a pair of points"):
+            Coupling(1, [(key, 1)], mu, mu)

@@ -12,6 +12,7 @@ from discretebm import (
     DimensionMismatch,
     DomainError,
     EmptySupportError,
+    ExponentQuadruple,
     FiniteMeasure,
     InvalidWeightError,
     ProbabilityMeasure,
@@ -307,11 +308,18 @@ def test_stored_form_is_unique_lowest_common_terms(first, second):
     assert a.normalize() == FiniteMeasure(1, [(x, w / a.total_mass) for x, w in a.items()])
 
 
-def test_mass_errors_never_fail_to_format():
+def test_error_messages_never_fail_to_format():
     # the mass has about 6000 digits, more than int-to-str allows
     big = 10**2999
     heavy = [(0, F(1, big + 1)), (1, F(1, big + 3))]
     bits = "a ratio of a 9964-bit numerator and a 19925-bit denominator"
+    huge = "a ratio of a 16610-bit numerator and a 1-bit denominator"
+    with pytest.raises(InvalidWeightError, match=f"negative weight {huge}"):
+        FiniteMeasure(1, [(0, -F(10**5000))])
+    with pytest.raises(DomainError, match=f"got \\({huge}, 1, 1, 1\\)"):
+        ExponentQuadruple(F(10**5000), 1, 1, 1)
+    with pytest.raises(DomainError, match=f"got {huge}"):
+        dirac(0).quantile(standard_order(1), 10**5000)
     with pytest.raises(InvalidWeightError, match=bits):
         ProbabilityMeasure(1, heavy)
     with pytest.raises(InvalidWeightError, match="must have mass 1, got 1/2$"):
