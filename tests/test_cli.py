@@ -534,6 +534,38 @@ def test_verify_stdout_digests(tmp_path, capsys):
     ]
 
 
+# the operations of the benchmark's structure-checks workload
+CHECK_OP_SPECS = (
+    {"kind": "midpoint", "dim": 2},
+    {"kind": "meet_join", "dim": 2},
+    {"kind": "product", "factors": [{"kind": "midpoint", "dim": 1}, {"kind": "meet_join", "dim": 1}]},
+    {"kind": "product", "factors": [{"kind": "midpoint", "dim": 2}, {"kind": "meet_join", "dim": 1}]},
+    NEGATE,
+)
+
+
+def test_check_op_stdout_digests(capsys):
+    out = [
+        stdout_digest(capsys, ["check-op", "--op", json.dumps(spec), "--radius", str(r)])
+        for spec in CHECK_OP_SPECS
+        for r in (1, 2)
+    ]
+    assert out == [
+        # midpoint(2), meet_join(2) and the dim-2 product print the same bytes
+        (0, "cd4eb879a125462050821a027dc39438fbe3064fe952bdef89b507c89e81621c"),
+        (0, "668ea38107140cd7ed1cf805fb2475a08631adf0d9a558eb69a09f94dd967bd6"),
+        (0, "cd4eb879a125462050821a027dc39438fbe3064fe952bdef89b507c89e81621c"),
+        (0, "668ea38107140cd7ed1cf805fb2475a08631adf0d9a558eb69a09f94dd967bd6"),
+        (0, "cd4eb879a125462050821a027dc39438fbe3064fe952bdef89b507c89e81621c"),
+        (0, "668ea38107140cd7ed1cf805fb2475a08631adf0d9a558eb69a09f94dd967bd6"),
+        (0, "dabe975435c60d4fcbefbc516a0da27b5e5f16c271bb850582371be81df01c78"),
+        (0, "3d3ce28c69b8c546c8cc6a82795435611cc9e127cf0ddb3807107fa62ca49686"),
+        # negate fails P2
+        (1, "3d52b8f0d52d44a0260cb10b657cceccaf68645a3719200eea8063f996d38689"),
+        (1, "6c36c248ea1df68dc79ad6e03d484f567695368142505956db622441a5123f01"),
+    ]
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "report.jsonl"
     code = main(["random-suite", "--seed", "1", "--instances", "3", "--op", "midpoint",
