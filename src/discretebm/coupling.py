@@ -22,10 +22,18 @@ validates points and weights and requires the exact projections to equal
 the declared marginals.  A coupling stores its weights in the form of a
 measure (see :mod:`discretebm.measures`): integer numerators keyed by
 (x, y) over one denominator, in lowest common terms, so certification
-is plain equality of a projection's fields with a marginal's.
-Marginals, pushforwards, and the marginals of conditional block
-couplings are summed on those integers and built as trusted measures
-without a second validation.
+is plain equality of a projection's fields with a marginal's.  The
+constructor's ``den`` keyword reads every given weight as a multiple of
+1/den, so the builders of this module (:func:`monotone_coupling`,
+:func:`knothe_coupling`, :func:`product_coupling` and
+:func:`iter_conditional_couplings`) pass their integer numerators and
+denominator straight in and build no ``Fraction``.  Marginals,
+pushforwards, and the marginals of conditional block couplings are
+summed on those integers and built as trusted measures without a second
+validation.  The conditional block couplings of a coupling are computed
+and certified once per decomposition and kept on the coupling, as a
+measure keeps its disintegrations, so every check that walks them shares
+one read-only walk.
 
 For a coupling and a complementing operation pair,
 :func:`check_fiber_structure` verifies the following shape claims about
@@ -102,9 +110,14 @@ class Coupling:
     where marginals are certified.  The inner block merges of
     :func:`knothe_coupling` build no instance: they stay integer
     intermediates, and the coupling they assemble is certified once.
+
+    Each weight in ``atoms`` is read as a multiple of ``1/den``: callers
+    holding integer numerators over a denominator pass them as they are,
+    and outside callers keep the default ``den=1`` and pass the weights
+    themselves.  ``den`` must be a positive int.
     """
 
-    __slots__ = ("dim", "_atoms", "_den", "left", "right")
+    __slots__ = ("dim", "_atoms", "_den", "left", "right", "_conditionals")
 
     def __init__(
         self,
@@ -112,19 +125,26 @@ class Coupling:
         atoms,
         left: ProbabilityMeasure,
         right: ProbabilityMeasure,
+        *,
+        den: int = 1,
     ):
         if left.dim != dim or right.dim != dim:
             raise DimensionMismatch("marginals must live on Z^dim of the coupling")
+        if type(den) is not int:
+            raise InvalidWeightError(f"den must be an int, got {type(den).__name__}")
+        if den < 1:
+            raise InvalidWeightError(f"den must be positive, got {_rational_text(den)}")
         items = atoms.items() if hasattr(atoms, "items") else atoms
-        nums, den = _exact_weights(items, lambda pair: _as_pair(pair, dim))
+        nums, wden = _exact_weights(items, lambda pair: _as_pair(pair, dim))
         if not nums:
             raise EmptySupportError("coupling has empty support")
-        nums, den = _reduced(nums, den)
+        nums, den = _reduced(nums, den * wden)
         self.dim = dim
         self._atoms = {k: nums[k] for k in sorted(nums)}
         self._den = den
         self.left = left
         self.right = right
+        self._conditionals = None
         total = sum(nums.values())
         if total != den:
             raise InvalidWeightError(
@@ -241,28 +261,23 @@ def monotone_coupling(
     Mass of (x_i, y_j) is the exact overlap length of their half-open
     cumulative intervals, computed by a single merge over the sorted
     supports.  The merge runs on integer cumulative numerators over L,
-    the least common multiple of both measures' denominators, so each
-    atom costs one Fraction(k, L).
+    the least common multiple of both measures' denominators, and the
+    coupling is built from those numerators over L.
     """
     if mu.dim != nu.dim or order.dim != mu.dim:
         raise DimensionMismatch(
             f"measures on Z^{mu.dim}, Z^{nu.dim} and order on Z^{order.dim} do not agree"
         )
     pairs, nums, den = _quantile_merge(mu, nu, order)
-    return Coupling(mu.dim, zip(pairs, [Fraction(n, den) for n in nums]), mu, nu)
+    return Coupling(mu.dim, zip(pairs, nums), mu, nu, den=den)
 
 
 def product_coupling(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> Coupling:
     """Independent coupling mu (x) nu; useful as a negative control."""
     if mu.dim != nu.dim:
         raise DimensionMismatch("product coupling needs marginals of equal dimension")
-    den = mu._den * nu._den
-    atoms = {
-        (x, y): Fraction(wx * wy, den)
-        for x, wx in mu._atoms.items()
-        for y, wy in nu._atoms.items()
-    }
-    return Coupling(mu.dim, atoms, mu, nu)
+    atoms = {(x, y): wx * wy for x, wx in mu._atoms.items() for y, wy in nu._atoms.items()}
+    return Coupling(mu.dim, atoms, mu, nu, den=mu._den * nu._den)
 
 
 def knothe_coupling(
@@ -275,7 +290,8 @@ def knothe_coupling(
     decomposition order.  The inner block merges are not certified one by
     one: each multiplies its prefix pair's integer weight by the merge's
     numerators and its denominator by the merge's, and the assembled
-    coupling is certified once against ``mu`` and ``nu``.  The
+    coupling, over the least common multiple of those denominators, is
+    certified once against ``mu`` and ``nu``.  The
     conditionals come from the measures' cached disintegrations.  For a
     single block this is exactly :func:`monotone_coupling`.
     """
@@ -296,21 +312,32 @@ def knothe_coupling(
             wd *= den
             grown.extend(((px + xb, py + yb), wn * n, wd) for (xb, yb), n in zip(pairs, nums))
         frontier = grown
-    return Coupling(mu.dim, [(pair, Fraction(n, d)) for pair, n, d in frontier], mu, nu)
+    den = math.lcm(*[d for _, _, d in frontier])
+    return Coupling(mu.dim, [(pair, n * (den // d)) for pair, n, d in frontier], mu, nu, den=den)
 
 
-def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition):
+def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition) -> tuple:
     """Conditional block couplings of ``pi`` along ``decomposition``.
 
-    Yields (level, prefix_x, prefix_y, conditional coupling) for every
-    prefix pair of positive mass; the conditional coupling at level i is
-    the distribution of (x_i, y_i) given the prefixes, a coupling of the
-    corresponding conditional block measures.
+    Returns a tuple of (level, prefix_x, prefix_y, conditional coupling),
+    one for every prefix pair of positive mass, level by level; the
+    conditional coupling at level i is the distribution of (x_i, y_i)
+    given the prefixes, a coupling of the corresponding conditional block
+    measures, certified by :class:`Coupling` from its integer weights.
+
+    The tuple is computed once per decomposition and kept on ``pi``, so
+    every caller of one coupling (the pointwise and fiber checks) shares
+    one walk: treat it and its couplings as read-only.
     """
     if decomposition.total_dim != pi.dim:
         raise DimensionMismatch(
             f"decomposition of Z^{decomposition.total_dim} does not match coupling on Z^{pi.dim}"
         )
+    if pi._conditionals is None:
+        pi._conditionals = {}
+    elif decomposition in pi._conditionals:
+        return pi._conditionals[decomposition]
+    walk = []
     for level in range(decomposition.block_count):
         bdim = decomposition.block_dim(level)
         lo = decomposition.offset(level)
@@ -321,11 +348,12 @@ def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition):
             pair = (x[lo:hi], y[lo:hi])
             bucket[pair] = bucket.get(pair, 0) + n
         for (px, py), bucket in groups.items():
-            total = sum(bucket.values())
-            atoms = {pair: Fraction(n, total) for pair, n in bucket.items()}
             left = _normalized(bdim, _pair_projection(bucket.items(), 0))
             right = _normalized(bdim, _pair_projection(bucket.items(), 1))
-            yield level, px, py, Coupling(bdim, atoms, left, right)
+            cond = Coupling(bdim, bucket, left, right, den=sum(bucket.values()))
+            walk.append((level, px, py, cond))
+    family = pi._conditionals[decomposition] = tuple(walk)
+    return family
 
 
 def check_support_monotone(pi: Coupling, order: AdditiveTotalOrder) -> VerificationReport:
@@ -402,8 +430,9 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
 
     On a single block the shape is checked on ``pi`` itself.  On several
     blocks it is checked on every conditional block coupling of ``pi``
-    along ``op.decomposition``, against the block section of ``op`` at
-    the matching prefixes; a violation adds ``block``, ``prefix_x`` and
+    along ``op.decomposition`` (the walk :func:`iter_conditional_couplings`
+    keeps on ``pi``), against the block section of ``op`` at the matching
+    prefixes; a violation adds ``block``, ``prefix_x`` and
     ``prefix_y`` to its witness.  Preconditions: ``op`` is a complementing
     pair passing the P2 check (caller's responsibility).  A coupling, or
     conditional block coupling, whose support is not monotone yields an

@@ -25,6 +25,7 @@ checks nothing.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator
@@ -88,10 +89,21 @@ def _log_ratio(n: int, d: int) -> float:
     return math.log(n // g) - math.log(d // g)
 
 
+def _int_text(n: int) -> str:
+    """The decimal digits of ``n``, also past the interpreter's
+    int-to-str digit limit: ``Decimal`` holds an int exactly and prints
+    it without that limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def _ratio_text(n: int, d: int) -> str:
-    """``str(Fraction(n, d))``, without building the Fraction."""
+    """``str(Fraction(n, d))``, without building the Fraction and with
+    no limit on the number of digits."""
     g = math.gcd(n, d)
-    return str(n // g) if d == g else f"{n // g}/{d // g}"
+    return _int_text(n // g) if d == g else f"{_int_text(n // g)}/{_int_text(d // g)}"
 
 
 def _rational_text(q: Fraction | int) -> str:

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+from .measures import _ratio_text
+
 VERIFIED = "verified"
 VIOLATED = "violated"
 INAPPLICABLE = "inapplicable"
@@ -28,10 +30,11 @@ _OUTCOMES = (VERIFIED, VIOLATED, INAPPLICABLE)
 def jsonable(value: Any) -> Any:
     """Recursively convert report payloads to JSON-serializable values.
 
-    Fractions become exact ``p/q`` strings, tuples become lists.
+    Fractions become exact ``p/q`` strings, of any length, and tuples
+    become lists.
     """
     if isinstance(value, Fraction):
-        return str(value)
+        return _ratio_text(value.numerator, value.denominator)
     if isinstance(value, (tuple, list)):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):

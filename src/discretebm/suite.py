@@ -43,6 +43,17 @@ MAXIMAL_GRID = 1024
 
 SUITE_CHECKS = ("pointwise", "p-bound", "entropy", "fibers", "marginals")
 
+# the rationals p/q in (0, 1] with q <= EXPONENT_MAX_DENOMINATOR, ascending
+EXPONENT_PALETTE = tuple(
+    sorted(
+        {
+            Fraction(p, q)
+            for q in range(1, EXPONENT_MAX_DENOMINATOR + 1)
+            for p in range(1, q + 1)
+        }
+    )
+)
+
 
 def random_points(
     rng: random.Random, dim: int, count: int, bound: int = COORD_BOUND
@@ -68,24 +79,17 @@ def random_measure(rng: random.Random, dim: int) -> ProbabilityMeasure:
 def random_exponents(rng: random.Random) -> ExponentQuadruple:
     """Valid exponents with denominators <= EXPONENT_MAX_DENOMINATOR.
 
-    All four are drawn from the palette of rationals p/q in (0, 1] with
-    q <= EXPONENT_MAX_DENOMINATOR; gamma and delta are then raised to
-    max(alpha, beta) when needed.  The palette is capped at 1 because
-    the aggregated transport bound is provable there (every term is
-    dominated by the unit-exponent term to the power max(alpha, beta))
+    All four are drawn from ``EXPONENT_PALETTE``, the rationals p/q in
+    (0, 1] with q <= EXPONENT_MAX_DENOMINATOR; gamma and delta are then
+    raised to max(alpha, beta) when needed.  The palette is capped at 1
+    because the aggregated transport bound is provable there (every term
+    is dominated by the unit-exponent term to the power max(alpha, beta))
     but admits counterexamples once max(alpha, beta) exceeds 1.
     """
-    palette = sorted(
-        {
-            Fraction(p, q)
-            for q in range(1, EXPONENT_MAX_DENOMINATOR + 1)
-            for p in range(1, q + 1)
-        }
-    )
-    alpha = rng.choice(palette)
-    beta = rng.choice(palette)
-    gamma = max(rng.choice(palette), alpha, beta)
-    delta = max(rng.choice(palette), alpha, beta)
+    alpha = rng.choice(EXPONENT_PALETTE)
+    beta = rng.choice(EXPONENT_PALETTE)
+    gamma = max(rng.choice(EXPONENT_PALETTE), alpha, beta)
+    delta = max(rng.choice(EXPONENT_PALETTE), alpha, beta)
     return ExponentQuadruple(alpha, beta, gamma, delta)
 
 

@@ -317,7 +317,9 @@ def pointwise_term_bound(
     """Exact per-pair transport bound, blockwise along the decomposition.
 
     For each block and each support prefix pair, the conditional coupling
-    is pushed forward by both block sections and the term
+    (from the walk :func:`iter_conditional_couplings` keeps on ``pi``, which
+    the fiber check shares) is pushed forward by both block sections and
+    the term
 
         kappa-^c(T-) kappa+^d(T+) / (mu^a(x) nu^b(y))
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import decimal
 import hashlib
 import io
 import json
@@ -192,6 +193,40 @@ def test_a_mass_too_long_to_print_is_reported(tmp_path, capsys):
     mu = write(tmp_path, "mu.json", {"dim": 1, "atoms": atoms})
     error = assert_input_error(capsys, ["couple", mu, mu])
     assert "total mass is a ratio of a 9964-bit numerator and a 19925-bit denominator" in error
+
+
+def test_a_verdict_too_long_for_int_to_str_is_printed_exactly(tmp_path, capsys):
+    # lhs = f^6 g^4 over the common denominator 12 has a denominator of
+    # about 5000 digits; printing it once ended in a traceback and exit 1
+    q = 10**500 + 7
+    tiny = {"dim": 1, "atoms": [{"x": [0], "w": f"1/{q}"}]}
+    one = {"dim": 1, "atoms": [{"x": [0], "w": "1"}]}
+    inst = write(tmp_path, "inst.json", {
+        "op": {"kind": "midpoint", "dim": 1}, "f": tiny, "g": tiny, "h": one, "k": one,
+        "alpha": "1/2", "beta": "1/3", "gamma": "3/4", "delta": "1",
+    })
+    code = main(["verify", inst, "--check", "dbm"])
+    out = capsys.readouterr().out
+    assert code == 0 and out.count("\n") == 1
+    report = json.loads(out)
+    assert report["outcome"] == "verified"
+    assert report["lhs"] == "1/" + str(decimal.Decimal(q**10))
+    assert report["rhs"] == "1"
+
+
+def test_a_coupling_weight_too_long_for_int_to_str_is_printed_exactly(tmp_path, capsys):
+    # the middle weight has a denominator of about 5000 digits; printing it
+    # once ended in a traceback and exit 1
+    p, q = 10**2500 + 3, 10**2500 + 9
+    mu = write(tmp_path, "mu.json", {"dim": 1, "atoms": [
+        {"x": [0], "w": f"1/{p}"}, {"x": [1], "w": f"{p - 1}/{p}"}]})
+    nu = write(tmp_path, "nu.json", {"dim": 1, "atoms": [
+        {"x": [0], "w": f"1/{q}"}, {"x": [1], "w": f"{q - 1}/{q}"}]})
+    code, lines = run(capsys, ["couple", mu, nu])
+    assert code == 0 and len(lines) == 1
+    assert [a["w"] for a in lines[0]["atoms"]] == [
+        f"1/{q}", "6/" + str(decimal.Decimal(p * q)), f"{p - 1}/{p}"
+    ]
 
 
 def test_json_that_python_cannot_read_exits_2(tmp_path, capsys):

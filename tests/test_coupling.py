@@ -537,6 +537,75 @@ def test_couplings_keep_their_certified_numerators(mu2, nu2, mu1, nu1):
         _assert_stored_numerators(cond)
 
 
+def random_order(draw, dim):
+    perm = draw(st.permutations(range(1, dim + 1)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=dim, max_size=dim))
+    return AdditiveTotalOrder(dim, tuple(perm), tuple(signs))
+
+
+@st.composite
+def integer_built_cases(draw):
+    dim = draw(st.integers(1, 3))
+    sizes = []
+    while sum(sizes) < dim:
+        sizes.append(draw(st.integers(1, dim - sum(sizes))))
+    blocks = tuple((k, random_order(draw, k)) for k in sizes)
+
+    def measure():
+        points = st.tuples(*[st.integers(-3, 3)] * dim)
+        entries = draw(st.lists(st.tuples(points, st.integers(1, 9)), min_size=1, max_size=7))
+        return FiniteMeasure(dim, entries).normalize()
+
+    return measure(), measure(), random_order(draw, dim), Decomposition(blocks)
+
+
+@given(integer_built_cases())
+@settings(max_examples=120, derandomize=True)
+def test_integer_built_couplings_equal_validated_ones(case):
+    # the builders pass integer numerators over a denominator to the
+    # constructor; the same atoms as Fractions with den=1 give the same coupling
+    mu, nu, order, d = case
+    pi = knothe_coupling(mu, nu, d)
+    walk = iter_conditional_couplings(pi, d)
+    for c in (monotone_coupling(mu, nu, order), pi, *(cond for *_, cond in walk)):
+        rebuilt = Coupling(c.dim, list(c.items()), c.left, c.right)
+        assert rebuilt == c and rebuilt.support() == c.support()
+        _assert_stored_numerators(c)
+    # the walk is kept on the coupling, per decomposition
+    assert iter_conditional_couplings(pi, d) is walk
+    other = singleton_decomposition(mu.dim)
+    fresh = Coupling(pi.dim, list(pi.items()), mu, nu)
+    assert iter_conditional_couplings(pi, other) == iter_conditional_couplings(fresh, other)
+    assert iter_conditional_couplings(pi, d) is walk
+
+
+def test_coupling_den_must_be_a_positive_int():
+    mu = dirac(0)
+    for den in (0, -3, True, 2.0, F(1, 2)):
+        with pytest.raises(InvalidWeightError, match="den must be"):
+            Coupling(1, [(((0,), (0,)), 1)], mu, mu, den=den)
+
+
+@given(measures_1d, measures_1d)
+@settings(max_examples=60)
+def test_integer_weights_are_certified(mu, nu):
+    mono = monotone_coupling(mu, nu, ORDER1)
+    den = 2 * mono._den
+    atoms = [(pair, 2 * n) for pair, n in mono._atoms.items()]
+    assert Coupling(1, atoms, mu, nu, den=den) == mono
+    for bad in perturbations(mu):
+        with pytest.raises(MarginalMismatch):
+            Coupling(1, atoms, bad, nu, den=den)
+    for bad in perturbations(nu):
+        with pytest.raises(MarginalMismatch):
+            Coupling(1, atoms, mu, bad, den=den)
+    for wrong in (den - 1, den + 1, 2 * den):
+        with pytest.raises(InvalidWeightError, match="total mass 1"):
+            Coupling(1, atoms, mu, nu, den=wrong)
+    with pytest.raises(InvalidWeightError, match="negative weight"):
+        Coupling(1, [*atoms, (((0,), (0,)), -1)], mu, nu, den=den)
+
+
 # knothe_coupling as it was when every inner block was a certified
 # monotone coupling, kept verbatim.
 
