@@ -601,6 +601,75 @@ def test_check_op_stdout_digests(capsys):
     ]
 
 
+def _one_dim_blocks(*signs):
+    return {"blocks": [{"dim": 1, "order": {"dim": 1, "perm": [1], "signs": [s]}} for s in signs]}
+
+
+# difference maps on 1-dim blocks in both orders: one verified, two P2 violations
+# whose witnesses follow the reversed order
+BLOCK_CHAIN_SPECS = (
+    {"kind": "difference_map", "dim": 2, "default": "floor_half", "table": [],
+     "decomposition": _one_dim_blocks(-1, 1)},
+    # block 2 is not monotone at the prefix difference 2
+    {"kind": "difference_map", "dim": 2, "default": "floor_half",
+     "table": [{"w": [2, 1], "t": [1, 2]}], "decomposition": _one_dim_blocks(-1, -1)},
+    # in the reversed order, t(1) = 2 precedes t(2) = 1
+    {"kind": "difference_map", "dim": 1, "default": "floor_half",
+     "table": [{"w": [1], "t": [2]}], "decomposition": _one_dim_blocks(-1)},
+)
+
+
+def test_check_op_stdout_digests_at_radius_3_and_on_block_chains(capsys):
+    out = [
+        stdout_digest(capsys, ["check-op", "--op", json.dumps(spec), "--radius", "3"])
+        for spec in CHECK_OP_SPECS + BLOCK_CHAIN_SPECS
+    ] + [
+        stdout_digest(capsys, ["check-op", "--op", json.dumps(spec), "--radius", "2"])
+        for spec in BLOCK_CHAIN_SPECS
+    ]
+    assert out == [
+        # at radius 3 every verified dim-2 operation prints the same bytes
+        (0, "159c742dd3fa2bd08af4a32288fce1e56243197e37d193aa435be977c5db4a30"),
+        (0, "159c742dd3fa2bd08af4a32288fce1e56243197e37d193aa435be977c5db4a30"),
+        (0, "159c742dd3fa2bd08af4a32288fce1e56243197e37d193aa435be977c5db4a30"),
+        (0, "f1ed4b6fc0862b5e35f1dd27a7efe89e8340ae0d8696050cfd6991d862303795"),
+        (1, "7ddc51a2980e3195ad6557d99b97ef7ebb4bd6f7ccccd8320f4d6f382458f5e5"),
+        (0, "159c742dd3fa2bd08af4a32288fce1e56243197e37d193aa435be977c5db4a30"),
+        (1, "d21c221ef4a731be6966e32c5b33945e10a4a8b2784a1092c83b9453b857a22d"),
+        (1, "3220444d03c42cce0a98161bbaf26218fe29faa62b70a12abb3c03f469e618cf"),
+        # radius 2
+        (0, "668ea38107140cd7ed1cf805fb2475a08631adf0d9a558eb69a09f94dd967bd6"),
+        (1, "4bb92c017a4d431eb2c80f5ad2db761c8928160ce05215660f0ce36fbedb7b31"),
+        (1, "11fd0e79e036dc3ebb8127bbb76c64d2f921ea8f0d32e626c24f6933e52fbbf5"),
+    ]
+
+
+SET_A = [[-3, 1], [0, 0], [2, -5], [4, 4], [-1, -1], [7, 2]]
+SET_B = [[1, 1], [-6, 3], [0, -2], [3, 0], [-2, -4]]
+# one override sends a single difference far outside the box
+FAR_TABLE = {"kind": "difference_map", "dim": 2, "default": "floor_half",
+             "table": [{"w": [3, 1], "t": [10**40, -(10**40)]}]}
+
+
+def test_verify_set_bm_stdout_digests(tmp_path, capsys):
+    out = []
+    for op in ({"kind": "midpoint", "dim": 2}, {"kind": "meet_join", "dim": 2}, FAR_TABLE,
+               {"kind": "difference_map", "dim": 2, "default": "negate", "table": []}):
+        for exponents in ({}, {"alpha": "1/2", "beta": "1/3", "gamma": "3/4", "delta": "1"}):
+            inst = write(tmp_path, "sets.json", {"op": op, "A": SET_A, "B": SET_B, **exponents})
+            out.append(stdout_digest(capsys, ["verify", inst, "--check", "set-bm"]))
+    assert out == [
+        (0, "8be7294f5426076a48d226178e37aeca3c8d1ecf7a83ad364084369bc1f54285"),
+        (0, "a726983df04cbc6a8fdd0b9c6f6c0defb97424c119eb9e73fdbbf135e4fcc06f"),
+        (0, "b6f12944de8aa38cc13e14f2b25f896c3e59bcc10c7b38d06a6a0764ddc6a058"),
+        (0, "29c1fa60cf312ecd8e81162ba4b225c5484d0247ec82b8140180766663b74c19"),
+        (0, "8be7294f5426076a48d226178e37aeca3c8d1ecf7a83ad364084369bc1f54285"),
+        (0, "a726983df04cbc6a8fdd0b9c6f6c0defb97424c119eb9e73fdbbf135e4fcc06f"),
+        (0, "5f7eba38ad03aaef6e12b3417783ff438c17cd4520cb330b9d471ccf4e0bc9d0"),
+        (0, "3c7020b91a81a0196a784b74059d7092e680fb507508a853d561718282489dd7"),
+    ]
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "report.jsonl"
     code = main(["random-suite", "--seed", "1", "--instances", "3", "--op", "midpoint",
