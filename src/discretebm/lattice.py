@@ -30,7 +30,16 @@ Point = tuple[int, ...]
 
 
 def as_point(value, dim: int | None = None) -> Point:
-    """Coerce an int (dimension 1) or an iterable of ints to a point."""
+    """Coerce an int (dimension 1) or an iterable of ints to a point.
+
+    A tuple of plain ints of dimension ``dim`` is returned as it is.
+    """
+    if type(value) is tuple and value and len(value) == dim:
+        for c in value:
+            if type(c) is not int:
+                break
+        else:
+            return value
     if isinstance(value, int) and not isinstance(value, bool):
         pt: Point = (value,)
     else:

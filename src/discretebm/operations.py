@@ -20,6 +20,14 @@ construction.  Z^n is infinite, so ``check_p2`` is a sound but incomplete
 certificate on a box; it reads t once per x - y.  A radius whose
 radius-r box of pairs holds more than ``MAX_BOX_PAIRS`` pairs is rejected
 by every check before any map is evaluated.
+
+Both structure layers run in passes linear in what they read.
+``check_p2`` checks a 1-dim block at each prefix difference as one chain
+of 4r unit steps per map, and scans only blocks of dim >= 2 (and a chain
+that breaks, for its witness) pair by pair; its triangularity pass reads
+2 (n - hi) neighbours per difference.  ``image_sets`` packs points into
+ints, so each of its |A| |B| pairs costs int arithmetic and one table
+lookup, with t read once per distinct difference.
 """
 
 from __future__ import annotations
@@ -28,14 +36,13 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, sub
-from typing import Callable, Collection
+from operator import add, gt, mul, sub
+from typing import Callable, Collection, Iterable
 
 from .errors import DimensionMismatch, DomainError
 from .lattice import (
     Decomposition,
     Point,
-    basis_point,
     box_points,
     point_add,
     point_sub,
@@ -154,17 +161,72 @@ def block_section(
     return LatticeOperation(section, lambda w: t(p + w + suffix)[off : off + bdim])
 
 
+def _bounds(points: Iterable[Point]) -> tuple[Point, Point]:
+    """Coordinatewise minimum and maximum of a nonempty point set."""
+    columns = list(zip(*points))
+    return tuple(map(min, columns)), tuple(map(max, columns))
+
+
+def _powers(radix: int, dim: int) -> tuple[int, ...]:
+    return tuple(radix**i for i in range(dim))
+
+
+def _pack(points: Iterable[Point], radix: int, dim: int) -> list[int]:
+    """The linear codes sum c_i R^i of ``points``; they are distinct on any
+    set whose coordinates each spread over less than R."""
+    powers = _powers(radix, dim)
+    return [sum(map(mul, x, powers)) for x in points]
+
+
+def _unpack(codes: Iterable[int], low: Point, radix: int) -> list[Point]:
+    """The points with the given codes, in order, among the points
+    coordinatewise in [low, low + R)."""
+    powers = _powers(radix, len(low))
+    offset = sum(map(mul, low, powers))
+    rests = [c - offset for c in codes]
+    # coordinate i is low_i plus the digit (rest // R^i) % R
+    columns = [[c + r // p % radix for r in rests] for c, p in zip(low, powers)]
+    return list(zip(*columns))
+
+
 def image_sets(
     op: LatticeOperation, points_a: Collection[Point], points_b: Collection[Point]
 ) -> tuple[set[Point], set[Point]]:
-    """The image sets T-(A, B) and T+(A, B) over all pairs of A x B."""
-    minus: set[Point] = set()
-    plus: set[Point] = set()
-    for x in points_a:
-        for y in points_b:
-            minus.add(op.t_minus(x, y))
-            plus.add(op.t_plus(x, y))
-    return minus, plus
+    """The image sets T-(A, B) and T+(A, B) over all pairs of A x B.
+
+    Points are packed into ints by the linear code sum c_i R^i, so that
+    x - y, y + t(w) and x - t(w) are int arithmetic.  Each radix R exceeds
+    every coordinate spread of the sets it codes: first of A - B, then,
+    once t is read on every distinct difference, of T-(A, B) and T+(A, B),
+    so no two points of one set share a code.  Cost: two passes of one int
+    subtraction per pair, one read of t and one decoding per distinct
+    difference, and one decoding per image point.
+    """
+    if not points_a or not points_b:
+        return set(), set()
+    dim = op.dim
+    low_a, high_a = _bounds(points_a)
+    low_b, high_b = _bounds(points_b)
+    spread_a = tuple(map(sub, high_a, low_a))
+    spread_b = tuple(map(sub, high_b, low_b))
+    radix = 1 + max(map(add, spread_a, spread_b))
+    codes_a, codes_b = _pack(points_a, radix, dim), _pack(points_b, radix, dim)
+    differences = list({x - y for x in codes_a for y in codes_b})
+    values = list(map(op.t, _unpack(differences, tuple(map(sub, low_a, high_b)), radix)))
+    low_t, high_t = _bounds(values)
+    image_radix = 1 + max(map(add, map(max, spread_a, spread_b), map(sub, high_t, low_t)))
+    t_code = dict(zip(differences, _pack(values, image_radix, dim)))
+    image_a, image_b = _pack(points_a, image_radix, dim), _pack(points_b, image_radix, dim)
+    minus: set[int] = set()
+    plus: set[int] = set()
+    for x, image_x in zip(codes_a, image_a):
+        t_codes = [t_code[x - y] for y in codes_b]
+        minus.update(map(add, image_b, t_codes))
+        plus.update([image_x - c for c in t_codes])
+    return (
+        set(_unpack(minus, tuple(map(add, low_b, low_t)), image_radix)),
+        set(_unpack(plus, tuple(map(sub, low_a, high_t)), image_radix)),
+    )
 
 
 @dataclass(frozen=True)
@@ -233,18 +295,21 @@ def _check_box_radius(dim: int, box_radius: int) -> None:
         )
 
 
+def _by_construction(check: str, op: LatticeOperation, box_radius: int) -> VerificationReport:
+    _check_box_radius(op.dim, box_radius)
+    return VerificationReport(check=check, outcome=VERIFIED, detail=_BY_CONSTRUCTION)
+
+
 def check_complement(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     """t_minus + t_plus = x + y, which holds by construction from the
     difference map; only the radius is checked."""
-    _check_box_radius(op.dim, box_radius)
-    return VerificationReport(check="complement", outcome=VERIFIED, detail=_BY_CONSTRUCTION)
+    return _by_construction("complement", op, box_radius)
 
 
 def check_p1(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     """Translation equivariance, which holds by construction from the
     difference map; only the radius is checked."""
-    _check_box_radius(op.dim, box_radius)
-    return VerificationReport(check="p1", outcome=VERIFIED, detail=_BY_CONSTRUCTION)
+    return _by_construction("p1", op, box_radius)
 
 
 def _difference_tables(op: LatticeOperation) -> list[tuple[str, Callable]]:
@@ -256,6 +321,57 @@ def _difference_tables(op: LatticeOperation) -> list[tuple[str, Callable]]:
     ]
 
 
+def _chain_is_monotone(tables, key, walk, p: Point, suffix: Point, lo: int, hi: int) -> bool:
+    """Whether block lo:hi of T-(w, 0) = t(w) and of T+(w, 0) = w - t(w), at
+    w = p + u + suffix, has nondecreasing keys along ``walk``, the 1-dim
+    block's difference box in its order.  On a 1-dim block this holds iff
+    both section maps at the prefix difference p are monotone on the box:
+    each unit step of the walk is the step of some pair of the box."""
+    for _, t in tables:
+        keys = [key(t(p + u + suffix)[lo:hi]) for u in walk]
+        if any(map(gt, keys, keys[1:])):
+            return False
+    return True
+
+
+def _scan_section(tables, key, block_pts, a: Point, b: Point, suffix: Point, lo: int, hi: int):
+    """The first consecutive violation of the section maps at the prefixes
+    (a, b), as (tag, witness fields), or None.
+
+    The section maps are scanned along consecutive points of the
+    order-sorted block box, once per frozen value of the other argument;
+    weak monotonicity of every pair in the box then follows by
+    transitivity, and any violation surfaces as a consecutive violation.
+    """
+    p = point_sub(a, b)
+    for tag, t in tables:
+        for fixed in block_pts:
+            prev_u = prev = prev_keys = None
+            for u in block_pts:
+                # block i of T(a + u, b + fixed) and of T(a + fixed, b + u)
+                cur = (
+                    point_add(t(p + point_sub(u, fixed) + suffix)[lo:hi], fixed),
+                    point_add(t(p + point_sub(fixed, u) + suffix)[lo:hi], u),
+                )
+                cur_keys = (key(cur[0]), key(cur[1]))
+                for side in (0, 1):
+                    if prev is not None and prev_keys[side] > cur_keys[side]:
+                        steps = ((prev_u, u), (fixed, fixed))
+                        (x1, x2), (y1, y2) = steps if side == 0 else steps[::-1]
+                        return tag, {
+                            "prefix_x": a,
+                            "prefix_y": b,
+                            "x1": x1,
+                            "x2": x2,
+                            "y1": y1,
+                            "y2": y2,
+                            "t1": prev[side],
+                            "t2": cur[side],
+                        }
+                prev_u, prev, prev_keys = u, cur, cur_keys
+    return None
+
+
 def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     """Blockwise Knothe-monotonicity and triangularity check on the box.
 
@@ -264,13 +380,16 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     every block section is read from that table.
     The section of block i at prefixes (a, b) of the box depends only on
     p = a - b; each p is scanned once, at the first pair (a, b) of the box
-    in lexicographic order.  The section maps are scanned along
-    consecutive points of the order-sorted block box, once per frozen
-    value of the other argument; weak monotonicity of every pair in the
-    box then follows by transitivity, and any violation surfaces as a
-    consecutive violation.  Triangularity requires block i of the table
-    to be unchanged by a unit step in any later coordinate, over the whole
-    difference box, at any block count.
+    in lexicographic order.  On a 1-dim block both section maps are
+    monotone iff the keys of t and of w - t(w) are nondecreasing along the
+    block's order on [-2r, 2r], a chain of 4r unit steps per map and p; a
+    block of dim k >= 2 is scanned along consecutive points of its box,
+    (2r+1)^(2k) steps per map and p, and so is a 1-dim block whose chain
+    breaks, so the witness is the scan's first violation.  Triangularity
+    requires block i of the table to be unchanged by a unit step in any
+    later coordinate, over the whole difference box, at any block count:
+    2 (n - hi) reads per difference and map.  Both tables are read on
+    the same differences either way, which the verified detail counts.
     """
     _check_box_radius(op.dim, box_radius)
     n, d = op.dim, op.decomposition
@@ -283,6 +402,7 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
         hi = lo + d.block_dim(i)
         suffix = (0,) * (n - hi)
         block_pts = order.sorted_points(box_points(hi - lo, box_radius))
+        walk = order.sorted_points(box_points(1, 2 * box_radius)) if hi - lo == 1 else None
         # the first pair of the box with a - b = p has a = max(p, 0) - r
         firsts = sorted(
             (a, point_sub(a, p), p)
@@ -290,44 +410,24 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
             for a in [tuple(max(c, 0) - box_radius for c in p)]
         )
         for a, b, p in firsts:
-            for tag, t in tables:
-                for fixed in block_pts:
-                    prev_u = prev = prev_keys = None
-                    for u in block_pts:
-                        # block i of T(a + u, b + fixed) and of T(a + fixed, b + u)
-                        cur = (
-                            point_add(t(p + point_sub(u, fixed) + suffix)[lo:hi], fixed),
-                            point_add(t(p + point_sub(fixed, u) + suffix)[lo:hi], u),
-                        )
-                        cur_keys = (key(cur[0]), key(cur[1]))
-                        for side in (0, 1):
-                            if prev is not None and prev_keys[side] > cur_keys[side]:
-                                steps = ((prev_u, u), (fixed, fixed))
-                                (x1, x2), (y1, y2) = steps if side == 0 else steps[::-1]
-                                return VerificationReport(
-                                    check="p2",
-                                    outcome=VIOLATED,
-                                    witness={
-                                        "kind": "monotonicity",
-                                        "map": tag,
-                                        "block": i + 1,
-                                        "prefix_x": a,
-                                        "prefix_y": b,
-                                        "x1": x1,
-                                        "x2": x2,
-                                        "y1": y1,
-                                        "y2": y2,
-                                        "t1": prev[side],
-                                        "t2": cur[side],
-                                    },
-                                )
-                        prev_u, prev, prev_keys = u, cur, cur_keys
+            if walk is not None and _chain_is_monotone(tables, key, walk, p, suffix, lo, hi):
+                continue
+            found = _scan_section(tables, key, block_pts, a, b, suffix, lo, hi)
+            if found is not None:
+                tag, fields = found
+                return VerificationReport(
+                    check="p2",
+                    outcome=VIOLATED,
+                    witness={"kind": "monotonicity", "map": tag, "block": i + 1, **fields},
+                )
         # triangularity: block i must ignore coordinates of later blocks
         for tag, t in tables:
             for w in differences if hi < n else ():
+                base = t(w)[lo:hi]
                 for j in range(hi, n):
+                    head, wj, tail = w[:j], w[j], w[j + 1 :]
                     for delta in (1, -1):
-                        if t(point_add(w, basis_point(n, j, delta)))[lo:hi] != t(w)[lo:hi]:
+                        if t(head + (wj + delta,) + tail)[lo:hi] != base:
                             y = tuple(-(c // 2) for c in w)  # x = w + y: both in the box
                             return VerificationReport(
                                 check="p2",

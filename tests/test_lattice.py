@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,34 @@ def test_as_point_coercion():
         as_point([1.5])
     with pytest.raises(DimensionMismatch):
         as_point((1, 2), dim=3)
+
+
+def test_as_point_returns_plain_points_and_keeps_its_errors():
+    point = (4, -7)
+    assert as_point(point, 2) is point
+    assert as_point(point) == point
+    Pair = collections.namedtuple("Pair", "a b")
+    assert type(as_point(Pair(1, 2), 2)) is tuple and as_point(Pair(1, 2), 2) == (1, 2)
+    big = (10**40,)
+    assert as_point(big, 1) is big
+    cases = [
+        (((True, 1), 2), DomainError, "point coordinates must be integers, got True"),
+        (((1, False), None), DomainError, "point coordinates must be integers, got False"),
+        (((1.0,), 1), DomainError, "point coordinates must be integers, got 1.0"),
+        (((2, 1.5), 2), DomainError, "point coordinates must be integers, got 1.5"),
+        ((("1",), 1), DomainError, "point coordinates must be integers, got '1'"),
+        (((1, 2), 3), DimensionMismatch, "expected a point of dimension 3, got 2"),
+        (((1, 2, 3), 1), DimensionMismatch, "expected a point of dimension 1, got 3"),
+        (((), 0), DomainError, "points must have dimension >= 1"),
+        (((), None), DomainError, "points must have dimension >= 1"),
+        ((None, 1), DomainError, "cannot interpret None as a point"),
+        ((1.5, 1), DomainError, "cannot interpret 1.5 as a point"),
+        ((True, 1), DomainError, "cannot interpret True as a point"),
+    ]
+    for (value, dim), error, message in cases:
+        with pytest.raises(error) as caught:
+            as_point(value, dim)
+        assert str(caught.value) == message
 
 
 def test_point_arithmetic():

@@ -38,6 +38,7 @@ from discretebm import (
     verify_hypothesis,
 )
 from discretebm.measures import _log_ratio
+from discretebm.operations import image_sets
 from discretebm.suite import generate_instance, random_exponents, random_quadruple
 from discretebm.seeding import stream
 from discretebm.verify import DEFAULT_TOLERANCE, _logsumexp, _require_marginals, _term
@@ -130,6 +131,45 @@ def test_set_dbm_midpoint_example():
     rep = set_dbm([(0,), (2,)], [(0,), (2,)], midpoint(1), UNIT)
     assert rep.ok
     assert rep.lhs == 4 and rep.rhs == 9
+
+
+# difference maps whose images reach far outside the input box
+_IMAGE_MAPS = (
+    lambda w: tuple(c // 2 for c in w),
+    lambda w: tuple(min(c, 0) for c in w),
+    lambda w: tuple(-c for c in w),
+    lambda w: tuple(10**40 * c for c in w),
+    lambda w: tuple(-(10**40) * c + 7 for c in w),
+    lambda w: tuple(5 - 3 * i for i in range(len(w))),
+    lambda w: tuple(c // 2 + 10**12 for c in w),
+    lambda w: (sum(w),) * len(w),
+)
+
+
+@st.composite
+def image_cases(draw):
+    dim = draw(st.integers(1, 3))
+    points = st.lists(st.tuples(*[st.integers(-6, 6)] * dim), min_size=1, max_size=7, unique=True)
+    exponents = draw(st.sampled_from((UNIT, ExponentQuadruple(F(1, 2), F(1, 3), F(3, 4), F(1)))))
+    t = draw(st.sampled_from(_IMAGE_MAPS))
+    return draw(points), draw(points), from_difference_map(dim, None, t), exponents
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(image_cases())
+@example(([(0, 0)], [(-3, 5)], from_difference_map(2, None, _IMAGE_MAPS[3]), UNIT))
+@example(([(-6,), (6,)], [(6,), (-6,), (0,)], from_difference_map(1, None, _IMAGE_MAPS[4]), UNIT))
+def test_image_sets_and_set_dbm_follow_the_definition(case):
+    set_a, set_b, op, exponents = case
+    minus = {op.t_minus(x, y) for x in set_a for y in set_b}
+    plus = {op.t_plus(x, y) for x in set_a for y in set_b}
+    assert image_sets(op, set_a, set_b) == (minus, plus)
+    a, b, c, d = exponents.integer_exponents()
+    lhs, rhs = len(set_a) ** a * len(set_b) ** b, len(minus) ** c * len(plus) ** d
+    cards = {"card_a": len(set_a), "card_b": len(set_b), "card_minus": len(minus), "card_plus": len(plus)}
+    rep = set_dbm(set_a, set_b, op, exponents)
+    expected = (lhs <= rhs, lhs, rhs, None if lhs <= rhs else cards)
+    assert (rep.ok, rep.lhs, rep.rhs, rep.witness) == expected
 
 
 # -- pointwise bound and P -------------------------------------------------------
