@@ -167,26 +167,27 @@ def _bounds(points: Iterable[Point]) -> tuple[Point, Point]:
     return tuple(map(min, columns)), tuple(map(max, columns))
 
 
-def _powers(radix: int, dim: int) -> tuple[int, ...]:
-    return tuple(radix**i for i in range(dim))
+class _Code:
+    """The linear code sum c_i R^i of the points of Z^dim; it is injective
+    on any set whose coordinates each spread over less than the radix R."""
 
+    def __init__(self, radix: int, dim: int) -> None:
+        self.radix = radix
+        self.powers = [radix**i for i in range(dim)]
 
-def _pack(points: Iterable[Point], radix: int, dim: int) -> list[int]:
-    """The linear codes sum c_i R^i of ``points``; they are distinct on any
-    set whose coordinates each spread over less than R."""
-    powers = _powers(radix, dim)
-    return [sum(map(mul, x, powers)) for x in points]
+    def pack(self, points: Iterable[Point]) -> list[int]:
+        powers = self.powers
+        return [sum(map(mul, x, powers)) for x in points]
 
-
-def _unpack(codes: Iterable[int], low: Point, radix: int) -> list[Point]:
-    """The points with the given codes, in order, among the points
-    coordinatewise in [low, low + R)."""
-    powers = _powers(radix, len(low))
-    offset = sum(map(mul, low, powers))
-    rests = [c - offset for c in codes]
-    # coordinate i is low_i plus the digit (rest // R^i) % R
-    columns = [[c + r // p % radix for r in rests] for c, p in zip(low, powers)]
-    return list(zip(*columns))
+    def unpack(self, codes: Iterable[int], low: Point) -> list[Point]:
+        """The points with the given codes, in order, among the points
+        coordinatewise in [low, low + R)."""
+        radix, powers = self.radix, self.powers
+        offset = sum(map(mul, low, powers))
+        rests = [c - offset for c in codes]
+        # coordinate i is low_i plus the digit (rest // R^i) % R
+        columns = [[c + r // p % radix for r in rests] for c, p in zip(low, powers)]
+        return list(zip(*columns))
 
 
 def image_sets(
@@ -209,14 +210,15 @@ def image_sets(
     low_b, high_b = _bounds(points_b)
     spread_a = tuple(map(sub, high_a, low_a))
     spread_b = tuple(map(sub, high_b, low_b))
-    radix = 1 + max(map(add, spread_a, spread_b))
-    codes_a, codes_b = _pack(points_a, radix, dim), _pack(points_b, radix, dim)
+    code = _Code(1 + max(map(add, spread_a, spread_b)), dim)
+    codes_a, codes_b = code.pack(points_a), code.pack(points_b)
     differences = list({x - y for x in codes_a for y in codes_b})
-    values = list(map(op.t, _unpack(differences, tuple(map(sub, low_a, high_b)), radix)))
+    values = list(map(op.t, code.unpack(differences, tuple(map(sub, low_a, high_b)))))
     low_t, high_t = _bounds(values)
-    image_radix = 1 + max(map(add, map(max, spread_a, spread_b), map(sub, high_t, low_t)))
-    t_code = dict(zip(differences, _pack(values, image_radix, dim)))
-    image_a, image_b = _pack(points_a, image_radix, dim), _pack(points_b, image_radix, dim)
+    spread_t = map(sub, high_t, low_t)
+    image_code = _Code(1 + max(map(add, map(max, spread_a, spread_b), spread_t)), dim)
+    t_code = dict(zip(differences, image_code.pack(values)))
+    image_a, image_b = image_code.pack(points_a), image_code.pack(points_b)
     minus: set[int] = set()
     plus: set[int] = set()
     for x, image_x in zip(codes_a, image_a):
@@ -224,8 +226,8 @@ def image_sets(
         minus.update(map(add, image_b, t_codes))
         plus.update([image_x - c for c in t_codes])
     return (
-        set(_unpack(minus, tuple(map(add, low_b, low_t)), image_radix)),
-        set(_unpack(plus, tuple(map(sub, low_a, high_t)), image_radix)),
+        set(image_code.unpack(minus, tuple(map(add, low_b, low_t)))),
+        set(image_code.unpack(plus, tuple(map(sub, low_a, high_t)))),
     )
 
 
