@@ -18,6 +18,7 @@ environment variable; any tolerance must be finite and >= 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -78,7 +79,9 @@ def _emit(lines: list[str], out: str | None) -> None:
 def _json(text: str | bytes):
     try:
         return json.loads(text)
-    except ValueError as exc:  # malformed JSON or text, or an integer longer than int() reads
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON or text, an integer longer than int() reads, or
+        # arrays and objects nested deeper than the decoder's stack
         raise FormatError(str(exc)) from exc
 
 
@@ -112,7 +115,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise FormatError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use and
+    shared by every call of :func:`main`: treat it as read-only."""
     parser = _ArgumentParser(
         prog="discretebm",
         description="Exact couplings on Z^n and discrete Brunn-Minkowski verifiers.",

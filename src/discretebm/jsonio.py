@@ -199,7 +199,15 @@ def coupling_to_json(pi: Coupling) -> dict:
 def parse_operation(obj, default_dim: int | None = None) -> LatticeOperation:
     """Operation spec: a kind name with a dimension, a product of factor
     specs, or a difference map given by a named default and a table of
-    point overrides."""
+    point overrides.  A spec nested deeper than the interpreter's stack
+    allows raises :class:`FormatError`."""
+    try:
+        return _operation(obj, default_dim)
+    except RecursionError as exc:
+        raise FormatError("operation spec is nested too deeply") from exc
+
+
+def _operation(obj, default_dim: int | None) -> LatticeOperation:
     if isinstance(obj, str):
         obj = {"kind": obj}
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -215,7 +223,7 @@ def parse_operation(obj, default_dim: int | None = None) -> LatticeOperation:
         factors = obj.get("factors")
         if not isinstance(factors, list) or not factors:
             raise FormatError("product operation needs a nonempty factors list")
-        ops = [parse_operation(f) for f in factors]
+        ops = [_operation(f, None) for f in factors]
         _dimension(sum(op.dim for op in ops))
         out = ops[0]
         for nxt in ops[1:]:

@@ -3,13 +3,13 @@
 A measure stores its weights in one exact form: integer numerators
 ``_atoms[p]`` over one denominator ``_den``, in lowest common terms
 (``gcd(_den, *numerators) == 1``), so two equal measures have equal
-fields.  Masses, cumulative distributions, quantiles, pushforwards,
-marginals and disintegrations are integer sums over that denominator,
-and :func:`_reduced` restores the form wherever one is made.
-``Fraction`` stays the public weight type: it is built only where a
-weight leaves the library (``items``, ``weight_at``, ``total_mass``,
-``cdf``).  The only quantities that leave the rational world are
-entropies, which are accumulated in double precision from exact atoms.
+fields.  Masses, cumulative weights, normalizations and
+disintegrations are integer sums over that denominator, and
+:func:`_reduced` restores the form wherever one is made.  ``Fraction``
+stays the public weight type: it is built only where a weight leaves the
+library (``items``, ``weight_at``, ``total_mass``).  The only quantities
+that leave the rational world are entropies, which are accumulated in
+double precision from exact atoms.
 
 Atoms are stored sorted by the ambient lexicographic order, so iteration,
 equality, and serialization are deterministic.
@@ -201,25 +201,6 @@ class FiniteMeasure:
         """Divide every weight exactly by the total mass."""
         return _normalized(self.dim, self._atoms)
 
-    def pushforward(self, mapping: Callable[[Point], object]) -> "FiniteMeasure":
-        """Image measure under ``mapping``; total mass is preserved exactly.
-
-        The images are outside input and are coerced by :func:`as_point`.
-        """
-        out: dict[Point, int] = {}
-        out_dim: int | None = None
-        for x, n in self._atoms.items():
-            y = as_point(mapping(x))
-            if out_dim is None:
-                out_dim = len(y)
-            elif len(y) != out_dim:
-                raise DimensionMismatch(
-                    f"pushforward map produced points of dimensions {out_dim} and {len(y)}"
-                )
-            out[y] = out.get(y, 0) + n
-        assert out_dim is not None
-        return type(self)._trusted(out_dim, out, self._den)
-
 
 class ProbabilityMeasure(FiniteMeasure):
     """Finitely supported measure with total mass exactly 1."""
@@ -232,35 +213,6 @@ class ProbabilityMeasure(FiniteMeasure):
             raise InvalidWeightError(
                 f"probability measure must have mass 1, got {_rational_text(self.total_mass)}"
             )
-
-    def cdf(self, order: AdditiveTotalOrder, point) -> Fraction:
-        """Exact mass of the lower interval {g : g <= point} under ``order``."""
-        x = as_point(point, self.dim)
-        if order.dim != self.dim:
-            raise DimensionMismatch(
-                f"order on Z^{order.dim} does not match measure on Z^{self.dim}"
-            )
-        kx = order.key(x)
-        return Fraction(sum(n for g, n in self._atoms.items() if order.key(g) <= kx), self._den)
-
-    def quantile(self, order: AdditiveTotalOrder, t) -> Point:
-        """Least support point whose cdf reaches ``t``, for t in (0, 1].
-
-        Satisfies the Galois relation: quantile(t) <= x if and only if
-        t <= cdf(x), for support points x.
-        """
-        if isinstance(t, float):
-            raise DomainError("quantile levels must be exact rationals")
-        level = Fraction(t)
-        if not 0 < level <= 1:
-            raise DomainError(f"quantile level must lie in (0, 1], got {_rational_text(level)}")
-        if order.dim != self.dim:
-            raise DimensionMismatch(
-                f"order on Z^{order.dim} does not match measure on Z^{self.dim}"
-            )
-        pts, cums = cumulative_weights(self, order, self._den)
-        target = level * self._den
-        return next(x for x, c in zip(pts, cums) if c >= target)
 
     def relative_entropy(self) -> float:
         """Sum of w*log(w) over atoms, in double precision; always <= 0.

@@ -12,7 +12,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from discretebm.cli import main
+from discretebm.cli import build_parser, main
 
 MEASURE_U3 = {"dim": 1, "atoms": [{"x": [0], "w": "1/3"}, {"x": [1], "w": "1/3"}, {"x": [2], "w": "1/3"}]}
 MEASURE_U2 = {"dim": 1, "atoms": [{"x": [0], "w": "1/2"}, {"x": [1], "w": "1/2"}]}
@@ -240,6 +240,48 @@ def test_json_that_python_cannot_read_exits_2(tmp_path, capsys):
     assert "utf-8" in assert_input_error(capsys, ["verify", str(inst), "--check", "log-laplace"])
     op = f'{{"kind":"midpoint","dim":{huge}}}'
     assert "4300 digits" in assert_input_error(capsys, ["check-op", "--op", op, "--radius", "1"])
+
+
+def _outcome(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    if code == 2:
+        err = captured.err.splitlines()
+        assert len(err) == 1 and "error" in json.loads(err[0])
+    return code, captured.out
+
+
+def test_deeply_nested_json_exits_2_or_runs_unchanged(tmp_path, capsys):
+    # JSON nested past the interpreter's stack once raised RecursionError from
+    # the decoder or from the operation parser, and exited 1
+    path = tmp_path / "in.json"
+
+    def check_op(spec):
+        return ["check-op", "--op", spec, "--radius", "1"], ""
+
+    def verify(spec):
+        return ["verify", str(path), "--check", "set-bm"], f'{{"A": [[0], [2]], "B": [[1]], "op": {spec}}}'
+
+    def couple(pad):  # an atom field that the parser ignores
+        return ["couple", str(path), str(path)], json.dumps(MEASURE_U2)[:-3] + f', "pad": {pad}}}]}}'
+
+    def outcome(argv, text):
+        path.write_text(text)
+        return _outcome(capsys, argv)
+
+    leaf = '{"kind":"midpoint","dim":1}'
+    for command in (check_op, verify, couple):
+        flat = outcome(*command(leaf))
+        assert flat[0] == 0
+        for depth in (1, 2, 10, 100, 490, 495, 500, 1000, 3000, 100_000):
+            for spec in (
+                '{"kind":"product","factors":[' * depth + leaf + "]}" * depth,
+                '{"kind":' + "[" * depth + "]" * depth + "}",
+            ):
+                code, out = outcome(*command(spec))
+                # wherever a nested spec runs, its stdout is the flat spec's
+                assert (code, out) == flat if code == 0 else code == 2
+                assert code == 2 or depth < 1000
 
 
 def test_exponents_of_unbounded_cost_are_rejected(tmp_path, capsys):
@@ -695,6 +737,26 @@ def test_env_tolerance_default(tmp_path, capsys, monkeypatch):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call_unchanged(capsys):
+    # the parser is built once per process; no call may leave a flag value,
+    # a default or a usage error behind for the next one
+    default = ["check-op", "--kind", "midpoint", "--dim", "1"]
+    first = _outcome(capsys, default)
+    for argv in (
+        ["check-op", "--kind", "nope"],
+        ["verify"],
+        ["--bogus"],
+        ["check-op", "--radius", "x"],
+        ["random-suite", "--instances", "1", "--checks", "nope"],
+    ):
+        assert _outcome(capsys, argv) == (2, "")
+    assert _outcome(capsys, ["check-op", "--kind", "midpoint", "--dim", "1", "--radius", "1"]) != first
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    assert _outcome(capsys, default) == first
+    assert build_parser() is build_parser()
 
 
 INDICATOR = {"dim": 1, "atoms": [{"x": [0], "w": "1"}, {"x": [1], "w": "1"}]}

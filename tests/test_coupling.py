@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction as F
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +14,7 @@ from discretebm import (
     FiniteMeasure,
     InvalidWeightError,
     MarginalMismatch,
-    Ordering,
     ProbabilityMeasure,
-    VERIFIED,
-    VIOLATED,
-    VerificationReport,
     block_section,
     check_fiber_structure,
     check_support_monotone,
@@ -35,9 +30,10 @@ from discretebm import (
     standard_order,
 )
 from discretebm import jsonio
-from discretebm.lattice import Point
+from discretebm.coupling import _quantile_merge
 from discretebm.suite import generate_instance
 from helpers import dirac, uniform
+import oracle
 
 ORDER1 = standard_order(1)
 
@@ -290,40 +286,24 @@ def test_fiber_check_runs_per_block():
     assert check_fiber_structure(knothe_coupling(mu, nu, op.decomposition), op).ok
 
 
-# The multi-block fiber check as it was before check_fiber_structure took
-# any decomposition, kept verbatim: it rebuilds the Knothe coupling from the
-# marginals and checks each conditional block coupling.
+def _assert_fiber_witness(pi, op, w):
+    # the witness names fibers, through an image or a support pair, of a
+    # conditional block coupling that breaks a fiber clause
+    at = (w.get("block", 1) - 1, w.get("prefix_x", ()), w.get("prefix_y", ()))
+    law = next(c[3] for c in oracle.conditional_couplings(pi, op.decomposition) if c[:3] == at)
+    assert not oracle.fiber_clauses_hold(law, op, *at)
+    maps = dict(zip(("minus", "plus"), oracle.section(op, *at)))
 
+    def fiber(sign, image):
+        return {p for p in law if maps[sign](*p) == image}
 
-def reference_blockwise_fiber_check(
-    mu: ProbabilityMeasure, nu: ProbabilityMeasure, op
-) -> VerificationReport:
-    """Fiber checks for the Knothe coupling, one conditional block at a time.
-
-    The single-block fiber shape is applied to every conditional block
-    coupling, against the operation's block section for the matching
-    prefixes.  Reduces to ``check_fiber_structure`` of the monotone
-    coupling when the decomposition has one block.
-    """
-    d = op.decomposition
-    pi = knothe_coupling(mu, nu, d)
-    blocks_checked = 0
-    for level, px, py, cond in iter_conditional_couplings(pi, d):
-        section = block_section(op, level, px, py)
-        rep = check_fiber_structure(cond, section)
-        blocks_checked += 1
-        if not rep.ok:
-            witness = dict(rep.witness or {})
-            witness.update({"block": level + 1, "prefix_x": px, "prefix_y": py})
-            return VerificationReport(
-                check="fibers",
-                outcome=rep.outcome,
-                witness=witness if rep.outcome == VIOLATED else rep.witness,
-                detail=rep.detail,
-            )
-    return VerificationReport(
-        check="fibers", outcome=VERIFIED, detail=f"{blocks_checked} conditional block couplings"
-    )
+    if "sign" in w:
+        assert set(w["fiber"]) == fiber(w["sign"], w["image"])
+    else:
+        s = (w["x"], w["y"])
+        assert s in law
+        for sign, t in maps.items():
+            assert set(w[f"{sign}_fiber"]) == fiber(sign, t(*s))
 
 
 @pytest.mark.parametrize(
@@ -331,23 +311,31 @@ def reference_blockwise_fiber_check(
     [product(midpoint(1), meet_join(1)), product(meet_join(1), midpoint(1))],
     ids=["midpoint-meet_join", "meet_join-midpoint"],
 )
-def test_fiber_check_matches_reference_blockwise(op):
+def test_fiber_check_follows_the_fiber_clauses(op):
+    d = op.decomposition
     outcomes = set()
     for i in range(300):
         inst = generate_instance(7, i, 2)
-        pi = knothe_coupling(inst.mu, inst.nu, op.decomposition)
-        got = check_fiber_structure(pi, op).to_json_dict()
-        assert got == reference_blockwise_fiber_check(inst.mu, inst.nu, op).to_json_dict()
-        outcomes.add(got["outcome"])
+        pi = knothe_coupling(inst.mu, inst.nu, d)
+        rep = check_fiber_structure(pi, op)
+        walk = oracle.conditional_couplings(pi, d)
+        # every conditional block coupling of a Knothe coupling is a chain
+        assert all(oracle.first_crossing(list(law), d.order(level)) is None for level, *_, law in walk)
+        assert rep.ok == oracle.fiber_shape_holds(pi, op)
+        if rep.ok:
+            assert rep.detail == f"{len(walk)} conditional block couplings"
+        else:
+            _assert_fiber_witness(pi, op, rep.witness)
+        outcomes.add(rep.outcome)
     assert outcomes == {"verified", "violated"}
 
 
 def test_stochastic_dominance_gives_ordered_support():
     mu = ProbabilityMeasure(1, [(0, F(1, 2)), (2, F(1, 4)), (5, F(1, 4))])
-    nu = mu.pushforward(lambda x: (x[0] + 3,))
+    nu = ProbabilityMeasure(1, [((x + 3,), w) for (x,), w in mu.items()])
     pi = monotone_coupling(mu, nu, ORDER1)
     for x, y in pi.support():
-        assert ORDER1.leq(x, y)
+        assert ORDER1.key(x) <= ORDER1.key(y)
 
 
 @given(measures_1d, measures_1d)
@@ -355,46 +343,13 @@ def test_stochastic_dominance_gives_ordered_support():
 def test_dominated_cdf_implies_diagonal_ordering(mu, nu):
     # whenever cdf_nu <= cdf_mu everywhere, every coupled pair is ordered
     pts = sorted(set(mu.support()) | set(nu.support()))
-    if all(nu.cdf(ORDER1, x) <= mu.cdf(ORDER1, x) for x in pts):
+    if all(oracle.cdf(nu, ORDER1, x) <= oracle.cdf(mu, ORDER1, x) for x in pts):
         pi = monotone_coupling(mu, nu, ORDER1)
         for x, y in pi.support():
-            assert ORDER1.leq(x, y)
+            assert ORDER1.key(x) <= ORDER1.key(y)
 
 
-# -- references and invariants of the integer-numerator core -------------------
-
-
-def fraction_merge(mu, nu, order):
-    """The monotone merge on Fraction cumulative masses, kept as the reference."""
-    xs = order.sorted_points(mu.support())
-    ys = order.sorted_points(nu.support())
-    cx = list(accumulate(mu.weight_at(p) for p in xs))
-    cy = list(accumulate(nu.weight_at(p) for p in ys))
-    atoms = {}
-    i = j = 0
-    prev = F(0)
-    while i < len(xs) and j < len(ys):
-        breakpoint_ = min(cx[i], cy[j])
-        if breakpoint_ - prev > 0:
-            atoms[(xs[i], ys[j])] = breakpoint_ - prev
-        if cx[i] == breakpoint_:
-            i += 1
-        if cy[j] == breakpoint_:
-            j += 1
-        prev = breakpoint_
-    return atoms
-
-
-def pairwise_crossing(pi, order):
-    """The quadratic crossing scan, kept as the reference: the first pair in
-    support order that crosses a later pair, and the first such later pair."""
-    pairs = pi.support()
-    for i, (a, b) in enumerate(pairs):
-        for c, d in pairs[i + 1 :]:
-            cx, cy = order.compare(a, c), order.compare(b, d)
-            if {cx, cy} == {Ordering.LESS, Ordering.GREATER}:
-                return {"pair1": {"x": a, "y": b}, "pair2": {"x": c, "y": d}}
-    return None
+# -- the definitions and invariants of the integer-numerator core --------------
 
 
 orders_1d = st.sampled_from([AdditiveTotalOrder(1, (1,), (1,)), AdditiveTotalOrder(1, (1,), (-1,))])
@@ -418,21 +373,25 @@ grid_measures_1d = st.lists(st.integers(-6, 6), min_size=1, max_size=6, unique=T
 
 @given(st.one_of(measures_1d, grid_measures_1d), st.one_of(measures_1d, grid_measures_1d), orders_1d)
 @settings(max_examples=200)
-def test_monotone_coupling_equals_fraction_merge(mu, nu, order):
-    assert dict(monotone_coupling(mu, nu, order).items()) == fraction_merge(mu, nu, order)
+def test_monotone_coupling_is_the_quantile_coupling(mu, nu, order):
+    # the integer merge yields the coupling's support pairs and their weights
+    coupling = oracle.quantile_coupling(mu, nu, order)
+    pairs, nums, den = _quantile_merge(mu, nu, order)
+    assert len(pairs) == len(coupling) and dict(zip(pairs, (F(n, den) for n in nums))) == coupling
+    assert dict(monotone_coupling(mu, nu, order).items()) == coupling
 
 
 def test_monotone_coupling_shared_breakpoints():
     mu = ProbabilityMeasure(1, [(0, F(1, 4)), (1, F(1, 4)), (2, F(1, 2))])
     nu = ProbabilityMeasure(1, [(5, F(1, 2)), (6, F(1, 2))])
     pi = monotone_coupling(mu, nu, ORDER1)
-    assert dict(pi.items()) == fraction_merge(mu, nu, ORDER1)
+    assert dict(pi.items()) == oracle.quantile_coupling(mu, nu, ORDER1)
     assert len(pi) == 3
 
 
 @given(measures_1d, measures_1d, st.integers(0, 4), orders_1d)
 @settings(max_examples=150)
-def test_support_monotone_matches_pairwise_scan(mu, nu, mix, order):
+def test_support_monotone_reports_the_first_crossing(mu, nu, mix, order):
     # mixtures of the monotone and the product coupling have the same
     # marginals and cross for most mixing weights
     mono = dict(monotone_coupling(mu, nu, order).items())
@@ -441,9 +400,11 @@ def test_support_monotone_matches_pairwise_scan(mu, nu, mix, order):
     atoms = {k: t * mono.get(k, 0) + (1 - t) * prod.get(k, 0) for k in mono.keys() | prod.keys()}
     pi = Coupling(1, atoms, mu, nu)
     rep = check_support_monotone(pi, order)
-    witness = pairwise_crossing(pi, order)
-    assert rep.ok == (witness is None)
-    assert rep.witness == witness
+    crossing = oracle.first_crossing(pi.support(), order)
+    assert rep.ok == (crossing is None)
+    if crossing is not None:
+        (a, b), (c, d) = crossing
+        assert rep.witness == {"pair1": {"x": a, "y": b}, "pair2": {"x": c, "y": d}}
 
 
 def _assert_validated_equal(m):
@@ -479,7 +440,6 @@ def test_internal_measures_equal_validated_ones(mu, nu):
         pi.marginal("second"),
         pi.pushforward_by(op.t_minus),
         pi.pushforward_by(op.t_plus),
-        mu.pushforward(lambda x: (x[0] + x[1],)),
     ):
         _assert_validated_equal(m)
     for _level, _px, _py, cond in iter_conditional_couplings(pi, d):
@@ -605,39 +565,6 @@ def test_integer_weights_are_certified(mu, nu):
         Coupling(1, [*atoms, (((0,), (0,)), -1)], mu, nu, den=den)
 
 
-# knothe_coupling as it was when every inner block was a certified
-# monotone coupling, kept verbatim.
-
-
-def reference_knothe_coupling(
-    mu: ProbabilityMeasure, nu: ProbabilityMeasure, decomposition: Decomposition
-) -> Coupling:
-    """Triangular coupling along the blocks of ``decomposition``.
-
-    Couples the first-block marginals monotonically, then for every
-    support pair of prefixes couples the conditional block measures, in
-    decomposition order.  Marginals are exact by construction.  For a
-    single block this is exactly :func:`monotone_coupling`.
-    """
-    if mu.dim != nu.dim or decomposition.total_dim != mu.dim:
-        raise DimensionMismatch(
-            f"measures on Z^{mu.dim}, Z^{nu.dim} and decomposition of Z^{decomposition.total_dim} do not agree"
-        )
-    fam_mu = mu.disintegrate(decomposition)
-    fam_nu = nu.disintegrate(decomposition)
-    frontier = list(
-        monotone_coupling(fam_mu[0][()], fam_nu[0][()], decomposition.order(0)).items()
-    )
-    for level in range(1, decomposition.block_count):
-        order = decomposition.order(level)
-        grown: list[tuple[tuple[Point, Point], F]] = []
-        for (px, py), w in frontier:
-            block_pi = monotone_coupling(fam_mu[level][px], fam_nu[level][py], order)
-            grown.extend(((px + xb, py + yb), w * wb) for (xb, yb), wb in block_pi.items())
-        frontier = grown
-    return Coupling(mu.dim, frontier, mu, nu)
-
-
 SWAPPED = AdditiveTotalOrder(2, (2, 1), (-1, 1))
 DECOMPOSITIONS = {
     2: [
@@ -673,20 +600,19 @@ def knothe_cases(draw):
 
 @given(knothe_cases())
 @settings(max_examples=150, derandomize=True)
-def test_knothe_matches_reference(case):
+def test_knothe_is_the_recursive_quantile_coupling(case):
     mu, nu, d = case
     pi = knothe_coupling(mu, nu, d)
-    assert pi == reference_knothe_coupling(mu, nu, d)
+    assert dict(pi.items()) == oracle.knothe(mu, nu, d)
     assert Coupling(d.total_dim, list(pi.items()), mu, nu) == pi
     _assert_stored_numerators(pi)
 
 
-def test_knothe_matches_reference_on_suite_instances():
+def test_knothe_on_suite_instances_is_the_recursive_quantile_coupling():
     d = product(midpoint(1), meet_join(1)).decomposition
     for i in range(300):
         inst = generate_instance(7, i, 2)
-        pi = knothe_coupling(inst.mu, inst.nu, d)
-        assert pi == reference_knothe_coupling(inst.mu, inst.nu, d)
+        assert dict(knothe_coupling(inst.mu, inst.nu, d).items()) == oracle.knothe(inst.mu, inst.nu, d)
 
 
 def test_coupling_keys_must_be_pairs():

@@ -14,7 +14,6 @@ from discretebm import (
     box_points,
     point_add,
     point_sub,
-    singleton_decomposition,
     standard_order,
 )
 

@@ -1,6 +1,5 @@
 import dataclasses
 from fractions import Fraction as F
-from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,11 +12,6 @@ from discretebm import (
     DomainError,
     ExponentQuadruple,
     LatticeOperation,
-    Ordering,
-    Point,
-    VERIFIED,
-    VIOLATED,
-    VerificationReport,
     block_section,
     box_points,
     check_complement,
@@ -28,13 +22,14 @@ from discretebm import (
     meet_join,
     midpoint,
     point_add,
+    point_sub,
     product,
     singleton_decomposition,
     standard_order,
 )
 from discretebm import jsonio
 from discretebm.lattice import basis_point
-from discretebm.operations import _BY_CONSTRUCTION, MAX_BOX_PAIRS, _check_box_radius
+from discretebm.operations import _BY_CONSTRUCTION, MAX_BOX_PAIRS
 import oracle
 
 
@@ -228,11 +223,13 @@ def test_midpoint_dim3_verifies_at_the_largest_admitted_radius():
     assert rep.ok and [r.outcome for r in rep.subchecks] == ["verified"] * 3
 
 
-def three_block_op():
+def _three_block_t(w):
     # block 3 is negated at the single prefix difference (3, 0)
-    return from_difference_map(
-        3, None, lambda w: (w[0] // 2, w[1] // 2, -w[2] if (w[0], w[1]) == (3, 0) else w[2] // 2)
-    )
+    return (w[0] // 2, w[1] // 2, -w[2] if (w[0], w[1]) == (3, 0) else w[2] // 2)
+
+
+def three_block_op():
+    return from_difference_map(3, None, _three_block_t)
 
 
 def test_check_p2_scans_every_prefix_difference():
@@ -318,7 +315,8 @@ def _assert_witness_reproduces(op, w):
 
         t1, t2 = section(w["x1"], w["y1"]), section(w["x2"], w["y2"])
         assert (t1, t2) == (tuple(w["t1"]), tuple(w["t2"]))
-        assert d.order(w["block"] - 1).compare(t1, t2) is Ordering.GREATER
+        key = d.order(w["block"] - 1).key
+        assert key(t1) > key(t2)
 
 
 def _oracle_radius(op, radius):
@@ -404,184 +402,17 @@ def test_check_p2_on_1dim_blocks_gives_the_oracle_verdict(case):
         _assert_witness_reproduces(op, rep.witness)
 
 
-# check_p1 as it was before it checked the difference identity, kept
-# verbatim: unit and all-ones shifts of the pairs of the radius-r box.
+def _coordinatewise(f):
+    return lambda x, y: tuple(map(f, x, y))
 
 
-def reference_check_p1(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
-    """Exhaustive translation-equivariance check on the box.
-
-    Shifts range over the signed basis vectors and the all-ones vector;
-    both maps of the pair are tested.
-    """
-    if box_radius < 1:
-        raise DomainError("box radius must be >= 1")
-    pts = box_points(op.dim, box_radius)
-    shifts: list[Point] = []
-    for i in range(op.dim):
-        shifts.append(basis_point(op.dim, i, 1))
-        shifts.append(basis_point(op.dim, i, -1))
-    shifts.append((1,) * op.dim)
-    tm, tp = op.t_minus, op.t_plus
-    for x in pts:
-        for y in pts:
-            base_m = tm(x, y)
-            base_p = tp(x, y)
-            for z in shifts:
-                xz, yz = point_add(x, z), point_add(y, z)
-                if tm(xz, yz) != point_add(base_m, z) or tp(xz, yz) != point_add(base_p, z):
-                    return VerificationReport(
-                        check="p1",
-                        outcome=VIOLATED,
-                        witness={"x": x, "y": y, "z": z},
-                    )
-    return VerificationReport(
-        check="p1",
-        outcome=VERIFIED,
-        detail=f"{len(pts) ** 2} pairs x {len(shifts)} shifts",
-    )
+MIN_MAX = _coordinatewise(min), _coordinatewise(max)
+FLOOR_CEILING = _coordinatewise(lambda a, b: (a + b) // 2), _coordinatewise(lambda a, b: -(-(a + b) // 2))
 
 
-# The constructors as they were before every operation carried its
-# difference map, kept verbatim but for the pair type: pair lambdas,
-# product and section lambda chains, and from_difference_map's own T-/T+.
-
-
-class ReferencePair(NamedTuple):
-    """A pair of maps given directly, as LatticeOperation once allowed."""
-
-    dim: int
-    decomposition: Decomposition
-    t_minus: Callable
-    t_plus: Callable
-    kind: str
-    t: Callable | None = None
-
-
-def reference_meet_join(dim: int) -> ReferencePair:
-    """Coordinatewise minimum and maximum."""
-    return ReferencePair(
-        dim=dim,
-        decomposition=singleton_decomposition(dim),
-        t_minus=lambda x, y: tuple(map(min, x, y)),
-        t_plus=lambda x, y: tuple(map(max, x, y)),
-        kind="meet_join",
-    )
-
-
-def reference_midpoint(dim: int) -> ReferencePair:
-    """Coordinatewise floor and ceiling of the average.
-
-    Floor is toward minus infinity (max {m in Z : m <= r}), matching
-    Python's // on negative sums; the ceiling is the complement.
-    """
-    return ReferencePair(
-        dim=dim,
-        decomposition=singleton_decomposition(dim),
-        t_minus=lambda x, y: tuple((a + b) // 2 for a, b in zip(x, y)),
-        t_plus=lambda x, y: tuple((a + b) - (a + b) // 2 for a, b in zip(x, y)),
-        kind="midpoint",
-    )
-
-
-def reference_product(a: ReferencePair, b: ReferencePair) -> ReferencePair:
-    """Blockwise product: ``a`` acts on the first dim(a) coordinates, ``b``
-    on the rest.  The decomposition is the concatenation of the factors'.
-    """
-    da = a.dim
-    am, ap, bm, bp = a.t_minus, a.t_plus, b.t_minus, b.t_plus
-    return ReferencePair(
-        dim=a.dim + b.dim,
-        decomposition=Decomposition(a.decomposition.blocks + b.decomposition.blocks),
-        t_minus=lambda x, y: am(x[:da], y[:da]) + bm(x[da:], y[da:]),
-        t_plus=lambda x, y: ap(x[:da], y[:da]) + bp(x[da:], y[da:]),
-        kind="product",
-    )
-
-
-def reference_from_difference_map(
-    dim: int,
-    decomposition,
-    t,
-) -> ReferencePair:
-    """Operation determined by its single-variable section t(w) = T-(w, 0).
-
-    Translation equivariance forces T-(x,y) = t(x-y) + y, and t_plus is
-    the complement, so P1 and the complement identity hold for any t.
-    P2 is NOT guaranteed and must be checked against the declared
-    decomposition (singleton standard blocks when omitted).
-    """
-    d = decomposition if decomposition is not None else singleton_decomposition(dim)
-
-    def t_minus(x: Point, y: Point) -> Point:
-        return tuple(tw + b for tw, b in zip(t(tuple(a - b for a, b in zip(x, y))), y))
-
-    def t_plus(x: Point, y: Point) -> Point:
-        tm = t_minus(x, y)
-        return tuple(a + b - m for a, b, m in zip(x, y, tm))
-
-    return ReferencePair(
-        dim=dim, decomposition=d, t_minus=t_minus, t_plus=t_plus, kind="difference_map"
-    )
-
-
-def reference_block_section(
-    op: ReferencePair, level: int, prefix_x: Point, prefix_y: Point
-) -> ReferencePair:
-    """One-block operation obtained by freezing the leading blocks.
-
-    Evaluates the full pair with the given prefixes and zero suffixes and
-    extracts block ``level``.  For a triangular operation the suffix
-    choice is irrelevant; the section of a complementing pair is itself
-    complementing, and sections of P1 operations are P1 on their block.
-    """
-    d = op.decomposition
-    bdim = d.block_dim(level)
-    order = d.order(level)
-    off = d.offset(level)
-    if len(prefix_x) != off or len(prefix_y) != off:
-        raise DimensionMismatch(
-            f"block {level} expects prefixes of length {off}, got {len(prefix_x)}, {len(prefix_y)}"
-        )
-    suffix = (0,) * (op.dim - off - bdim)
-    lo, hi = off, off + bdim
-    tm, tp = op.t_minus, op.t_plus
-    return ReferencePair(
-        dim=bdim,
-        decomposition=Decomposition(((bdim, order),)),
-        t_minus=lambda u, v: tm(prefix_x + u + suffix, prefix_y + v + suffix)[lo:hi],
-        t_plus=lambda u, v: tp(prefix_x + u + suffix, prefix_y + v + suffix)[lo:hi],
-        kind="section",
-    )
-
-
-# check_complement as it was before the complement held by construction,
-# kept verbatim.
-
-
-def reference_check_complement(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
-    """Exhaustive check of t_minus + t_plus = x + y on the box."""
-    _check_box_radius(op.dim, box_radius)
-    pts = box_points(op.dim, box_radius)
-    tm, tp = op.t_minus, op.t_plus
-    for x in pts:
-        for y in pts:
-            total = point_add(x, y)
-            if point_add(tm(x, y), tp(x, y)) != total:
-                return VerificationReport(
-                    check="complement",
-                    outcome=VIOLATED,
-                    witness={
-                        "x": x,
-                        "y": y,
-                        "t_minus": tm(x, y),
-                        "t_plus": tp(x, y),
-                        "sum": total,
-                    },
-                )
-    return VerificationReport(
-        check="complement", outcome=VERIFIED, detail=f"{len(pts) ** 2} pairs"
-    )
+def _difference_formulas(t):
+    # T-(x, y) = y + t(x - y) and T+(x, y) = x - t(x - y)
+    return lambda x, y: point_add(y, t(point_sub(x, y))), lambda x, y: point_sub(x, t(point_sub(x, y)))
 
 
 def _halved_prefix_sums(w):
@@ -589,23 +420,37 @@ def _halved_prefix_sums(w):
     return tuple(sum(w[: i + 1]) // 2 for i in range(len(w)))
 
 
+def _section_case(case, level, px, py):
+    # block ``level`` of the maps at the frozen prefixes px and py, later blocks at 0
+    op, d, *maps = case
+    lo = d.offset(level)
+    hi = lo + d.block_dim(level)
+    pad = (0,) * (op.dim - hi)
+    frozen = [lambda u, v, f=f: f(px + u + pad, py + v + pad)[lo:hi] for f in maps]
+    return block_section(op, level, px, py), Decomposition((d.blocks[level],)), *frozen
+
+
 @st.composite
-def built_pairs(draw, max_dim=3, shapes=("base", "product", "difference_map", "mixing", "section")):
-    """An operation built by the library and the same operation built by the
-    reference constructors: a midpoint or meet_join, a nested product in
-    either order, a parsed difference-map spec with table overrides, a
-    difference map mixing the coordinates, or a block section of one of
-    the last three at a drawn level and prefixes."""
+def built_ops(draw, max_dim=3, shapes=("base", "product", "difference_map", "mixing", "section")):
+    """An operation built by the library, with the decomposition and T-, T+
+    its constructor's docstring states: min/max (meet_join), floor/ceiling
+    of the average (midpoint), the factors' maps concatenated (a nested
+    product), y + t(x - y) and x - t(x - y) (a parsed difference-map spec
+    with table overrides, or a map mixing the coordinates), or the maps at
+    frozen prefixes (a block section of one of the last three)."""
     shape = draw(st.sampled_from(shapes))
     if shape == "base" or max_dim == 1 and shape == "product":
         dim = draw(st.integers(1, max_dim))
-        kind = draw(st.sampled_from(("midpoint", "meet_join")))
-        new, ref = (midpoint, reference_midpoint) if kind == "midpoint" else (meet_join, reference_meet_join)
-        return new(dim), ref(dim)
+        new, maps = draw(st.sampled_from(((midpoint, FLOOR_CEILING), (meet_join, MIN_MAX))))
+        return new(dim), singleton_decomposition(dim), *maps
     if shape == "product":
         k = draw(st.integers(1, max_dim - 1))
-        (a, ra), (b, rb) = draw(built_pairs(k)), draw(built_pairs(max_dim - k))
-        return product(a, b), reference_product(ra, rb)
+        (a, da, am, ap), (b, db, bm, bp) = draw(built_ops(k)), draw(built_ops(max_dim - k))
+        n = a.dim
+        maps = [
+            lambda x, y, f=f, g=g: f(x[:n], y[:n]) + g(x[n:], y[n:]) for f, g in ((am, bm), (ap, bp))
+        ]
+        return product(a, b), Decomposition(da.blocks + db.blocks), *maps
     if shape == "difference_map":
         dim = draw(st.integers(1, max_dim))
         default = draw(st.sampled_from(sorted(jsonio._DIFFERENCE_DEFAULTS)))
@@ -618,42 +463,32 @@ def built_pairs(draw, max_dim=3, shapes=("base", "product", "difference_map", "m
             "table": [{"w": list(w), "t": list(t)} for w, t in rows],
         }
         base, table = jsonio._DIFFERENCE_DEFAULTS[default], dict(rows)
-        ref = reference_from_difference_map(dim, None, lambda w: table.get(w, base(w)))
-        return jsonio.parse_operation(spec), ref
+        maps = _difference_formulas(lambda w: table.get(w, base(w)))
+        return jsonio.parse_operation(spec), singleton_decomposition(dim), *maps
     if shape == "mixing":
         dim = draw(st.integers(1, max_dim))
-        return from_difference_map(dim, None, _halved_prefix_sums), reference_from_difference_map(
-            dim, None, _halved_prefix_sums
-        )
-    op, ref = draw(built_pairs(max_dim, ("product", "difference_map", "mixing")))
-    level = draw(st.integers(0, op.decomposition.block_count - 1))
-    prefix = st.tuples(*[st.integers(-2, 2)] * op.decomposition.offset(level))
-    px, py = draw(prefix), draw(prefix)
-    return block_section(op, level, px, py), reference_block_section(ref, level, px, py)
+        maps = _difference_formulas(_halved_prefix_sums)
+        return from_difference_map(dim, None, _halved_prefix_sums), singleton_decomposition(dim), *maps
+    case = draw(built_ops(max_dim, ("product", "difference_map", "mixing")))
+    level = draw(st.integers(0, case[1].block_count - 1))
+    prefix = st.tuples(*[st.integers(-2, 2)] * case[1].offset(level))
+    return _section_case(case, level, draw(prefix), draw(prefix))
 
 
-THREE_BLOCKS = three_block_op(), reference_from_difference_map(3, None, three_block_op().t)
+THREE_BLOCKS = three_block_op(), singleton_decomposition(3), *_difference_formulas(_three_block_t)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(built_pairs(), st.integers(1, 2))
+@given(built_ops(), st.integers(1, 2))
 # block 3 of three_block_op is negated at the prefix difference (3, 0) only
-@example(
-    (
-        block_section(THREE_BLOCKS[0], 2, (2, 1), (-1, 1)),
-        reference_block_section(THREE_BLOCKS[1], 2, (2, 1), (-1, 1)),
-    ),
-    1,
-)
-def test_derived_operations_equal_the_reference_constructors(pair, radius):
-    op, ref = pair
-    assert op.t is not None and ref.t is None
-    assert (op.dim, op.decomposition) == (ref.dim, ref.decomposition)
+@example(_section_case(THREE_BLOCKS, 2, (2, 1), (-1, 1)), 1)
+def test_constructors_follow_their_formulas(case, radius):
+    op, decomposition, t_minus, t_plus = case
+    assert (op.dim, op.decomposition) == (decomposition.total_dim, decomposition)
     pts = box_points(op.dim, radius if op.dim < 3 else 1)
     for x in pts:
         for y in pts:
-            assert op.t_minus(x, y) == ref.t_minus(x, y)
-            assert op.t_plus(x, y) == ref.t_plus(x, y)
+            assert (op.t_minus(x, y), op.t_plus(x, y)) == (t_minus(x, y), t_plus(x, y))
 
 
 BUILT_INS = [
@@ -671,11 +506,11 @@ BUILT_INS = [
 ]
 
 
-def test_builtins_pass_the_kept_p1_and_complement_scans():
+def test_builtins_satisfy_p1_and_the_complement_identity_on_the_box():
     for op in BUILT_INS:
         for radius in (1, 2) if op.dim < 3 else (1,):
-            assert reference_check_p1(op, radius).ok
-            assert reference_check_complement(op, radius).ok
+            assert oracle.p1_holds(op, radius)
+            assert oracle.complement_holds(op, radius)
             assert check_p1(op, radius).detail == _BY_CONSTRUCTION
             assert check_complement(op, radius).detail == _BY_CONSTRUCTION
 
@@ -692,28 +527,14 @@ def test_by_construction_checks_evaluate_nothing_and_still_reject_huge_boxes():
             check(op, 10**8)
 
 
-def _reference_radius(op, radius):
-    # the reference scans read every pair of the box; keep dim 3 at radius 1
-    return radius if op.dim < 3 else 1
-
-
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.one_of(difference_map_ops(), builtin_ops))
 @example((from_difference_map(1, None, lambda w: (7,) if w == (4,) else (w[0] // 2,)), 2))
-def test_check_p1_implies_reference(case):
+def test_p1_and_the_complement_identity_hold_on_the_box(case):
     op, radius = case
-    radius = _reference_radius(op, radius)
-    assert check_p1(op, radius).ok
-    assert reference_check_p1(op, radius).ok
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(st.one_of(difference_map_ops(), builtin_ops))
-def test_check_complement_implies_reference(case):
-    op, radius = case
-    radius = _reference_radius(op, radius)
-    assert check_complement(op, radius).ok
-    assert reference_check_complement(op, radius).ok
+    assert check_p1(op, radius).ok and check_complement(op, radius).ok
+    small = _oracle_radius(op, radius)
+    assert oracle.p1_holds(op, small) and oracle.complement_holds(op, small)
 
 
 def test_pair_maps_are_set_on_the_instance_not_given():

@@ -2,11 +2,13 @@
 no module imports a name it never uses."""
 
 import ast
+import sys
 from pathlib import Path
 
 import discretebm
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "discretebm"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "discretebm"
 
 
 def _tree(path: Path) -> ast.Module:
@@ -68,12 +70,31 @@ def test_all_lists_every_public_import_and_each_resolves():
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
         tree = _tree(path)
         used = _used(tree)
         unused += [
-            f"{path.name}:{line} {name}"
+            f"{path.parent.name}/{path.name}:{line} {name}"
             for name, line in _imported(tree).items()
             if name not in used
         ]
     assert unused == []
+
+
+def test_the_oracle_reads_only_the_public_package():
+    # the oracle must not share the shortcuts of the code it checks: it
+    # imports the standard library and public names of discretebm itself,
+    # reads no underscored attribute (such as _atoms or _den), and compares
+    # points by order.key alone
+    tree = _tree(TESTS / "oracle.py")
+    nodes = list(ast.walk(tree))
+    imports = [(n.module, a.name) for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names]
+    imports += [(a.name, None) for n in nodes if isinstance(n, ast.Import) for a in n.names]
+    assert [
+        (module, name)
+        for module, name in imports
+        if module.split(".")[0] not in sys.stdlib_module_names
+        and (module != "discretebm" or name is None or name.startswith("_"))
+    ] == []
+    attributes = [n.attr for n in nodes if isinstance(n, ast.Attribute)]
+    assert [a for a in attributes if a.startswith("_") or a in ("compare", "leq")] == []

@@ -6,20 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discretebm import (
-    VERIFIED,
-    VIOLATED,
-    Coupling,
     DimensionMismatch,
     ExponentQuadruple,
     FiniteMeasure,
     FunctionQuadruple,
-    LatticeOperation,
     ProbabilityMeasure,
-    VerificationReport,
-    block_section,
     entropy_gap,
     from_difference_map,
-    iter_conditional_couplings,
     knothe_coupling,
     log_laplace_gap,
     marginal_exactness,
@@ -37,12 +30,12 @@ from discretebm import (
     verify_dbm,
     verify_hypothesis,
 )
-from discretebm.measures import _log_ratio
 from discretebm.operations import image_sets
 from discretebm.suite import generate_instance, random_exponents, random_quadruple
 from discretebm.seeding import stream
-from discretebm.verify import DEFAULT_TOLERANCE, _logsumexp, _require_marginals, _term
+from discretebm.verify import DEFAULT_TOLERANCE, _term
 from helpers import dirac, uniform
+import oracle
 
 ORDER1 = standard_order(1)
 UNIT = ExponentQuadruple.unit()
@@ -185,13 +178,10 @@ def test_pointwise_equality_instance():
     mu, nu, pi = equality_instance()
     rep = pointwise_term_bound(mu, nu, pi, midpoint(1), UNIT)
     assert rep.ok and rep.tolerance_used == 0.0
-    # oracle: every term equals one exactly
+    # every term equals one exactly
     op = midpoint(1)
-    km = pi.pushforward_by(op.t_minus)
-    kp = pi.pushforward_by(op.t_plus)
-    for (x, y), w in pi.items():
-        term = km.weight_at(op.t_minus(x, y)) * kp.weight_at(op.t_plus(x, y))
-        assert term == mu.weight_at(x) * nu.weight_at(y)
+    terms = oracle.terms(mu, nu, pi, op.t_minus, op.t_plus, UNIT)
+    assert all(top == bottom for top, bottom in terms.values())
 
 
 def test_pointwise_negative_control():
@@ -437,126 +427,7 @@ def test_maximal_quadruples_satisfy_hypothesis():
         assert verify_hypothesis(quad, e, op).ok
 
 
-# -- exact terms against the Fraction implementation -----------------------------
-
-
-def _log_fraction(w: F) -> float:
-    return _log_ratio(w.numerator, w.denominator)
-
-# pointwise_term_bound and p_value as they were before they compared terms on
-# integer ratios, kept verbatim: Fraction powers over weight_at lookups and
-# the pushforwards of Coupling.pushforward_by.
-
-
-def reference_pointwise_term_bound(
-    mu: ProbabilityMeasure,
-    nu: ProbabilityMeasure,
-    pi: Coupling,
-    op: LatticeOperation,
-    exponents: ExponentQuadruple,
-) -> VerificationReport:
-    """Exact per-pair transport bound, blockwise along the decomposition.
-
-    For each block and each support prefix pair, the conditional coupling
-    is pushed forward by both block sections and the term
-
-        kappa-^c(T-) kappa+^d(T+) / (mu^a(x) nu^b(y))
-
-    built from the conditional measures is required to be <= 1 at every
-    conditional support pair, compared exactly through integer powers.
-    For a single-block operation this is the plain statement with the
-    global pushforwards and the unconditioned measures.
-
-    The bound holds on many instances, with equality on tight ones, but
-    it is not universally valid (see the module docstring); a failing
-    term is reported with its block and support pair.
-    """
-    _require_marginals(pi, mu, nu)
-    d = op.decomposition
-    if d.total_dim != pi.dim:
-        raise DimensionMismatch("operation decomposition does not match coupling dimension")
-    a_n, b_n, c_n, d_n = exponents.integer_exponents()
-    fam_mu = mu.disintegrate(d)
-    fam_nu = nu.disintegrate(d)
-    terms = 0
-    for level, px, py, cond in iter_conditional_couplings(pi, d):
-        section = block_section(op, level, px, py)
-        kappa_minus = cond.pushforward_by(section.t_minus)
-        kappa_plus = cond.pushforward_by(section.t_plus)
-        mu_block = fam_mu[level][px]
-        nu_block = fam_nu[level][py]
-        for (xb, yb), _ in cond.items():
-            lhs = (
-                kappa_minus.weight_at(section.t_minus(xb, yb)) ** c_n
-                * kappa_plus.weight_at(section.t_plus(xb, yb)) ** d_n
-            )
-            rhs = mu_block.weight_at(xb) ** a_n * nu_block.weight_at(yb) ** b_n
-            terms += 1
-            if lhs > rhs:
-                return VerificationReport(
-                    check="pointwise",
-                    outcome=VIOLATED,
-                    lhs=lhs,
-                    rhs=rhs,
-                    witness={"block": level + 1, "x": px + xb, "y": py + yb},
-                )
-    return VerificationReport(check="pointwise", outcome=VERIFIED, detail=f"{terms} terms")
-
-
-def reference_p_value(
-    mu: ProbabilityMeasure,
-    nu: ProbabilityMeasure,
-    pi: Coupling,
-    op: LatticeOperation,
-    exponents: ExponentQuadruple,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[float, VerificationReport]:
-    """log P for P = sum over supp pi of the global term times pi(x, y).
-
-    Term logs are taken from the exact integer-power rationals, and log P
-    is a log-sum-exp over support atoms.  When every global term is <= 1
-    exactly, P <= 1 follows from total mass 1 and the report is exact
-    (tolerance 0); otherwise the report compares log P to ``tolerance``.
-    """
-    _require_marginals(pi, mu, nu)
-    if op.dim != pi.dim:
-        raise DimensionMismatch("operation and coupling dimensions differ")
-    a_n, b_n, c_n, d_n = exponents.integer_exponents()
-    n = exponents.common_denominator
-    kappa_minus = pi.pushforward_by(op.t_minus)
-    kappa_plus = pi.pushforward_by(op.t_plus)
-    logs: list[float] = []
-    all_terms_bounded = True
-    for (x, y), w in pi.items():
-        numerator = (
-            kappa_minus.weight_at(op.t_minus(x, y)) ** c_n
-            * kappa_plus.weight_at(op.t_plus(x, y)) ** d_n
-        )
-        denominator = mu.weight_at(x) ** a_n * nu.weight_at(y) ** b_n
-        if numerator > denominator:
-            all_terms_bounded = False
-        logs.append(_log_fraction(numerator / denominator) / n + _log_fraction(w))
-    log_p = _logsumexp(logs)
-    if all_terms_bounded:
-        report = VerificationReport(
-            check="p-bound",
-            outcome=VERIFIED,
-            log_p=log_p,
-            detail="every support term is at most 1 exactly",
-        )
-    elif log_p <= tolerance:
-        report = VerificationReport(
-            check="p-bound", outcome=VERIFIED, log_p=log_p, tolerance_used=tolerance
-        )
-    else:
-        report = VerificationReport(
-            check="p-bound",
-            outcome=VIOLATED,
-            log_p=log_p,
-            tolerance_used=tolerance,
-            witness={"log_p": log_p},
-        )
-    return log_p, report
+# -- exact terms against the Fraction formula ------------------------------------
 
 
 TERM_OPS = {
@@ -598,14 +469,26 @@ def steep_case(nu, coupling, op):
 # a pointwise violation under negation; P > 1 for midpoint on the product coupling
 @example(steep_case(uniform([0, 2]), lambda mu, nu: monotone_coupling(mu, nu, ORDER1), negate_op()))
 @example(steep_case(uniform([0, 1]), product_coupling, midpoint(1)))
-def test_exact_terms_match_fraction_reference(case):
+def test_transport_terms_follow_the_fraction_formula(case):
     mu, nu, pi, op, exponents = case
     rep = pointwise_term_bound(mu, nu, pi, op, exponents)
-    assert rep.to_json_dict() == reference_pointwise_term_bound(mu, nu, pi, op, exponents).to_json_dict()
+    found = oracle.block_terms(mu, nu, pi, op, exponents)
+    assert rep.ok == all(top <= bottom for top, bottom in found.values())
+    if rep.ok:
+        assert rep.detail == f"{len(found)} terms"
+    else:
+        w = rep.witness
+        assert rep.lhs > rep.rhs and (rep.lhs, rep.rhs) == found[(w["block"], w["x"], w["y"])]
     log_p, prep = p_value(mu, nu, pi, op, exponents)
-    ref_log_p, ref_prep = reference_p_value(mu, nu, pi, op, exponents)
-    assert log_p == ref_log_p and repr(log_p) == repr(ref_log_p)
-    assert prep.to_json_dict() == ref_prep.to_json_dict()
+    assert math.isclose(log_p, oracle.log_p(mu, nu, pi, op, exponents), rel_tol=1e-12, abs_tol=1e-12)
+    assert prep.log_p == log_p
+    global_terms = oracle.terms(mu, nu, pi, op.t_minus, op.t_plus, exponents)
+    if all(top <= bottom for top, bottom in global_terms.values()):
+        assert prep.ok and prep.tolerance_used == 0.0
+    else:
+        assert prep.tolerance_used == DEFAULT_TOLERANCE
+        assert prep.ok == (log_p <= DEFAULT_TOLERANCE)
+    assert prep.witness == (None if prep.ok else {"log_p": log_p})
 
 
 _positive = st.integers(1, 40)
