@@ -40,7 +40,10 @@ For a coupling and a complementing operation pair,
 the fibers S(a) = {(x, y) in supp pi : T(x, y) = a} of a monotone
 coupling on one ordered block.  On a single block it checks the coupling
 itself; on several it checks every conditional block coupling against
-the operation's block section at the same prefixes:
+the operation's block section at the same prefixes (one section object
+per prefix difference, kept on the operation).  The difference map is
+read once per support pair, and both fiber groupings and the clauses
+below read those images:
 
 * every fiber has at most two elements;
 * a two-element fiber is {(x0, y0), (x0, y0+u)} or {(x0, y0), (x0+u, y0)}
@@ -74,6 +77,7 @@ from .errors import (
     EmptySupportError,
     InvalidWeightError,
     MarginalMismatch,
+    _brief,
 )
 from .lattice import (
     AdditiveTotalOrder,
@@ -93,7 +97,7 @@ from .measures import (
     _reduced,
     cumulative_weights,
 )
-from .operations import LatticeOperation, block_section
+from .operations import LatticeOperation, _images, block_section
 from .report import INAPPLICABLE, VERIFIED, VIOLATED, VerificationReport
 
 
@@ -212,7 +216,7 @@ def _as_pair(pair, dim: int) -> tuple[Point, Point]:
     try:
         x, y = pair
     except (TypeError, ValueError):
-        raise DomainError(f"cannot interpret {pair!r} as a pair of points") from None
+        raise DomainError(f"cannot interpret {_brief(pair)} as a pair of points") from None
     return as_point(x, dim), as_point(y, dim)
 
 
@@ -414,10 +418,20 @@ def fibers(
     """
     if sign not in ("minus", "plus"):
         raise DomainError(f"sign must be 'minus' or 'plus', got {sign!r}")
-    fn = op.t_minus if sign == "minus" else op.t_plus
+    return _fibers(_support_images(pi, op), sign == "plus")
+
+
+def _support_images(pi: Coupling, op: LatticeOperation) -> dict:
+    """(T-(x, y), T+(x, y)) by support pair (x, y), in support order."""
+    return dict(zip(pi._atoms, _images(op, pi._atoms)))
+
+
+def _fibers(images: dict, side: int) -> dict[Point, tuple[tuple[Point, Point], ...]]:
+    """Group the support pairs of ``images`` by their T- image (side 0) or
+    their T+ image (side 1), in support order."""
     groups: dict[Point, list[tuple[Point, Point]]] = {}
-    for x, y in pi.support():
-        groups.setdefault(fn(x, y), []).append((x, y))
+    for pair, image in images.items():
+        groups.setdefault(image[side], []).append(pair)
     return {a: tuple(ps) for a, ps in groups.items()}
 
 
@@ -469,11 +483,13 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
         )
     unit = order.unit()
     zero = zero_point(pi.dim)
-    by_sign = {
-        "minus": (fibers(pi, op, "minus"), op.t_plus),
-        "plus": (fibers(pi, op, "plus"), op.t_minus),
-    }
-    for sign, (groups, other_map) in by_sign.items():
+    # one read of t per support pair feeds both groupings and the alignment
+    images = _support_images(pi, op)
+    minus_fibers = _fibers(images, 0)
+    plus_fibers = _fibers(images, 1)
+    # each fiber's pairs, and the side of the complementary map's image
+    by_sign = {"minus": (minus_fibers, 1), "plus": (plus_fibers, 0)}
+    for sign, (groups, other) in by_sign.items():
         for a, pairs in groups.items():
             flaw = None
             if len(pairs) > 2:
@@ -483,7 +499,7 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
                 dx, dy = point_sub(x2, x1), point_sub(y2, y1)
                 if not ((dx == unit and dy == zero) or (dx == zero and dy == unit)):
                     flaw = "two-element fiber is not a single unit step in one argument"
-                elif other_map(x2, y2) != point_add(other_map(x1, y1), unit):
+                elif images[x2, y2][other] != point_add(images[x1, y1][other], unit):
                     flaw = "complementary map does not shift by the unit across the fiber"
             if flaw is not None:
                 return VerificationReport(
@@ -493,11 +509,9 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
                     detail=flaw,
                 )
     # alignment whenever both fibers through a support pair have two elements
-    minus_fibers = by_sign["minus"][0]
-    plus_fibers = by_sign["plus"][0]
-    for x, y in pi.support():
-        sm = minus_fibers[op.t_minus(x, y)]
-        sp = plus_fibers[op.t_plus(x, y)]
+    for (x, y), (zm, zp) in images.items():
+        sm = minus_fibers[zm]
+        sp = plus_fibers[zp]
         if len(sm) == 2 and len(sp) == 2:
             if not (_aligned(sm, sp, unit) and _aligned(sp, sm, unit)):
                 return VerificationReport(

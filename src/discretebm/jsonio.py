@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coupling import Coupling
-from .errors import FormatError
+from .errors import FormatError, _brief
 from .lattice import (
     AdditiveTotalOrder,
     Decomposition,
@@ -58,7 +58,7 @@ _DIFFERENCE_DEFAULTS = {
 def _integer(value, name: str) -> int:
     """A JSON integer field; floats, bools, strings and null are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{name} must be an integer, got {value!r}")
+        raise FormatError(f"{name} must be an integer, got {_brief(value)}")
     return value
 
 
@@ -77,7 +77,7 @@ def _finite(value, name: str) -> float:
     except (TypeError, ValueError, OverflowError):
         number = math.nan
     if isinstance(value, bool) or not math.isfinite(number):
-        raise FormatError(f"{name} must be a finite number, got {value!r}")
+        raise FormatError(f"{name} must be a finite number, got {_brief(value)}")
     return number
 
 
@@ -86,7 +86,7 @@ def parse_tolerance(value, name: str) -> float:
     a finite number >= 0."""
     tolerance = _finite(value, name)
     if tolerance < 0:
-        raise FormatError(f"{name} must be >= 0, got {value!r}")
+        raise FormatError(f"{name} must be >= 0, got {_brief(value)}")
     return tolerance
 
 
@@ -96,11 +96,11 @@ def parse_fraction(value) -> Fraction:
     if type(value) is int:
         return Fraction(value)
     if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
-        raise FormatError(f"weights must be exact rational strings like '2/3', got {value!r}")
+        raise FormatError(f"weights must be exact rational strings like '2/3', got {_brief(value)}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"cannot parse rational {value!r}") from exc
+        raise FormatError(f"cannot parse rational {_brief(value)}") from exc
 
 
 # -- orders and decompositions ------------------------------------------------
@@ -112,7 +112,7 @@ def parse_order(obj) -> AdditiveTotalOrder:
         perm = tuple(_integer(p, "perm entry") for p in obj["perm"])
         signs = tuple(_integer(s, "sign") for s in obj["signs"])
     except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad order spec {obj!r}") from exc
+        raise FormatError(f"bad order spec {_brief(obj)}") from exc
     return AdditiveTotalOrder(dim, perm, signs)
 
 
@@ -126,7 +126,7 @@ def parse_decomposition(obj) -> Decomposition:
             (_integer(b["dim"], "block dim"), parse_order(b["order"])) for b in obj["blocks"]
         )
     except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad decomposition spec {obj!r}") from exc
+        raise FormatError(f"bad decomposition spec {_brief(obj)}") from exc
     return Decomposition(blocks)
 
 
@@ -211,7 +211,7 @@ def _operation(obj, default_dim: int | None) -> LatticeOperation:
     if isinstance(obj, str):
         obj = {"kind": obj}
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise FormatError(f"bad operation spec {obj!r}")
+        raise FormatError(f"bad operation spec {_brief(obj)}")
     kind = obj["kind"]
     if kind in ("midpoint", "meet_join"):
         dim = obj.get("dim", default_dim)
@@ -238,7 +238,7 @@ def _operation(obj, default_dim: int | None) -> LatticeOperation:
         base = _DIFFERENCE_DEFAULTS.get(default_name) if isinstance(default_name, str) else None
         if base is None:
             raise FormatError(
-                f"unknown difference-map default {default_name!r}; "
+                f"unknown difference-map default {_brief(default_name)}; "
                 f"expected one of {sorted(_DIFFERENCE_DEFAULTS)}"
             )
         try:
@@ -258,7 +258,7 @@ def _operation(obj, default_dim: int | None) -> LatticeOperation:
             return hit if hit is not None else base(w)
 
         return from_difference_map(dim, decomposition, t)
-    raise FormatError(f"unknown operation kind {kind!r}")
+    raise FormatError(f"unknown operation kind {_brief(kind)}")
 
 
 # -- exponents and instance files ----------------------------------------------

@@ -24,7 +24,7 @@ from itertools import accumulate
 from itertools import product as _cartesian
 from typing import Iterable
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, _brief
 
 Point = tuple[int, ...]
 
@@ -46,10 +46,10 @@ def as_point(value, dim: int | None = None) -> Point:
         try:
             pt = tuple(value)
         except TypeError:
-            raise DomainError(f"cannot interpret {value!r} as a point") from None
+            raise DomainError(f"cannot interpret {_brief(value)} as a point") from None
         for c in pt:
             if not isinstance(c, int) or isinstance(c, bool):
-                raise DomainError(f"point coordinates must be integers, got {c!r}")
+                raise DomainError(f"point coordinates must be integers, got {_brief(c)}")
     if not pt:
         raise DomainError("points must have dimension >= 1")
     if dim is not None and len(pt) != dim:

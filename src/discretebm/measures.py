@@ -35,6 +35,7 @@ from .errors import (
     DomainError,
     EmptySupportError,
     InvalidWeightError,
+    _brief,
 )
 from .lattice import AdditiveTotalOrder, Decomposition, Point, as_point
 
@@ -53,7 +54,7 @@ def _as_weight(value) -> Fraction | int:
         try:
             w = Fraction(value)
         except (TypeError, ValueError) as exc:
-            raise InvalidWeightError(f"cannot interpret weight {value!r}") from exc
+            raise InvalidWeightError(f"cannot interpret weight {_brief(value)}") from exc
     if w.numerator < 0:
         raise InvalidWeightError(f"negative weight {_rational_text(w)}")
     return w
@@ -87,6 +88,13 @@ def _log_ratio(n: int, d: int) -> float:
     finite where n / d would underflow or overflow."""
     g = math.gcd(n, d)
     return math.log(n // g) - math.log(d // g)
+
+
+def _entropy(nums: dict, den: int) -> float:
+    """Sum of w log w over the weights nums[p] / den, in lowest common
+    terms; ``math.fsum`` is correctly rounded, so the order of ``nums``
+    does not change the float."""
+    return math.fsum(n / den * _log_ratio(n, den) for n in nums.values())
 
 
 def _int_text(n: int) -> str:
@@ -221,8 +229,7 @@ class ProbabilityMeasure(FiniteMeasure):
         the deterministic stored (lexicographic) atom order; n / den is
         the float of each weight, and its log is taken in lowest terms.
         """
-        den = self._den
-        return math.fsum(n / den * _log_ratio(n, den) for n in self._atoms.values())
+        return _entropy(self._atoms, self._den)
 
     def disintegrate(self, decomposition: Decomposition) -> tuple[dict, ...]:
         """Exact conditional tree along the blocks of ``decomposition``.

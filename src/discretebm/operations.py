@@ -16,7 +16,11 @@ P2, Knothe monotonicity
 
 Every operation is built from its difference map t, T-(x,y) = t(x-y) + y
 with T+ the complement, so P1 and the complement identity hold by
-construction.  Z^n is infinite, so ``check_p2`` is a sound but incomplete
+construction.  ``t`` must be pure: it is cached, and so are the block
+sections built from it, one per (level, prefix difference), kept on the
+operation; both caches grow with the distinct differences read.  The
+library's checks read t once per support pair and take both images from
+that value.  Z^n is infinite, so ``check_p2`` is a sound but incomplete
 certificate on a box; it reads t once per x - y.  A radius whose
 radius-r box of pairs holds more than ``MAX_BOX_PAIRS`` pairs is rejected
 by every check before any map is evaluated.
@@ -66,7 +70,8 @@ class LatticeOperation:
 
     ``t`` must be total on Z^dim, dim = ``decomposition.total_dim``, and is
     trusted to be pure; it is cached, so each pair map evaluates it once
-    per difference.
+    per difference.  The block sections :func:`block_section` builds are
+    kept on the operation, one per (level, prefix difference).
     """
 
     decomposition: Decomposition
@@ -86,6 +91,7 @@ class LatticeOperation:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "t_minus", t_minus)
         object.__setattr__(self, "t_plus", t_plus)
+        object.__setattr__(self, "_sections", {})
 
     @property
     def dim(self) -> int:
@@ -144,6 +150,13 @@ def block_section(
     operation with difference map t(p + w + 0)[block], p = prefix_x -
     prefix_y.  For a triangular operation the zero suffix is irrelevant;
     the section of a one-block operation is the operation itself.
+
+    The section depends only on (level, p), so it is built once per key
+    and kept on ``op``: every prefix pair with that difference, in every
+    check and every instance that holds ``op``, gets the same object, and
+    the section's cached ``t`` stays warm.  Like ``t``'s own cache, this
+    grows with the distinct prefix differences read, and relies on ``t``
+    being pure.
     """
     d = op.decomposition
     bdim = d.block_dim(level)
@@ -155,10 +168,27 @@ def block_section(
     if d.block_count == 1:
         return op
     p = tuple(map(sub, prefix_x, prefix_y))
-    suffix = (0,) * (op.dim - off - bdim)
-    section = Decomposition((d.blocks[level],))
+    section = op._sections.get((level, p))
+    if section is None:
+        suffix = (0,) * (op.dim - off - bdim)
+        t = op.t
+        section = LatticeOperation(
+            Decomposition((d.blocks[level],)), lambda w: t(p + w + suffix)[off : off + bdim]
+        )
+        op._sections[level, p] = section
+    return section
+
+
+def _images(op: LatticeOperation, pairs: Iterable[tuple[Point, Point]]) -> list[tuple[Point, Point]]:
+    """(T-(x, y), T+(x, y)) for each pair, in order: t is read once per
+    pair, at w = x - y, and both images y + t(w) and x - t(w) come from
+    that one value."""
     t = op.t
-    return LatticeOperation(section, lambda w: t(p + w + suffix)[off : off + bdim])
+    out = []
+    for x, y in pairs:
+        tw = t(tuple(map(sub, x, y)))
+        out.append((tuple(map(add, y, tw)), tuple(map(sub, x, tw))))
+    return out
 
 
 def _bounds(points: Iterable[Point]) -> tuple[Point, Point]:

@@ -21,7 +21,7 @@ from .coupling import check_fiber_structure, knothe_coupling
 from .errors import DomainError
 from .lattice import Point
 from .measures import FiniteMeasure, ProbabilityMeasure, _log_ratio
-from .operations import ExponentQuadruple, LatticeOperation, image_sets
+from .operations import ExponentQuadruple, LatticeOperation, _images, image_sets
 from .report import VerificationReport
 from .seeding import stream
 from .verify import (
@@ -265,9 +265,10 @@ def maximal_f_quadruple(
     entries = []
     for x in quad.f.support():
         best: float | None = None
-        for y, gn in g._atoms.items():
-            hn = h._atoms.get(op.t_minus(x, y))
-            kn = k._atoms.get(op.t_plus(x, y))
+        row = _images(op, [(x, y) for y in g._atoms])
+        for gn, (zm, zp) in zip(g._atoms.values(), row):
+            hn = h._atoms.get(zm)
+            kn = k._atoms.get(zp)
             if hn is None or kn is None:
                 best = 0.0
                 break

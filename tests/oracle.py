@@ -196,6 +196,23 @@ def log_p(mu, nu, pi, op: LatticeOperation, exponents) -> float:
     return top + math.log(math.fsum(math.exp(v - top) for v in logs))
 
 
+def entropy(mu) -> float:
+    """Sum of w log w over the atoms of mu: each term is the float of the
+    weight w times log(numerator) - log(denominator) of w in lowest terms,
+    and the terms are summed by the correctly rounded ``math.fsum``."""
+    return math.fsum(float(w) * _log(w) for _, w in mu.items())
+
+
+def entropy_gap(mu, nu, op: LatticeOperation, exponents) -> float:
+    """a H(mu) + b H(nu) - c H(kappa-) - d H(kappa+), with kappa-+ the
+    pushforwards of the Knothe coupling along the operation's
+    decomposition under T-+, and each exponent taken as a float."""
+    pi = knothe(mu, nu, op.decomposition)
+    kappas = [pushforward(pi, lambda p, t=t: t(*p)) for t in (op.t_minus, op.t_plus)]
+    a, b, c, d = (float(v) for v in (exponents.alpha, exponents.beta, exponents.gamma, exponents.delta))
+    return (a * entropy(mu) + b * entropy(nu)) - (c * entropy(kappas[0]) + d * entropy(kappas[1]))
+
+
 # -- fibers ---------------------------------------------------------------------
 
 

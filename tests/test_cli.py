@@ -95,6 +95,39 @@ def test_operation_dimensions_are_bounded(capsys):
         assert not captured.out and len(err) == 1 and "64" in json.loads(err[0])["error"]
 
 
+def test_error_lines_name_large_inputs_in_a_bounded_text(capsys):
+    # each error text names the rejected value, abbreviated to a few hundred bytes
+    big = list(range(100000))
+    for argv, named in (
+        (["check-op", "--op", json.dumps({"kind": big})], "unknown operation kind [0, 1, 2,"),
+        (["check-op", "--op", json.dumps({"dim": big})], "bad operation spec {'dim': [0, 1, 2,"),
+        (["check-op", "--op", json.dumps({"kind": "midpoint", "dim": big})], "got [0, 1, 2,"),
+        (["check-op", "--op", json.dumps({"kind": "difference_map", "dim": 1, "default": big})],
+         "unknown difference-map default [0, 1, 2,"),
+        (["check-op", "--op", json.dumps({"kind": "difference_map", "dim": 1, "table": [],
+                                          "decomposition": {"blocks": big}})],
+         "bad decomposition spec {'blocks': [0, 1, 2,"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert not captured.out and len(err) == 1 and len(err[0]) <= 300
+        assert named in json.loads(err[0])["error"]
+    # a long string and a nested coordinate are cut too, and a short value is named in full
+    with tempfile.TemporaryDirectory() as tmp:
+        mu = Path(tmp) / "mu.json"
+        for atom, named in (
+            ({"x": [0], "w": "x" * 100000}, "got 'xxxxxxxxxx"),
+            ({"x": [big], "w": "1"}, "point coordinates must be integers, got [0, 1, 2,"),
+        ):
+            mu.write_text(json.dumps({"dim": 1, "atoms": [atom]}))
+            assert main(["couple", str(mu), str(mu)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and len(err[0]) <= 300 and named in json.loads(err[0])["error"]
+    assert main(["check-op", "--op", '{"kind": "unknown"}']) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "unknown operation kind 'unknown'"}
+
+
 def test_log_laplace_near_the_float_limit(tmp_path, capsys):
     for values in ([1e308, 1e308], [1.7e308] * 3):
         phi = {"dim": 1, "points": [{"x": [i], "v": v} for i, v in enumerate(values)]}

@@ -583,3 +583,36 @@ def test_section_of_a_single_block_is_the_operation():
     assert block_section(op, 0, (), ()) is op
     with pytest.raises(DimensionMismatch):
         block_section(op, 0, (1,), ())
+
+
+
+def _section_ops():
+    # two products and a triangular difference map whose sections vary with
+    # the prefix difference; built fresh, so no section is kept yet
+    return [
+        product(midpoint(1), meet_join(1)),
+        product(midpoint(2), meet_join(1)),
+        from_difference_map(3, None, _halved_prefix_sums),
+    ]
+
+
+def test_block_sections_are_built_once_per_prefix_difference():
+    for op, twin in zip(_section_ops(), _section_ops()):
+        d = op.decomposition
+        for level in range(d.block_count):
+            prefixes = box_points(d.offset(level), 1)
+            block = box_points(d.block_dim(level), 1)
+            by_difference = {}
+            for a in prefixes:
+                for b in prefixes:
+                    sec = block_section(op, level, a, b)
+                    assert by_difference.setdefault(point_sub(a, b), sec) is sec
+                    # the section's maps are block ``level`` of the full maps
+                    minus, plus = oracle.section(op, level, a, b)
+                    for u in block:
+                        for v in block:
+                            assert (sec.t_minus(u, v), sec.t_plus(u, v)) == (minus(u, v), plus(u, v))
+            assert len({id(s) for s in by_difference.values()}) == len(by_difference)
+            # another operation, even with equal maps, keeps its own sections
+            a = prefixes[0]
+            assert block_section(twin, level, a, a) is not block_section(op, level, a, a)

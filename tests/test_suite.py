@@ -1,6 +1,13 @@
 import pytest
 
-from discretebm import DomainError, from_difference_map, meet_join, midpoint, product
+from discretebm import (
+    DomainError,
+    block_section,
+    from_difference_map,
+    meet_join,
+    midpoint,
+    product,
+)
 from discretebm.seeding import mix64, stream
 from discretebm.suite import (
     generate_instance,
@@ -75,6 +82,17 @@ def test_run_suite_dim2_product_op():
     # fiber shape fails organically for the min/max block, and that is
     # recorded per instance rather than raised
     assert summary["summary"]["passed"] + summary["summary"]["failed"] == 25
+
+
+def test_a_suite_builds_each_block_section_once():
+    # the pointwise and fiber walks of 1000 instances read 42 distinct
+    # (level, prefix difference) keys; each section is built once and kept
+    op = product(midpoint(1), meet_join(1))
+    run_suite(7, 1000, 2, op, ["pointwise", "fibers"], 1e-9)
+    sections = op._sections
+    assert len(sections) == 42
+    for (level, p), section in sections.items():
+        assert block_section(op, level, p, (0,) * len(p)) is section
 
 
 def test_run_suite_negative_control_fails():

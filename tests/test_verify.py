@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from discretebm import (
     DimensionMismatch,
+    check_fiber_structure,
     ExponentQuadruple,
     FiniteMeasure,
     FunctionQuadruple,
@@ -33,7 +34,7 @@ from discretebm import (
 from discretebm.operations import image_sets
 from discretebm.suite import generate_instance, random_exponents, random_quadruple
 from discretebm.seeding import stream
-from discretebm.verify import DEFAULT_TOLERANCE, _term
+from discretebm.verify import DEFAULT_TOLERANCE, _term, _transport
 from helpers import dirac, uniform
 import oracle
 
@@ -509,3 +510,115 @@ def test_term_is_the_cross_multiplied_ratio(numerators, denominators, powers):
     assert F(top, bottom) == F(km, km_den) ** c * F(kp, kp_den) ** d / (
         F(mw, mw_den) ** a * F(nw, nw_den) ** b
     )
+
+
+# -- one read of t per support pair -----------------------------------------------
+
+
+def list_op(dim):
+    # a difference map that returns a list, not a tuple
+    return from_difference_map(dim, None, lambda w: [(c + 1) // 3 for c in w])
+
+
+TRANSPORT_OPS = {
+    1: (midpoint(1), meet_join(1), list_op(1)),
+    2: (midpoint(2), meet_join(2), product(midpoint(1), meet_join(1)), list_op(2)),
+    3: (midpoint(3), meet_join(3), product(midpoint(2), meet_join(1)), product(meet_join(1), midpoint(2)),
+        list_op(3)),
+}
+
+
+def t_reads(op):
+    info = op.t.cache_info()
+    return info.hits + info.misses
+
+
+@st.composite
+def transport_cases(draw):
+    dim = draw(st.integers(1, 3))
+    points = st.tuples(*[st.integers(-3, 3)] * dim)
+    mu, nu = (
+        FiniteMeasure(dim, draw(st.dictionaries(points, st.integers(1, 20), min_size=1, max_size=8)).items())
+        .normalize()
+        for _ in range(2)
+    )
+    op = draw(st.sampled_from(TRANSPORT_OPS[dim]))
+    pi = knothe_coupling(mu, nu, op.decomposition) if draw(st.booleans()) else product_coupling(mu, nu)
+    return pi, op
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(transport_cases())
+def test_transport_reads_t_once_per_pair_and_gives_both_pushforwards(case):
+    pi, op = case
+    reads = t_reads(op)
+    images, (minus, minus_den), (plus, plus_den) = _transport(pi, op)
+    assert t_reads(op) - reads == len(pi)
+    assert images == [(op.t_minus(x, y), op.t_plus(x, y)) for x, y in pi.support()]
+    for kappa, (nums, den) in ((op.t_minus, (minus, minus_den)), (op.t_plus, (plus, plus_den))):
+        assert {z: F(n, den) for z, n in nums.items()} == oracle.pushforward(pi, lambda p: kappa(*p))
+        assert math.gcd(den, *nums.values()) == 1
+    if op.decomposition.block_count == 1:
+        reads = t_reads(op)
+        rep = check_fiber_structure(pi, op)
+        # a support that is not a chain is reported before any map is read
+        assert t_reads(op) - reads == (0 if rep.outcome == "inapplicable" else len(pi))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(transport_cases())
+def test_hypothesis_reads_t_once_per_pair(case):
+    pi, op = case
+    mu, nu = pi.left, pi.right
+    quad = FunctionQuadruple(mu, nu, mu, nu)
+    reads = t_reads(op)
+    rep = verify_hypothesis(quad, UNIT, op)
+    if rep.ok:
+        assert t_reads(op) - reads == len(mu) * len(nu)
+    else:
+        x, y = rep.witness["x"], rep.witness["y"]
+        assert mu.weight_at(x) * nu.weight_at(y) > mu.weight_at(op.t_minus(x, y)) * nu.weight_at(op.t_plus(x, y))
+
+
+# the instances of the golden random-suite digests in test_cli.py
+GOLDEN_SUITES = (
+    (7, 300, midpoint(1)),
+    (7, 200, product(midpoint(1), meet_join(1))),
+    (3, 40, midpoint(3)),
+)
+
+
+def test_entropy_and_fiber_reports_follow_the_oracle_on_the_golden_instances():
+    for seed, count, op in GOLDEN_SUITES:
+        d = op.decomposition
+        for index in range(count):
+            inst = generate_instance(seed, index, op.dim)
+            mu, nu, exponents = inst.mu, inst.nu, inst.exponents
+            gap, rep = entropy_gap(mu, nu, op, None, exponents)
+            assert gap == rep.gap == oracle.entropy_gap(mu, nu, op, exponents)
+            pi = knothe_coupling(mu, nu, d)
+            rep = check_fiber_structure(pi, op)
+            assert rep.ok == oracle.fiber_shape_holds(pi, op)
+            laws = {(level, px, py): law for level, px, py, law in oracle.conditional_couplings(pi, d)}
+            if rep.ok and d.block_count > 1:
+                assert rep.detail == f"{len(laws)} conditional block couplings"
+            elif rep.ok:
+                sizes = [len(oracle.pushforward(pi, lambda p, t=t: t(*p))) for t in (op.t_minus, op.t_plus)]
+                assert rep.detail == "{} minus-fibers, {} plus-fibers".format(*sizes)
+            else:
+                w = rep.witness
+                level = w.get("block", 1) - 1
+                px, py = w.get("prefix_x", ()), w.get("prefix_y", ())
+                law = laws[level, px, py]
+                maps = oracle.section(op, level, px, py)
+                fibers = [{}, {}]
+                for s in law:
+                    for groups, t in zip(fibers, maps):
+                        groups.setdefault(t(*s), set()).add(s)
+                if "sign" in w:
+                    assert set(w["fiber"]) == fibers[w["sign"] == "plus"][w["image"]]
+                else:
+                    s = (w["x"], w["y"])
+                    assert s in law
+                    assert set(w["minus_fiber"]) == fibers[0][maps[0](*s)]
+                    assert set(w["plus_fiber"]) == fibers[1][maps[1](*s)]
