@@ -26,10 +26,12 @@ radius-r box of pairs holds more than ``MAX_BOX_PAIRS`` pairs is rejected
 by every check before any map is evaluated.
 
 Both structure layers run in passes linear in what they read.
-``check_p2`` checks a 1-dim block at each prefix difference as one chain
-of 4r unit steps per map, and scans only blocks of dim >= 2 (and a chain
-that breaks, for its witness) pair by pair; its triangularity pass reads
-2 (n - hi) neighbours per difference.  ``image_sets`` packs points into
+``check_p2`` reads t alone, as T+ = x + y - T-: it builds one step set
+per block, at most k (4r+1)^k steps on a block of dim k, and checks each
+prefix difference against it, with one rule for every block dimension;
+only a prefix difference that breaks the rule is scanned pair by pair,
+to name the witness.  Its triangularity pass reads 2 (n - hi) neighbours
+per difference.  ``image_sets`` packs points into
 ints, so each of its |A| |B| pairs costs int arithmetic and one table
 lookup, with t read once per distinct difference.
 """
@@ -344,88 +346,71 @@ def check_p1(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     return _by_construction("p1", op, box_radius)
 
 
-def _difference_tables(op: LatticeOperation) -> list[tuple[str, Callable]]:
-    """Each pair map's tag and T(w, 0), evaluated once per difference w."""
-    t = op.t
-    return [
-        ("minus", functools.cache(t)),
-        ("plus", functools.cache(lambda w: tuple(map(sub, w, t(w))))),
-    ]
+def _scan_section(t, key, block_pts, a: Point, b: Point, suffix: Point, lo: int, hi: int) -> dict:
+    """The witness fields of the first consecutive violation of T- at the
+    prefixes (a, b); ``check_p2`` calls it only where one exists.
 
-
-def _chain_is_monotone(tables, key, walk, p: Point, suffix: Point, lo: int, hi: int) -> bool:
-    """Whether block lo:hi of T-(w, 0) = t(w) and of T+(w, 0) = w - t(w), at
-    w = p + u + suffix, has nondecreasing keys along ``walk``, the 1-dim
-    block's difference box in its order.  On a 1-dim block this holds iff
-    both section maps at the prefix difference p are monotone on the box:
-    each unit step of the walk is the step of some pair of the box."""
-    for _, t in tables:
-        keys = [key(t(p + u + suffix)[lo:hi]) for u in walk]
-        if any(map(gt, keys, keys[1:])):
-            return False
-    return True
-
-
-def _scan_section(tables, key, block_pts, a: Point, b: Point, suffix: Point, lo: int, hi: int):
-    """The first consecutive violation of the section maps at the prefixes
-    (a, b), as (tag, witness fields), or None.
-
-    The section maps are scanned along consecutive points of the
-    order-sorted block box, once per frozen value of the other argument;
-    weak monotonicity of every pair in the box then follows by
-    transitivity, and any violation surfaces as a consecutive violation.
+    The section of T- is scanned along consecutive points of the
+    order-sorted block box, in each argument, once per frozen value of the
+    other.  T+ needs no scan of its own: T+ = x + y - T- is monotone in
+    one argument iff T- is monotone in the other.
     """
     p = point_sub(a, b)
-    for tag, t in tables:
-        for fixed in block_pts:
-            prev_u = prev = prev_keys = None
-            for u in block_pts:
-                # block i of T(a + u, b + fixed) and of T(a + fixed, b + u)
-                cur = (
-                    point_add(t(p + point_sub(u, fixed) + suffix)[lo:hi], fixed),
-                    point_add(t(p + point_sub(fixed, u) + suffix)[lo:hi], u),
-                )
-                cur_keys = (key(cur[0]), key(cur[1]))
-                for side in (0, 1):
-                    if prev is not None and prev_keys[side] > cur_keys[side]:
-                        steps = ((prev_u, u), (fixed, fixed))
-                        (x1, x2), (y1, y2) = steps if side == 0 else steps[::-1]
-                        return tag, {
-                            "prefix_x": a,
-                            "prefix_y": b,
-                            "x1": x1,
-                            "x2": x2,
-                            "y1": y1,
-                            "y2": y2,
-                            "t1": prev[side],
-                            "t2": cur[side],
-                        }
-                prev_u, prev, prev_keys = u, cur, cur_keys
-    return None
+    for fixed in block_pts:
+        prev_u = prev = prev_keys = None
+        for u in block_pts:
+            # block i of T-(a + u, b + fixed) and of T-(a + fixed, b + u)
+            cur = (
+                point_add(t(p + point_sub(u, fixed) + suffix)[lo:hi], fixed),
+                point_add(t(p + point_sub(fixed, u) + suffix)[lo:hi], u),
+            )
+            cur_keys = (key(cur[0]), key(cur[1]))
+            for side in (0, 1):
+                if prev is not None and prev_keys[side] > cur_keys[side]:
+                    steps = ((prev_u, u), (fixed, fixed))
+                    (x1, x2), (y1, y2) = steps if side == 0 else steps[::-1]
+                    return {
+                        "prefix_x": a,
+                        "prefix_y": b,
+                        "x1": x1,
+                        "x2": x2,
+                        "y1": y1,
+                        "y2": y2,
+                        "t1": prev[side],
+                        "t2": cur[side],
+                    }
+            prev_u, prev, prev_keys = u, cur, cur_keys
+    raise AssertionError("a step of the section decreases, so a consecutive pair does")
 
 
 def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     """Blockwise Knothe-monotonicity and triangularity check on the box.
 
-    Each map is read as T(x, y) = T(x - y, 0) + y, with T-(w, 0) = t(w)
-    and T+(w, 0) = w - t(w) evaluated once per difference w = x - y, and
-    every block section is read from that table.
-    The section of block i at prefixes (a, b) of the box depends only on
-    p = a - b; each p is scanned once, at the first pair (a, b) of the box
-    in lexicographic order.  On a 1-dim block both section maps are
-    monotone iff the keys of t and of w - t(w) are nondecreasing along the
-    block's order on [-2r, 2r], a chain of 4r unit steps per map and p; a
-    block of dim k >= 2 is scanned along consecutive points of its box,
-    (2r+1)^(2k) steps per map and p, and so is a 1-dim block whose chain
-    breaks, so the witness is the scan's first violation.  Triangularity
-    requires block i of the table to be unchanged by a unit step in any
-    later coordinate, over the whole difference box, at any block count:
-    2 (n - hi) reads per difference and map.  Both tables are read on
-    the same differences either way, which the verified detail counts.
+    T-(x, y) = y + t(x - y) and T+ = x + y - T-, so the check reads t
+    alone, through a cache of its own, once per difference; the verified
+    detail counts 2 evaluations (one per map) per difference read.  The
+    section of block i at prefixes (a, b) of the box depends only on
+    p = a - b; each p is checked once, at the first pair (a, b) of the
+    box in lexicographic order.
+
+    Each block has one step set, built once: the pairs (u - v, u' - v)
+    with u, u' consecutive in the order-sorted block box and v in the
+    box.  Its endpoints fill the difference box [-2r, 2r]^k; on a 1-dim
+    block it is the 4r unit steps of [-2r, 2r].  The section maps at p
+    are monotone on the box iff the block keys of t(w) and of w - t(w),
+    at w = p + d + 0, do not decrease across any step (d, d'): a step of
+    t is one of T- in its first argument, and, the box being symmetric,
+    a step of w - t(w) is one of T- in its second; T+ is monotone in one
+    argument iff T- is in the other.  Only a p that breaks the rule is
+    scanned, by :func:`_scan_section`, to name the witness.
+
+    Triangularity requires block i of t to be unchanged by a unit step in
+    any later coordinate, over the whole difference box, at any block
+    count; block i of w - t(w) then is too.
     """
     _check_box_radius(op.dim, box_radius)
     n, d = op.dim, op.decomposition
-    tables = _difference_tables(op)
+    t = functools.cache(op.t)
     differences = box_points(n, 2 * box_radius)
     for i in range(d.block_count):
         order = d.order(i)
@@ -434,7 +419,14 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
         hi = lo + d.block_dim(i)
         suffix = (0,) * (n - hi)
         block_pts = order.sorted_points(box_points(hi - lo, box_radius))
-        walk = order.sorted_points(box_points(1, 2 * box_radius)) if hi - lo == 1 else None
+        # the step set as index pairs into the difference box, on linear
+        # codes: the code of u - v is the code of u minus that of v
+        block_differences = box_points(hi - lo, 2 * box_radius)
+        code = _Code(4 * box_radius + 1, hi - lo)
+        index = {c: j for j, c in enumerate(code.pack(block_differences))}
+        codes = code.pack(block_pts)
+        steps = {(index[c - e], index[c2 - e]) for c, c2 in zip(codes, codes[1:]) for e in codes}
+        tails, heads = zip(*steps)
         # the first pair of the box with a - b = p has a = max(p, 0) - r
         firsts = sorted(
             (a, point_sub(a, p), p)
@@ -442,40 +434,44 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
             for a in [tuple(max(c, 0) - box_radius for c in p)]
         )
         for a, b, p in firsts:
-            if walk is not None and _chain_is_monotone(tables, key, walk, p, suffix, lo, hi):
-                continue
-            found = _scan_section(tables, key, block_pts, a, b, suffix, lo, hi)
-            if found is not None:
-                tag, fields = found
-                return VerificationReport(
-                    check="p2",
-                    outcome=VIOLATED,
-                    witness={"kind": "monotonicity", "map": tag, "block": i + 1, **fields},
-                )
+            rows = [t(p + w + suffix)[lo:hi] for w in block_differences]
+            minus_keys = list(map(key, rows))
+            plus_keys = [key(tuple(map(sub, w, row))) for w, row in zip(block_differences, rows)]
+            for keys in (minus_keys, plus_keys):
+                if any(map(gt, map(keys.__getitem__, tails), map(keys.__getitem__, heads))):
+                    return VerificationReport(
+                        check="p2",
+                        outcome=VIOLATED,
+                        witness={
+                            "kind": "monotonicity",
+                            "map": "minus",
+                            "block": i + 1,
+                            **_scan_section(t, key, block_pts, a, b, suffix, lo, hi),
+                        },
+                    )
         # triangularity: block i must ignore coordinates of later blocks
-        for tag, t in tables:
-            for w in differences if hi < n else ():
-                base = t(w)[lo:hi]
-                for j in range(hi, n):
-                    head, wj, tail = w[:j], w[j], w[j + 1 :]
-                    for delta in (1, -1):
-                        if t(head + (wj + delta,) + tail)[lo:hi] != base:
-                            y = tuple(-(c // 2) for c in w)  # x = w + y: both in the box
-                            return VerificationReport(
-                                check="p2",
-                                outcome=VIOLATED,
-                                witness={
-                                    "kind": "triangularity",
-                                    "map": tag,
-                                    "block": i + 1,
-                                    "argument": "first",
-                                    "x": point_add(w, y),
-                                    "y": y,
-                                    "coordinate": j + 1,
-                                    "delta": delta,
-                                },
-                            )
-    evaluations = sum(t.cache_info().currsize for _, t in tables)
+        for w in differences if hi < n else ():
+            base = t(w)[lo:hi]
+            for j in range(hi, n):
+                head, wj, tail = w[:j], w[j], w[j + 1 :]
+                for delta in (1, -1):
+                    if t(head + (wj + delta,) + tail)[lo:hi] != base:
+                        y = tuple(-(c // 2) for c in w)  # x = w + y: both in the box
+                        return VerificationReport(
+                            check="p2",
+                            outcome=VIOLATED,
+                            witness={
+                                "kind": "triangularity",
+                                "map": "minus",
+                                "block": i + 1,
+                                "argument": "first",
+                                "x": point_add(w, y),
+                                "y": y,
+                                "coordinate": j + 1,
+                                "delta": delta,
+                            },
+                        )
+    evaluations = 2 * t.cache_info().currsize
     return VerificationReport(check="p2", outcome=VERIFIED, detail=f"{evaluations} evaluations")
 
 

@@ -39,8 +39,6 @@ def jsonable(value: Any) -> Any:
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, VerificationReport):
-        return value.to_json_dict()
     return value
 
 

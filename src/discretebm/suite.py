@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .coupling import check_fiber_structure, knothe_coupling
 from .errors import DomainError
 from .lattice import Point
-from .measures import FiniteMeasure, ProbabilityMeasure, _log_ratio
+from .measures import FiniteMeasure, ProbabilityMeasure, _log_ratio, _normalized
 from .operations import ExponentQuadruple, LatticeOperation, _images, image_sets
 from .report import VerificationReport
 from .seeding import stream
@@ -72,8 +72,7 @@ def random_points(
 def random_measure(rng: random.Random, dim: int) -> ProbabilityMeasure:
     count = rng.randint(1, MAX_ATOMS)
     points = random_points(rng, dim, count)
-    weights = [Fraction(rng.randint(1, MAX_WEIGHT)) for _ in points]
-    return FiniteMeasure(dim, zip(points, weights)).normalize()
+    return _normalized(dim, {p: rng.randint(1, MAX_WEIGHT) for p in points})
 
 
 def random_exponents(rng: random.Random) -> ExponentQuadruple:

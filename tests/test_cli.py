@@ -33,7 +33,7 @@ def run(capsys, argv):
 
 
 def test_check_op_pass(capsys):
-    code, lines = run(capsys, ["check-op", "--kind", "midpoint", "--dim", "2", "--radius", "3"])
+    code, lines = run(capsys, ["check-op", "--op", "midpoint", "--dim", "2", "--radius", "3"])
     assert code == 0
     assert lines[0]["outcome"] == "verified"
     assert {s["check"] for s in lines[0]["subchecks"]} == {"complement", "p1", "p2"}
@@ -47,7 +47,7 @@ def test_check_op_negative_control(capsys):
 
 
 def test_check_op_input_errors(capsys):
-    assert main(["check-op", "--kind", "midpoint"]) == 2  # missing --dim
+    assert main(["check-op", "--op", "midpoint"]) == 2  # missing --dim
     capsys.readouterr()
     assert main(["check-op", "--op", '{"kind":"midpoint","dim":0}']) == 2
     capsys.readouterr()
@@ -71,9 +71,9 @@ def test_check_op_input_errors(capsys):
         assert len(err) == 1 and "error" in json.loads(err[0])
     # a radius whose box is too large to scan is rejected before any map runs
     for argv in (
-        ["check-op", "--kind", "midpoint", "--dim", "1", "--radius", "100000000"],
+        ["check-op", "--op", "midpoint", "--dim", "1", "--radius", "100000000"],
         ["check-op", "--op", json.dumps(NEGATE), "--radius", "100000000"],
-        ["check-op", "--kind", "midpoint", "--dim", "2", "--radius", "20"],
+        ["check-op", "--op", "midpoint", "--dim", "2", "--radius", "20"],
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -81,12 +81,22 @@ def test_check_op_input_errors(capsys):
         assert not captured.out and len(err) == 1 and "box checks scan" in json.loads(err[0])["error"]
 
 
+def test_inputs_with_a_missing_part_exit_2(tmp_path, capsys):
+    assert "pass --op" in assert_input_error(capsys, ["check-op"])
+    array = write(tmp_path, "array.json", [{"op": "midpoint", "dim": 1}])
+    message = assert_input_error(capsys, ["verify", array, "--check", "p-bound"])
+    assert message == "instance file must hold a JSON object"
+    sets = write(tmp_path, "sets.json", {"A": [[0]], "B": [[1]]})
+    message = assert_input_error(capsys, ["verify", sets, "--check", "set-bm"])
+    assert message == "point sets need an operation or explicit 'dim'"
+
+
 def test_operation_dimensions_are_bounded(capsys):
     # each is rejected before one block per coordinate is built
     for argv in (
         ["random-suite", "--dim", "65", "--instances", "1"],
         ["random-suite", "--dim", str(10**8), "--instances", "1", "--op", '{"kind":"midpoint","dim":1}'],
-        ["check-op", "--kind", "midpoint", "--dim", str(10**8), "--radius", "1"],
+        ["check-op", "--op", "midpoint", "--dim", str(10**8), "--radius", "1"],
         ["check-op", "--op", '{"kind":"meet_join","dim":1000000}', "--radius", "1"],
     ):
         assert main(argv) == 2
@@ -775,17 +785,17 @@ def test_help_exits_zero(capsys):
 def test_one_parser_serves_every_call_unchanged(capsys):
     # the parser is built once per process; no call may leave a flag value,
     # a default or a usage error behind for the next one
-    default = ["check-op", "--kind", "midpoint", "--dim", "1"]
+    default = ["check-op", "--op", "midpoint", "--dim", "1"]
     first = _outcome(capsys, default)
     for argv in (
-        ["check-op", "--kind", "nope"],
+        ["check-op", "--op", "nope"],
         ["verify"],
         ["--bogus"],
         ["check-op", "--radius", "x"],
         ["random-suite", "--instances", "1", "--checks", "nope"],
     ):
         assert _outcome(capsys, argv) == (2, "")
-    assert _outcome(capsys, ["check-op", "--kind", "midpoint", "--dim", "1", "--radius", "1"]) != first
+    assert _outcome(capsys, ["check-op", "--op", "midpoint", "--dim", "1", "--radius", "1"]) != first
     assert main(["--help"]) == 0
     capsys.readouterr()
     assert _outcome(capsys, default) == first

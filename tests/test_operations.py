@@ -402,6 +402,61 @@ def test_check_p2_on_1dim_blocks_gives_the_oracle_verdict(case):
         _assert_witness_reproduces(op, rep.witness)
 
 
+_BLOCK_BASES = [jsonio._DIFFERENCE_DEFAULTS[name] for name in ("identity", "zero", "floor_half", "negate")]
+_ONE = AdditiveTotalOrder(1, (1,), (-1,))
+_TWO = AdditiveTotalOrder(2, (2, 1), (1, -1))
+_THREE = AdditiveTotalOrder(3, (3, 1, 2), (-1, 1, -1))
+
+
+def _multi_dim_block_cases():
+    """Each base map on one 2-dim and one 3-dim block, and as the 2-dim
+    first or second block of a two-block operation, with permuted, signed
+    orders; then one map each that only a prefix difference, a later
+    coordinate, the keys of w - t(w), the edge of the difference box, or
+    the exact step set decides."""
+    cases = []
+    for base in _BLOCK_BASES:
+        cases.append((from_difference_map(2, Decomposition(((2, _TWO),)), base), 2))
+        cases.append((from_difference_map(3, Decomposition(((3, _THREE),)), base), 1))
+        tail = Decomposition(((1, _ONE), (2, _TWO)))
+        cases.append((from_difference_map(3, tail, lambda w, f=base: (w[0] // 2,) + f(w[1:])), 1))
+        head = Decomposition(((2, _TWO), (1, _ONE)))
+        cases.append((from_difference_map(3, head, lambda w, f=base: f(w[:2]) + (min(w[2], 0),)), 1))
+    # block 2 negated at the prefix difference 1 only, and a first block
+    # that reads the third coordinate
+    cases.append(
+        (from_difference_map(3, tail, lambda w: (w[0] // 2,) + (w[1:] if w[0] != 1 else (-w[1], -w[2]))), 1)
+    )
+    cases.append((from_difference_map(3, head, lambda w: (w[0], w[1] + w[2], 0)), 1))
+    one_block = Decomposition(((2, _TWO),))
+    # T-(x, y) = 2x - y is monotone in x only
+    cases.append((from_difference_map(2, one_block, lambda w: (2 * w[0], 2 * w[1])), 1))
+    # identity but at a corner of the difference box, outside the radius-1 box
+    cases.append((from_difference_map(2, one_block, lambda w: (-2, -2) if w == (2, 2) else w), 1))
+    # monotone on the box, though t drops from (1, 2) to (2, -2), consecutive
+    # points of the difference box [-2, 2]^2 in its order
+    lifted = {(1, 2), (2, 0), (2, 1), (2, 2)}
+    lexicographic = Decomposition(((2, standard_order(2)),))
+    cases.append((from_difference_map(2, lexicographic, lambda w: (0, 1) if w in lifted else (0, 0)), 1))
+    return cases
+
+
+@pytest.mark.parametrize("case", _multi_dim_block_cases())
+def test_check_p2_on_blocks_of_dim_2_and_3_gives_the_oracle_verdict(case):
+    op, radius = case
+    rep = check_p2(op, radius)
+    assert rep.ok == oracle.p2_holds(op, radius)
+    if not rep.ok:
+        _assert_witness_reproduces(op, rep.witness)
+
+
+def test_check_p2_verifies_a_3_dim_block_in_one_pass():
+    # 13^3 differences of [-6, 6]^3, counted once for each map
+    op = from_difference_map(3, Decomposition(((3, standard_order(3)),)), lambda w: w)
+    rep = check_p2(op, 3)
+    assert rep.ok and rep.detail == "4394 evaluations"
+
+
 def _coordinatewise(f):
     return lambda x, y: tuple(map(f, x, y))
 

@@ -345,6 +345,17 @@ def test_marginal_exactness_report():
     assert not marginal_exactness(pi, nu, mu).ok
 
 
+def test_marginal_exactness_names_the_second_side():
+    # the first marginal matches, so the second is the one reported
+    mu, nu, pi = equality_instance()
+    rep = marginal_exactness(pi, mu, uniform([0, 2]))
+    assert rep.outcome == "violated"
+    w = rep.witness
+    assert w["side"] == "second"
+    assert w["expected"] == {"atoms": [{"x": (0,), "w": F(1, 2)}, {"x": (2,), "w": F(1, 2)}]}
+    assert w["got"] == {"atoms": [{"x": (0,), "w": F(1, 2)}, {"x": (1,), "w": F(1, 2)}]}
+
+
 def test_exact_checks_carry_zero_tolerance():
     ind = indicator([0, 1])
     quad = FunctionQuadruple(ind, ind, ind, ind)
