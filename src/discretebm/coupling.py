@@ -19,8 +19,11 @@ and the assembled one is certified once against both measures.
 Every :class:`Coupling` is certified when it is constructed, whether it
 comes from a caller, from JSON, or from this module: the constructor
 validates points and weights and requires the exact projections to equal
-the declared marginals.  A coupling stores its weights in the form of a
-measure (see :mod:`discretebm.measures`): integer numerators keyed by
+the declared marginals.  Plain integer atoms, as this module passes
+them, are validated and projected in one pass; any other input is
+coerced entry by entry as a measure's is.  A coupling stores its
+weights in the form of a measure (see :mod:`discretebm.measures`):
+integer numerators keyed by
 (x, y) over one denominator, in lowest common terms, so certification
 is plain equality of a projection's fields with a marginal's.  The
 constructor's ``den`` keyword reads every given weight as a multiple of
@@ -108,11 +111,16 @@ class Coupling:
     Atom keys are (x, y) pairs, stored in ascending order of the
     concatenated coordinates for determinism; the weight of a pair is
     ``_atoms[(x, y)] / _den`` in lowest common terms.  Every
-    construction, also inside the library, validates the atoms as
-    :class:`FiniteMeasure` validates its entries, then requires both
-    projections to equal the declared marginals exactly; a mismatch
-    raises :class:`MarginalMismatch`.  This constructor is the one place
-    where marginals are certified.  The inner block merges of
+    construction, also inside the library, validates every atom, then
+    requires both projections to equal the declared marginals exactly; a
+    mismatch raises :class:`MarginalMismatch`.  Atoms that are already
+    plain, ((x, y), n) with x and y tuples of ``dim`` ints and n a
+    nonnegative int, as the builders of this module pass them, are
+    checked and summed, by pair and by both projections, in one pass.  If
+    any atom is not plain, the whole input goes through the coercing path
+    :class:`FiniteMeasure` uses, with its coercions and error texts.  This
+    constructor is the one place where marginals are certified.  The
+    inner block merges of
     :func:`knothe_coupling` build no instance: they stay integer
     intermediates, and the coupling they assemble is certified once.
 
@@ -139,24 +147,29 @@ class Coupling:
             raise InvalidWeightError(f"den must be an int, got {type(den).__name__}")
         if den < 1:
             raise InvalidWeightError(f"den must be positive, got {_rational_text(den)}")
-        items = atoms.items() if hasattr(atoms, "items") else atoms
-        nums, wden = _exact_weights(items, lambda pair: _as_pair(pair, dim))
+        entries = list(atoms.items() if hasattr(atoms, "items") else atoms)
+        plain = _plain_pairs(entries, dim)
+        if plain is None:
+            nums, wden = _exact_weights(entries, lambda pair: _as_pair(pair, dim))
+            den *= wden
+            plain = nums, _pair_projection(nums.items(), 0), _pair_projection(nums.items(), 1)
+        nums, xs, ys = plain
         if not nums:
             raise EmptySupportError("coupling has empty support")
-        nums, den = _reduced(nums, den * wden)
+        stored, stored_den = _reduced(nums, den)
         self.dim = dim
-        self._atoms = {k: nums[k] for k in sorted(nums)}
-        self._den = den
+        self._atoms = {k: stored[k] for k in sorted(stored)}
+        self._den = stored_den
         self.left = left
         self.right = right
         self._conditionals = None
-        total = sum(nums.values())
+        total = sum(xs.values())
         if total != den:
             raise InvalidWeightError(
                 f"coupling must have total mass 1, got {_rational_text(Fraction(total, den))}"
             )
-        for side, declared in ((0, left), (1, right)):
-            projected, pden = _reduced(_pair_projection(nums.items(), side), den)
+        for declared, projection in ((left, xs), (right, ys)):
+            projected, pden = _reduced(projection, den)
             if pden != declared._den or projected != declared._atoms:
                 raise MarginalMismatch("coupling projections do not match declared marginals")
 
@@ -219,6 +232,44 @@ def _as_pair(pair, dim: int) -> tuple[Point, Point]:
     except (TypeError, ValueError):
         raise DomainError(f"cannot interpret {_brief(pair)} as a pair of points") from None
     return as_point(x, dim), as_point(y, dim)
+
+
+def _plain_pairs(entries: list, dim: int) -> tuple[dict, dict, dict] | None:
+    """The integer weights of ``entries`` summed by (x, y), by x and by y,
+    in one pass, if every entry is plain: ((x, y), n) with x and y tuples
+    of ``dim`` ints and n a nonnegative int; zero weights are dropped.
+    None if any entry is not plain, so that it goes through the
+    coercing path and its checks."""
+    nums: dict[tuple[Point, Point], int] = {}
+    xs: dict[Point, int] = {}
+    ys: dict[Point, int] = {}
+    try:
+        # only the unpacking of an entry or of its key can raise
+        for pair, n in entries:
+            x, y = pair
+            if not (
+                type(pair) is tuple
+                and type(x) is tuple
+                and type(y) is tuple
+                and len(x) == dim
+                and len(y) == dim
+                and type(n) is int
+                and n >= 0
+            ):
+                return None
+            for c in x:
+                if type(c) is not int:
+                    return None
+            for c in y:
+                if type(c) is not int:
+                    return None
+            if n:
+                nums[pair] = nums.get(pair, 0) + n
+                xs[x] = xs.get(x, 0) + n
+                ys[y] = ys.get(y, 0) + n
+    except (TypeError, ValueError):
+        return None
+    return nums, xs, ys
 
 
 def _pair_projection(weighted_pairs, side: int) -> dict[Point, int]:

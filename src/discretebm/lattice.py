@@ -102,7 +102,9 @@ class AdditiveTotalOrder:
     ``perm`` lists, 1-based, the source coordinate compared at each slot;
     ``signs`` flips the orientation of the matching slot.  x precedes y
     exactly when ``key(x)`` precedes ``key(y)`` in the ordinary tuple
-    order.  Additivity is immediate: the key map is linear.
+    order.  Additivity is immediate: the key map is linear.  The plain
+    lexicographic order (identity permutation, all signs +1) is recorded
+    once: its key is the point itself, and it sorts with plain ``sorted``.
     """
 
     dim: int
@@ -116,9 +118,15 @@ class AdditiveTotalOrder:
             raise DomainError(f"perm must be a permutation of 1..{self.dim}, got {self.perm}")
         if len(self.signs) != self.dim or any(s not in (-1, 1) for s in self.signs):
             raise DomainError(f"signs must be a +-1 sequence of length {self.dim}")
+        plain = tuple(self.perm) == tuple(range(1, self.dim + 1)) and all(
+            s == 1 for s in self.signs
+        )
+        object.__setattr__(self, "_plain", plain)
 
     def key(self, x: Point) -> tuple[int, ...]:
         """Comparison key: permuted, sign-adjusted coordinates of ``x``."""
+        if self._plain:
+            return x
         return tuple(s * x[p - 1] for p, s in zip(self.perm, self.signs))
 
     def compare(self, x: Point, y: Point) -> Ordering:
@@ -145,6 +153,8 @@ class AdditiveTotalOrder:
         return basis_point(self.dim, self.perm[-1] - 1, self.signs[-1])
 
     def sorted_points(self, points: Iterable[Point]) -> list[Point]:
+        if self._plain:
+            return sorted(points)
         return sorted(points, key=self.key)
 
 

@@ -15,10 +15,14 @@ Atoms are stored sorted by the ambient lexicographic order, so iteration,
 equality, and serialization are deterministic.
 
 Validation happens once, where outside input enters: the public
-constructors coerce and check every point and weight and the total mass.
-Measures derived inside the library (normalizations, pushforwards,
-conditionals, coupling marginals) satisfy those invariants by
-construction and are built by :meth:`FiniteMeasure._trusted`, which
+constructors coerce and check every point and weight and the total mass,
+through :func:`_exact_weights`.  Every :class:`~discretebm.coupling.Coupling`
+construction validates too: atoms that are already plain integer pairs
+are checked in one pass, and any other input goes through the same
+:func:`_exact_weights`, so its coercions and error texts are a
+measure's.  Measures derived inside the library (normalizations,
+pushforwards, conditionals, coupling marginals) satisfy those invariants
+by construction and are built by :meth:`FiniteMeasure._trusted`, which
 checks nothing.
 """
 

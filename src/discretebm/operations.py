@@ -26,8 +26,9 @@ radius-r box of pairs holds more than ``MAX_BOX_PAIRS`` pairs is rejected
 by every check before any map is evaluated.
 
 Both structure layers run in passes linear in what they read.
-``check_p2`` reads t alone, as T+ = x + y - T-: it builds one step set
-per block, at most k (4r+1)^k steps on a block of dim k, and checks each
+``check_p2`` reads t alone, as T+ = x + y - T-: it lists one step set
+per block straight from the carry vectors of the block order, at most
+k (4r+1)^k steps on a block of dim k, and checks each
 prefix difference against it, with one rule for every block dimension;
 only a prefix difference that breaks the rule is scanned pair by pair,
 to name the witness.  Its triangularity pass reads 2 (n - hi) neighbours
@@ -47,6 +48,7 @@ from typing import Callable, Collection, Iterable
 
 from .errors import DimensionMismatch, DomainError
 from .lattice import (
+    AdditiveTotalOrder,
     Decomposition,
     Point,
     box_points,
@@ -280,22 +282,27 @@ class ExponentQuadruple:
     _integer: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "delta"):
+        names = ("alpha", "beta", "gamma", "delta")
+        for name in names:
             value = getattr(self, name)
             if not isinstance(value, Fraction):
                 object.__setattr__(self, name, Fraction(value))
-        for name in ("alpha", "beta", "gamma", "delta"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"exponent {name} must be positive")
         values = (self.alpha, self.beta, self.gamma, self.delta)
-        if max(self.alpha, self.beta) > min(self.gamma, self.delta):
+        # denominators are positive, so the numerators over the common
+        # denominator n have the signs and the order of the exponents
+        n = math.lcm(*[v.denominator for v in values])
+        integer = tuple([v.numerator * (n // v.denominator) for v in values])
+        for name, k in zip(names, integer):
+            if k <= 0:
+                raise DomainError(f"exponent {name} must be positive")
+        a, b, c, d = integer
+        if max(a, b) > min(c, d):
             raise DomainError(
                 "exponents must satisfy max(alpha, beta) <= min(gamma, delta); "
                 f"got ({', '.join(map(_rational_text, values))})"
             )
-        n = math.lcm(*(v.denominator for v in values))
         object.__setattr__(self, "common_denominator", n)
-        object.__setattr__(self, "_integer", tuple(int(v * n) for v in values))
+        object.__setattr__(self, "_integer", integer)
 
     @classmethod
     def unit(cls) -> "ExponentQuadruple":
@@ -316,8 +323,14 @@ class ExponentQuadruple:
 
 
 def _check_box_radius(dim: int, box_radius: int) -> None:
-    """Reject a radius below 1, or one whose radius-r box of pairs, the
-    box ``check_p2`` scans, holds more than ``MAX_BOX_PAIRS`` pairs."""
+    """Reject a radius below 1, or one whose radius-r box of pairs holds
+    more than ``MAX_BOX_PAIRS`` pairs.
+
+    The cap bounds the box a certificate speaks for, not the work of a
+    verified check: ``check_p2`` reads t on the (4r+1)^n differences of
+    the box (and the triangularity neighbours), and only its witness scan
+    of a broken prefix difference grows with pairs, |block box|^2 of them.
+    """
     if box_radius < 1:
         raise DomainError("box radius must be >= 1")
     side = 2 * box_radius + 1
@@ -346,7 +359,9 @@ def check_p1(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     return _by_construction("p1", op, box_radius)
 
 
-def _scan_section(t, key, block_pts, a: Point, b: Point, suffix: Point, lo: int, hi: int) -> dict:
+def _scan_section(
+    t, order: AdditiveTotalOrder, r: int, a: Point, b: Point, suffix: Point, lo: int, hi: int
+) -> dict:
     """The witness fields of the first consecutive violation of T- at the
     prefixes (a, b); ``check_p2`` calls it only where one exists.
 
@@ -356,6 +371,8 @@ def _scan_section(t, key, block_pts, a: Point, b: Point, suffix: Point, lo: int,
     one argument iff T- is monotone in the other.
     """
     p = point_sub(a, b)
+    key = order.key
+    block_pts = order.sorted_points(box_points(order.dim, r))
     for fixed in block_pts:
         prev_u = prev = prev_keys = None
         for u in block_pts:
@@ -383,6 +400,40 @@ def _scan_section(t, key, block_pts, a: Point, b: Point, suffix: Point, lo: int,
     raise AssertionError("a step of the section decreases, so a consecutive pair does")
 
 
+def _block_steps(order: AdditiveTotalOrder, r: int) -> tuple[list[int], list[int]]:
+    """The step set of a block with ``order`` at radius r, as (tail, head)
+    index pairs into the lexicographic difference box [-2r, 2r]^k.
+
+    A step is (u - v, u' - v) with u, u' consecutive in the order-sorted
+    block box [-r, r]^k and v in the box.  In key coordinates the
+    successor of u adds the carry vector c_j = e_j - 2r (e_{j+1} + ... +
+    e_k) of the last slot j where the key of u is below r.  Those u form
+    the sub-box with slot j in [-r, r - 1], the later slots at r and the
+    earlier ones free, so the tails u - v of carry j fill the box with key
+    slots [-2r, 2r] before j, [-2r, 2r - 1] at j and [0, 2r] after it, and
+    are listed straight from it.  Steps of distinct carries differ, so no
+    step is listed twice: carry j has (4r+1)^(j-1) 4r (2r+1)^(k-j) steps.
+    """
+    k = order.dim
+    side = 4 * r + 1
+    # the index of a difference w is sum_i (w_i + 2r) side^(k-1-i), and key
+    # slot s holds sign_s w_(perm_s), so the index is linear in the key
+    weights = [sign * side ** (k - p) for p, sign in zip(order.perm, order.signs)]
+    centre = 2 * r * sum(side**i for i in range(k))
+    spans = (range(-2 * r, 2 * r + 1), range(-2 * r, 2 * r), range(2 * r + 1))
+    tails: list[int] = []
+    heads: list[int] = []
+    for j in range(k):
+        starts = [centre]
+        for s, weight in enumerate(weights):
+            span = spans[0 if s < j else 1 if s == j else 2]
+            starts = [c + weight * v for c in starts for v in span]
+        shift = weights[j] - 2 * r * sum(weights[j + 1 :])
+        tails += starts
+        heads += [c + shift for c in starts]
+    return tails, heads
+
+
 def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     """Blockwise Knothe-monotonicity and triangularity check on the box.
 
@@ -393,15 +444,15 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     p = a - b; each p is checked once, at the first pair (a, b) of the
     box in lexicographic order.
 
-    Each block has one step set, built once: the pairs (u - v, u' - v)
-    with u, u' consecutive in the order-sorted block box and v in the
-    box.  Its endpoints fill the difference box [-2r, 2r]^k; on a 1-dim
-    block it is the 4r unit steps of [-2r, 2r].  The section maps at p
-    are monotone on the box iff the block keys of t(w) and of w - t(w),
-    at w = p + d + 0, do not decrease across any step (d, d'): a step of
-    t is one of T- in its first argument, and, the box being symmetric,
-    a step of w - t(w) is one of T- in its second; T+ is monotone in one
-    argument iff T- is in the other.  Only a p that breaks the rule is
+    Each block has one step set, listed once by :func:`_block_steps`: the
+    pairs (u - v, u' - v) with u, u' consecutive in the order-sorted block
+    box and v in the box.  Its endpoints fill the difference box
+    [-2r, 2r]^k; on a 1-dim block it is the 4r unit steps of [-2r, 2r].
+    The section maps at p are monotone on the box iff the block keys of
+    t(w) and of w - t(w), at w = p + d + 0, do not decrease across any
+    step (d, d'): a step of t is one of T- in its first argument, and,
+    the box being symmetric, a step of w - t(w) is one of T- in its
+    second; T+ is monotone in one argument iff T- is in the other.  Only a p that breaks the rule is
     scanned, by :func:`_scan_section`, to name the witness.
 
     Triangularity requires block i of t to be unchanged by a unit step in
@@ -418,15 +469,8 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
         lo = d.offset(i)
         hi = lo + d.block_dim(i)
         suffix = (0,) * (n - hi)
-        block_pts = order.sorted_points(box_points(hi - lo, box_radius))
-        # the step set as index pairs into the difference box, on linear
-        # codes: the code of u - v is the code of u minus that of v
         block_differences = box_points(hi - lo, 2 * box_radius)
-        code = _Code(4 * box_radius + 1, hi - lo)
-        index = {c: j for j, c in enumerate(code.pack(block_differences))}
-        codes = code.pack(block_pts)
-        steps = {(index[c - e], index[c2 - e]) for c, c2 in zip(codes, codes[1:]) for e in codes}
-        tails, heads = zip(*steps)
+        tails, heads = _block_steps(order, box_radius)
         # the first pair of the box with a - b = p has a = max(p, 0) - r
         firsts = sorted(
             (a, point_sub(a, p), p)
@@ -446,7 +490,7 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
                             "kind": "monotonicity",
                             "map": "minus",
                             "block": i + 1,
-                            **_scan_section(t, key, block_pts, a, b, suffix, lo, hi),
+                            **_scan_section(t, order, box_radius, a, b, suffix, lo, hi),
                         },
                     )
         # triangularity: block i must ignore coordinates of later blocks

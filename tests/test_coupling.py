@@ -11,6 +11,7 @@ from discretebm import (
     Decomposition,
     DimensionMismatch,
     DomainError,
+    EmptySupportError,
     FiniteMeasure,
     InvalidWeightError,
     MarginalMismatch,
@@ -29,7 +30,7 @@ from discretebm import (
     singleton_decomposition,
     standard_order,
 )
-from discretebm import jsonio
+from discretebm import coupling, jsonio
 from discretebm.coupling import _quantile_merge
 from discretebm.suite import generate_instance
 from helpers import dirac, uniform
@@ -621,3 +622,62 @@ def test_coupling_keys_must_be_pairs():
     for key in ((0,), ((0,), (0,), (0,)), 5):
         with pytest.raises(DomainError, match="as a pair of points"):
             Coupling(1, [(key, 1)], mu, mu)
+
+
+@given(integer_built_cases())
+@settings(max_examples=60, derandomize=True)
+def test_plain_atoms_give_the_coupling_of_their_coerced_forms(case):
+    mu, nu, order, d = case
+    pi = knothe_coupling(mu, nu, d)
+    dim, den = pi.dim, pi._den
+    plain = list(pi._atoms.items())
+    pairs, nums = zip(*plain)
+    # the same atoms in forms the constructor coerces
+    coerced = [
+        ([((list(x), list(y)), F(n, den)) for (x, y), n in plain], 1),
+        ([(pair, F(n, den)) for pair, n in plain], 1),
+        (plain[:-1] + [(plain[-1][0], F(plain[-1][1]))], den),
+    ]
+    for atoms, scale in coerced:
+        built = Coupling(dim, atoms, mu, nu, den=scale)
+        assert built == pi and built.support() == pi.support()
+    # plain atoms are read in one pass: split in two (one part may be 0),
+    # padded with zero weights off the support, or passed as a zip iterator
+    split = [(pair, n - n // 2) for pair, n in plain] + [(pair, n // 2) for pair, n in plain]
+    padded = plain + [((x, x), 0) for x in mu.support()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coupling, "_exact_weights", None)
+        for atoms in (plain, dict(plain), split, padded, zip(pairs, nums)):
+            built = Coupling(dim, atoms, mu, nu, den=den)
+            assert built == pi and built.support() == pi.support()
+        with pytest.raises(TypeError):
+            Coupling(dim, coerced[0][0], mu, nu)
+
+
+def test_malformed_atoms_keep_their_error_texts():
+    mu = dirac(0)
+    plain = (((0,), (0,)), 1)
+    cases = [
+        ([(((True,), (0,)), 1)], DomainError, "point coordinates must be integers, got True"),
+        ([(((0,), (0.0,)), 1)], DomainError, "point coordinates must be integers, got 0.0"),
+        # equal to a plain point as a dict key, but not a lattice point
+        ([plain, (((0.0,), (0,)), 0)], DomainError, "point coordinates must be integers, got 0.0"),
+        ([plain, (((0,), (False,)), 0)], DomainError, "point coordinates must be integers, got False"),
+        ([(((0, 0), (0,)), 1)], DimensionMismatch, "expected a point of dimension 1, got 2"),
+        ([plain, (((0,), (0, 1)), 0)], DimensionMismatch, "expected a point of dimension 1, got 2"),
+        ([(((0,),), 1)], DomainError, "cannot interpret ((0,),) as a pair of points"),
+        ([((([0],), (0,)), 1)], DomainError, "point coordinates must be integers, got [0]"),
+        ([(((0,), (0,)), 2), (((0,), (0,)), -1)], InvalidWeightError, "negative weight -1"),
+        (
+            [(((0,), (0,)), 1.0)],
+            InvalidWeightError,
+            "float weight 1.0 is not exact; pass a Fraction or an int",
+        ),
+        ([], EmptySupportError, "coupling has empty support"),
+        ([(((0,), (0,)), 0)], EmptySupportError, "coupling has empty support"),
+    ]
+    for atoms, error, message in cases:
+        for given_atoms in (atoms, iter(atoms)):
+            with pytest.raises(error) as caught:
+                Coupling(1, given_atoms, mu, mu)
+            assert str(caught.value) == message

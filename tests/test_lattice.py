@@ -124,6 +124,24 @@ def test_unit_minimality_exhaustive(order):
             assert order.leq(u, g)
 
 
+def _signed_permutation_key(order, x):
+    return tuple(s * x[p - 1] for p, s in zip(order.perm, order.signs))
+
+
+@pytest.mark.parametrize("order", list(_random_orders()), ids=repr)
+def test_keys_and_sorting_follow_the_signed_permutation(order):
+    points = box_points(order.dim, 2) + [tuple(range(-7, -7 + order.dim)), (10**30,) * order.dim]
+    points = points[::-2] + points[::2]
+    for x in points:
+        assert order.key(x) == _signed_permutation_key(order, x)
+    ranked = order.sorted_points(points)
+    assert ranked == sorted(points, key=lambda x: _signed_permutation_key(order, x))
+    assert order.sorted_points(iter(points)) == ranked
+    if order == standard_order(order.dim):
+        # the plain lexicographic order keys a point by itself
+        assert all(order.key(x) is x for x in points) and ranked == sorted(points)
+
+
 @given(
     st.integers(1, 3).flatmap(
         lambda d: st.tuples(

@@ -39,19 +39,30 @@ def test_make_measure_basics():
     dropped = FiniteMeasure(1, [(0, 0), (1, 1)])
     assert dropped.support() == [(1,)]
 
+    # plain entries, from an iterator, equal their coerced forms
+    plain = FiniteMeasure(1, zip([(1,), (0,), (1,), (2,)], [1, 2, 1, 0]))
+    assert plain == FiniteMeasure(1, [([0], F(2)), (1, F(4, 2))])
+    assert plain.support() == [(0,), (1,)]
+
 
 def test_make_measure_errors():
-    with pytest.raises(EmptySupportError):
+    with pytest.raises(EmptySupportError, match="^measure has empty support$"):
         FiniteMeasure(1, [(0, 0)])
-    with pytest.raises(InvalidWeightError):
+    with pytest.raises(EmptySupportError, match="^measure has empty support$"):
+        FiniteMeasure(1, iter([]))
+    with pytest.raises(InvalidWeightError, match="^negative weight -1/2$"):
         FiniteMeasure(1, [(0, F(-1, 2))])
-    with pytest.raises(InvalidWeightError):
+    with pytest.raises(InvalidWeightError, match="^float weight 0.5 is not exact; pass a Fraction or an int$"):
         FiniteMeasure(1, [(0, 0.5)])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch, match="^expected a point of dimension 2, got 1$"):
         FiniteMeasure(2, [((0,), 1)])
+    with pytest.raises(DomainError, match="^point coordinates must be integers, got 0.0$"):
+        FiniteMeasure(1, [((0,), 1), ((0.0,), 1)])
     # a bool is not a lattice point, even though bool subclasses int
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^cannot interpret True as a point$"):
         ProbabilityMeasure(1, [(True, 1)])
+    with pytest.raises(DomainError, match="^point coordinates must be integers, got False$"):
+        ProbabilityMeasure(1, [((False,), 1)])
 
 
 def test_atoms_stored_sorted():

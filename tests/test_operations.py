@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -29,7 +31,7 @@ from discretebm import (
 )
 from discretebm import jsonio
 from discretebm.lattice import basis_point
-from discretebm.operations import _BY_CONSTRUCTION, MAX_BOX_PAIRS
+from discretebm.operations import _BY_CONSTRUCTION, MAX_BOX_PAIRS, _block_steps
 import oracle
 
 
@@ -197,6 +199,67 @@ def test_exponent_quadruple_validation():
         ExponentQuadruple(F(0), F(1), F(1), F(1))
     with pytest.raises(DomainError):
         ExponentQuadruple(F(1), F(1), F(1), F(-1))
+
+
+_NAMES = ("alpha", "beta", "gamma", "delta")
+
+
+def _fraction_form(values):
+    """What the exponents give on Fraction arithmetic: the first error
+    text, or the common denominator and the integer exponents."""
+    values = [F(v) for v in values]
+    for name, v in zip(_NAMES, values):
+        if v <= 0:
+            return f"exponent {name} must be positive"
+    if max(values[:2]) > min(values[2:]):
+        return (
+            "exponents must satisfy max(alpha, beta) <= min(gamma, delta); "
+            f"got ({', '.join(map(str, values))})"
+        )
+    n = math.lcm(*(v.denominator for v in values))
+    return n, tuple(int(v * n) for v in values)
+
+
+_EXPONENT_INPUTS = [
+    (1, 1, 1, 1),
+    (1, 2, 3, 4),
+    (F(1, 2), F(1, 3), F(3, 4), F(1)),
+    ("1/2", "2/6", "3/4", "1"),
+    ("0.25", 1, F(7, 5), "5/4"),
+    (F(6, 4), "3/2", 2, F(3, 2)),
+    (0, 1, 1, 1),
+    (1, 1, 1, -1),
+    (F(-1, 3), "0", 0, -2),
+    ("1/2", 1, 1, F(-1, 10**30)),
+    (2, 1, 1, 1),
+    (1, F(3, 2), F(5, 4), 2),
+    ("1/3", "1/2", "1/2", "1/3"),
+    (F(10**20 + 1, 10**20), 1, 1, 1),
+]
+
+
+def _assert_fraction_form(values):
+    want = _fraction_form(values)
+    if isinstance(want, str):
+        with pytest.raises(DomainError) as caught:
+            ExponentQuadruple(*values)
+        assert str(caught.value) == want
+    else:
+        e = ExponentQuadruple(*values)
+        assert (e.common_denominator, e.integer_exponents()) == want
+        assert [e.alpha, e.beta, e.gamma, e.delta] == [F(v) for v in values]
+        assert all(type(v) is F for v in (e.alpha, e.beta, e.gamma, e.delta))
+
+
+@pytest.mark.parametrize("values", _EXPONENT_INPUTS, ids=repr)
+def test_exponent_quadruple_follows_the_fraction_form(values):
+    _assert_fraction_form(values)
+
+
+@given(st.lists(st.fractions(min_value=-2, max_value=3, max_denominator=12), min_size=4, max_size=4))
+@settings(max_examples=100, derandomize=True)
+def test_random_exponents_follow_the_fraction_form(values):
+    _assert_fraction_form(values)
 
 
 def test_check_radius_validation():
@@ -448,6 +511,28 @@ def test_check_p2_on_blocks_of_dim_2_and_3_gives_the_oracle_verdict(case):
     assert rep.ok == oracle.p2_holds(op, radius)
     if not rep.ok:
         _assert_witness_reproduces(op, rep.witness)
+
+
+def _signed_permutation_orders(dim):
+    for perm in itertools.permutations(range(1, dim + 1)):
+        for signs in itertools.product((1, -1), repeat=dim):
+            yield AdditiveTotalOrder(dim, perm, signs)
+
+
+def test_block_steps_are_the_step_set_of_the_definition():
+    # every signed permutation order of dims 1 and 2 at r = 1-3 and of dim
+    # 3 at r = 1, and three orders of dim 3 at r = 2 and 3
+    cases = [(o, r) for dim in (1, 2) for o in _signed_permutation_orders(dim) for r in (1, 2, 3)]
+    cases += [(o, 1) for o in _signed_permutation_orders(3)]
+    three = (standard_order(3), _THREE, AdditiveTotalOrder(3, (2, 3, 1), (1, -1, 1)))
+    cases += [(o, r) for o in three for r in (2, 3)]
+    for order, r in cases:
+        block = order.sorted_points(box_points(order.dim, r))
+        want = {(point_sub(u, v), point_sub(u2, v)) for u, u2 in zip(block, block[1:]) for v in block}
+        differences = box_points(order.dim, 2 * r)
+        tails, heads = _block_steps(order, r)
+        steps = [(differences[a], differences[b]) for a, b in zip(tails, heads)]
+        assert len(steps) == len(want) and set(steps) == want, (order, r)
 
 
 def test_check_p2_verifies_a_3_dim_block_in_one_pass():
