@@ -104,7 +104,8 @@ class AdditiveTotalOrder:
     exactly when ``key(x)`` precedes ``key(y)`` in the ordinary tuple
     order.  Additivity is immediate: the key map is linear.  The plain
     lexicographic order (identity permutation, all signs +1) is recorded
-    once: its key is the point itself, and it sorts with plain ``sorted``.
+    once: its key of a tuple is the tuple itself, and it sorts points,
+    which are tuples, with plain ``sorted``.
     """
 
     dim: int
@@ -125,7 +126,7 @@ class AdditiveTotalOrder:
 
     def key(self, x: Point) -> tuple[int, ...]:
         """Comparison key: permuted, sign-adjusted coordinates of ``x``."""
-        if self._plain:
+        if self._plain and type(x) is tuple:
             return x
         return tuple(s * x[p - 1] for p, s in zip(self.perm, self.signs))
 

@@ -134,6 +134,9 @@ def test_keys_and_sorting_follow_the_signed_permutation(order):
     points = points[::-2] + points[::2]
     for x in points:
         assert order.key(x) == _signed_permutation_key(order, x)
+        # a point given as a list is keyed, and compared, as its tuple
+        assert order.key(list(x)) == _signed_permutation_key(order, x)
+        assert order.compare(list(x), points[0]) is order.compare(x, points[0])
     ranked = order.sorted_points(points)
     assert ranked == sorted(points, key=lambda x: _signed_permutation_key(order, x))
     assert order.sorted_points(iter(points)) == ranked
