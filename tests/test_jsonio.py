@@ -84,6 +84,129 @@ def test_parse_coupling_certifies_its_marginals(monkeypatch):
         jsonio.parse_coupling(doc)
 
 
+BIG = "1" * 5000
+
+
+def weight_doc(w):
+    return {"dim": 1, "atoms": [{"x": [0], "w": w}, {"x": [1], "w": "1/2"}]}
+
+
+def bad(text):
+    """A shape error, wrapped as 'bad measure document: ...' by parse_measure
+    and parse_probability_measure, 'bad coupling document: ...' by parse_coupling."""
+    return ("bad", text)
+
+
+HALVES = [([0], "1/2"), ([1], "1/2")]
+NOT_A_RATIONAL = "weights must be exact rational strings like '2/3', got "
+# name: (document, parse_measure, parse_probability_measure, parse_coupling);
+# an outcome is the (x, w) atoms read or (error type, text).  parse_coupling
+# reads the document with y = x on every atom that has an "x".
+READ_TABLE = {
+    "weight: 5000-digit numerator": (
+        weight_doc(BIG), *[bad("cannot parse rational '111111111111111111111111111...1111111111111111111111111111'")] * 3,
+    ),
+    "weight: 5000-digit denominator": (
+        weight_doc("1/" + BIG),
+        *[bad("cannot parse rational '1/1111111111111111111111111...1111111111111111111111111111'")] * 3,
+    ),
+    "weight: zero denominator": (weight_doc("1/0"), *[bad("cannot parse rational '1/0'")] * 3),
+    "weight: leading space": (weight_doc(" 1"), *[bad(NOT_A_RATIONAL + "' 1'")] * 3),
+    "weight: decimal point": (weight_doc("1.5"), *[bad(NOT_A_RATIONAL + "'1.5'")] * 3),
+    "weight: bool": (weight_doc(True), *[bad(NOT_A_RATIONAL + "True")] * 3),
+    "weight: plus sign, unreduced": (weight_doc("+3/6"), HALVES, HALVES, HALVES),
+    "weight: leading zeros": (weight_doc("007/014"), HALVES, HALVES, HALVES),
+    "weight: zero numerator": (
+        weight_doc("0/7"),
+        [([1], "1/2")],
+        ("FormatError", "expected a probability measure, total mass is 1/2"),
+        ("InvalidWeightError", "probability measure must have mass 1, got 1/2"),
+    ),
+    "weight: negative int": (weight_doc(-3), *[("InvalidWeightError", "negative weight -3")] * 3),
+    "measure: negative weight": (
+        {"dim": 1, "atoms": [{"x": [0], "w": "1"}, {"x": [1], "w": "-2/4"}, {"x": [2], "w": "1/2"}]},
+        *[("InvalidWeightError", "negative weight -1/2")] * 3,
+    ),
+    "measure: negative weight, mass 2": (
+        {"dim": 1, "atoms": [{"x": [0], "w": "5/2"}, {"x": [1], "w": "-1/2"}]},
+        *[("InvalidWeightError", "negative weight -1/2")] * 3,
+    ),
+    "measure: negative weight, then a missing w": (
+        {"dim": 1, "atoms": [{"x": [0], "w": "-1"}, {"x": [1]}]}, *[bad("'w'")] * 3,
+    ),
+    "measure: all weights zero": (
+        {"dim": 1, "atoms": [{"x": [0], "w": "0"}, {"x": [1], "w": 0}]},
+        *[("EmptySupportError", "measure has empty support")] * 3,
+    ),
+    "measure: mass 1/2": (
+        {"dim": 1, "atoms": [{"x": [0], "w": "1/4"}, {"x": [3], "w": "1/4"}]},
+        [([0], "1/4"), ([3], "1/4")],
+        ("FormatError", "expected a probability measure, total mass is 1/2"),
+        ("InvalidWeightError", "probability measure must have mass 1, got 1/2"),
+    ),
+    "measure: dim 0": (
+        {"dim": 0, "atoms": [{"x": [], "w": "1"}]}, *[bad("points must have dimension >= 1")] * 3,
+    ),
+    "measure: dim 0, no atoms": (
+        {"dim": 0, "atoms": []}, *[("DomainError", "measure dimension must be >= 1")] * 3,
+    ),
+    "document: atoms a string": (
+        {"dim": 1, "atoms": "abc"}, *[bad("string indices must be integers, not 'str'")] * 3,
+    ),
+    "document: a null atom": (
+        {"dim": 1, "atoms": [{"x": [0], "w": "1"}, None]},
+        *[bad("'NoneType' object is not subscriptable")] * 3,
+    ),
+    "document: a missing w": ({"dim": 1, "atoms": [{"x": [0]}]}, *[bad("'w'")] * 3),
+    "document: a top-level array": (
+        [{"x": [0], "w": "1"}], *[bad("list indices must be integers or slices, not str")] * 3,
+    ),
+    "document: a string dim": (
+        {"dim": "1", "atoms": [{"x": [0], "w": "1"}]},
+        bad("measure dim must be an integer, got '1'"),
+        bad("measure dim must be an integer, got '1'"),
+        bad("coupling dim must be an integer, got '1'"),
+    ),
+    "document: a bool coordinate": (
+        {"dim": 1, "atoms": [{"x": [True], "w": "1"}]},
+        *[bad("point coordinates must be integers, got True")] * 3,
+    ),
+    "document: an int x": ({"dim": 1, "atoms": [{"x": 0, "w": "1"}]}, *[[([0], "1")]] * 3),
+}
+
+
+def as_coupling_doc(doc):
+    if not isinstance(doc, dict) or not isinstance(doc.get("atoms"), list):
+        return doc
+    atoms = [{**a, "y": a["x"]} if isinstance(a, dict) and "x" in a else a for a in doc["atoms"]]
+    return {**doc, "atoms": atoms}
+
+
+def read_outcome(parse, doc, kind):
+    try:
+        read = parse(doc)
+    except Exception as exc:
+        text = str(exc)
+        prefix = f"bad {kind} document: "
+        if type(exc) is FormatError and text.startswith(prefix):
+            return bad(text[len(prefix):])
+        return type(exc).__name__, text
+    if kind == "coupling":
+        assert all(x == y for (x, y), _ in read.items())
+        return [(list(x), str(w)) for (x, _), w in read.items()]
+    return [(list(x), str(w)) for x, w in read.items()]
+
+
+@pytest.mark.parametrize("name", READ_TABLE)
+def test_weight_reading_keeps_its_outcomes(name):
+    # recorded on the Fraction reader; the integer reader gives the same
+    # measures and the same error types, texts and order
+    doc, measure, probability, coupling = READ_TABLE[name]
+    assert read_outcome(jsonio.parse_measure, doc, "measure") == measure
+    assert read_outcome(jsonio.parse_probability_measure, doc, "measure") == probability
+    assert read_outcome(jsonio.parse_coupling, as_coupling_doc(doc), "coupling") == coupling
+
+
 def test_parse_operation_names_and_product():
     op = jsonio.parse_operation({"kind": "midpoint", "dim": 2})
     assert op.t((3, -3)) == (1, -2) and op.dim == 2
