@@ -26,7 +26,7 @@ import sys
 from . import jsonio
 from .coupling import knothe_coupling, monotone_coupling
 from .errors import FormatError, LatticeError
-from .lattice import standard_order
+from .lattice import singleton_decomposition, standard_order
 from .operations import check_operation
 from .report import INAPPLICABLE, VERIFIED, VIOLATED, VerificationReport
 from .suite import SUITE_CHECKS, run_suite
@@ -166,6 +166,10 @@ def cmd_check_op(args) -> int:
 
 
 def cmd_couple(args) -> int:
+    # each mode reads one of --order and --decomposition; the other one is refused
+    for flag, mode in (("order", "knothe"), ("decomposition", "monotone")):
+        if args.mode == mode and getattr(args, flag) is not None:
+            raise FormatError(f"--{flag} does not apply to --mode {mode}")
     mu = jsonio.parse_probability_measure(_load_json(args.mu))
     nu = jsonio.parse_probability_measure(_load_json(args.nu))
     if args.mode == "monotone":
@@ -176,8 +180,6 @@ def cmd_couple(args) -> int:
         )
         pi = monotone_coupling(mu, nu, order)
     else:
-        from .lattice import singleton_decomposition
-
         decomposition = (
             jsonio.parse_decomposition(_json(args.decomposition))
             if args.decomposition

@@ -95,6 +95,7 @@ from .lattice import (
 from .measures import (
     ZERO,
     ProbabilityMeasure,
+    _check_den,
     _exact_weights,
     _rational_text,
     _normalized,
@@ -143,14 +144,11 @@ class Coupling:
     ):
         if left.dim != dim or right.dim != dim:
             raise DimensionMismatch("marginals must live on Z^dim of the coupling")
-        if type(den) is not int:
-            raise InvalidWeightError(f"den must be an int, got {type(den).__name__}")
-        if den < 1:
-            raise InvalidWeightError(f"den must be positive, got {_rational_text(den)}")
+        _check_den(den)
         entries = list(atoms.items() if hasattr(atoms, "items") else atoms)
         plain = _plain_pairs(entries, dim)
         if plain is None:
-            nums, wden = _exact_weights(entries, lambda pair: _as_pair(pair, dim))
+            nums, wden = _exact_weights(entries, lambda pair: _as_pair(pair, dim), den)
             den *= wden
             plain = nums, _pair_projection(nums.items(), 0), _pair_projection(nums.items(), 1)
         nums, xs, ys = plain

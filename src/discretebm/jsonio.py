@@ -3,9 +3,15 @@
 All weights travel as decimal-free exact rational strings ("p/q", or the
 bare integer when the denominator is 1); parse(serialize(x)) == x for
 every value produced by this module.  A weight or an exponent read from
-input is a JSON integer or a string of the form ``[+-]?[0-9]+(/[0-9]+)?``;
-serialization reads a measure's or a coupling's integer numerators and
-denominator and writes each weight in lowest terms.
+input is a JSON integer or a string of the form ``[+-]?[0-9]+(/[0-9]+)?``.
+One reader, :func:`_ratio`, reads it once into an integer pair
+(numerator, denominator); exponents become ``Fraction`` values from that
+pair.  A measure or coupling document becomes integer numerators over
+L, the least common multiple of its denominators, and is built through
+the validating constructor with ``den=L``: no ``Fraction`` is built on
+the way in, and every point and weight is still checked.  Serialization
+reads a measure's or a coupling's integer numerators and denominator
+and writes each weight in lowest terms.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ MAX_DIM = 64
 # them (suites draw N <= 12 and integer exponents <= 12)
 MAX_EXPONENT_POWER = 1000
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 _DIFFERENCE_DEFAULTS = {
     "floor_half": lambda w: tuple(c // 2 for c in w),
@@ -90,17 +96,36 @@ def parse_tolerance(value, name: str) -> float:
     return tolerance
 
 
-def parse_fraction(value) -> Fraction:
-    """A JSON integer (not a bool), or a string "p/q" or "p" of decimal digits
+def _ratio(value) -> tuple[int, int]:
+    """A weight or an exponent read from input as (numerator, denominator),
+    the denominator positive and the pair not necessarily in lowest terms:
+    a JSON integer (not a bool), or a string "p/q" or "p" of decimal digits
     with an optional sign."""
     if type(value) is int:
-        return Fraction(value)
-    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+        return value, 1
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
         raise FormatError(f"weights must be exact rational strings like '2/3', got {_brief(value)}")
+    p, q = match.groups()
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"cannot parse rational {_brief(value)}") from exc
+        n, d = int(p), int(q or 1)
+    except ValueError:  # more digits than int-to-str reads
+        d = 0
+    if not d:
+        raise FormatError(f"cannot parse rational {_brief(value)}")
+    return n, d
+
+
+def parse_fraction(value) -> Fraction:
+    """The exact value of a weight or an exponent read by :func:`_ratio`."""
+    return Fraction(*_ratio(value))
+
+
+def _over_lcm(keys: list, ratios: list[tuple[int, int]]) -> tuple[list, int]:
+    """Each weight n/d of ``ratios`` as the integer n * (L // d) beside its
+    key, and L, the least common multiple of the d."""
+    den = math.lcm(*[d for _, d in ratios])
+    return [(k, n * (den // d)) for k, (n, d) in zip(keys, ratios)], den
 
 
 # -- orders and decompositions ------------------------------------------------
@@ -139,21 +164,32 @@ def decomposition_to_json(d: Decomposition) -> dict:
 # -- measures -----------------------------------------------------------------
 
 
-def parse_measure(obj) -> FiniteMeasure:
+def _measure_atoms(obj) -> tuple[int, list[tuple[Point, int]], int]:
+    """The dimension of a measure document, and its atoms as integer
+    numerators over the least common denominator of their weights."""
     try:
         dim = _integer(obj["dim"], "measure dim")
-        entries = [(as_point(atom["x"], dim), parse_fraction(atom["w"])) for atom in obj["atoms"]]
+        points, ratios = [], []
+        for atom in obj["atoms"]:
+            points.append(as_point(atom["x"], dim))
+            ratios.append(_ratio(atom["w"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad measure document: {exc}") from exc
-    return FiniteMeasure(dim, entries)
+    return dim, *_over_lcm(points, ratios)
+
+
+def parse_measure(obj) -> FiniteMeasure:
+    dim, entries, den = _measure_atoms(obj)
+    return FiniteMeasure(dim, entries, den=den)
 
 
 def parse_probability_measure(obj) -> ProbabilityMeasure:
-    m = parse_measure(obj)
-    mass = m.total_mass
-    if mass != 1:
-        raise FormatError(f"expected a probability measure, total mass is {_rational_text(mass)}")
-    return m.normalize()
+    dim, entries, den = _measure_atoms(obj)
+    if sum(n for _, n in entries) == den:
+        return ProbabilityMeasure(dim, entries, den=den)
+    # names a negative weight or an empty support before the mass
+    m = FiniteMeasure(dim, entries, den=den)
+    raise FormatError(f"expected a probability measure, total mass is {_rational_text(m.total_mass)}")
 
 
 def measure_to_json(m: FiniteMeasure) -> dict:
@@ -171,15 +207,16 @@ def parse_coupling(obj) -> Coupling:
     """Coupling document; its declared marginals are the projections of its atoms."""
     try:
         dim = _integer(obj["dim"], "coupling dim")
-        atoms = [
-            ((as_point(atom["x"], dim), as_point(atom["y"], dim)), parse_fraction(atom["w"]))
-            for atom in obj["atoms"]
-        ]
+        pairs, ratios = [], []
+        for atom in obj["atoms"]:
+            pairs.append((as_point(atom["x"], dim), as_point(atom["y"], dim)))
+            ratios.append(_ratio(atom["w"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad coupling document: {exc}") from exc
-    left = ProbabilityMeasure(dim, [(x, w) for (x, _), w in atoms])
-    right = ProbabilityMeasure(dim, [(y, w) for (_, y), w in atoms])
-    return Coupling(dim, atoms, left, right)
+    atoms, den = _over_lcm(pairs, ratios)
+    left = ProbabilityMeasure(dim, [(x, n) for (x, _), n in atoms], den=den)
+    right = ProbabilityMeasure(dim, [(y, n) for (_, y), n in atoms], den=den)
+    return Coupling(dim, atoms, left, right, den=den)
 
 
 def coupling_to_json(pi: Coupling) -> dict:

@@ -32,8 +32,11 @@ Point = tuple[int, ...]
 def as_point(value, dim: int | None = None) -> Point:
     """Coerce an int (dimension 1) or an iterable of ints to a point.
 
-    A tuple of plain ints of dimension ``dim`` is returned as it is.
+    A tuple of plain ints of dimension ``dim`` is returned as it is, and a
+    list of them as its tuple.
     """
+    if type(value) is list:
+        value = tuple(value)
     if type(value) is tuple and value and len(value) == dim:
         for c in value:
             if type(c) is not int:

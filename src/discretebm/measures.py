@@ -15,10 +15,13 @@ Atoms are stored sorted by the ambient lexicographic order, so iteration,
 equality, and serialization are deterministic.
 
 Validation happens once, where outside input enters: the public
-constructors coerce and check every point and weight and the total mass,
-through :func:`_exact_weights`.  Every :class:`~discretebm.coupling.Coupling`
-construction validates too: atoms that are already plain integer pairs
-are checked in one pass, and any other input goes through the same
+constructors check every point and weight and the total mass.  Entries
+that are already plain (int tuples of the measure's dimension with
+nonnegative int weights, as the JSON reader passes them with ``den=``)
+are checked and summed in one pass; any other input is coerced entry by
+entry through :func:`_exact_weights`.  Every
+:class:`~discretebm.coupling.Coupling` construction validates the same
+way: plain integer pairs in one pass, any other input through the same
 :func:`_exact_weights`, so its coercions and error texts are a
 measure's.  Measures derived inside the library (normalizations,
 pushforwards, conditionals, coupling marginals) satisfy those invariants
@@ -46,8 +49,9 @@ from .lattice import AdditiveTotalOrder, Decomposition, Point, as_point
 ZERO = Fraction(0)
 
 
-def _as_weight(value) -> Fraction | int:
-    """Coerce an outside weight to a nonnegative Fraction or int; floats are refused."""
+def _as_weight(value, den: int = 1) -> Fraction | int:
+    """Coerce an outside weight to a nonnegative Fraction or int; floats are
+    refused.  A negative weight is named as the weight ``value / den``."""
     if type(value) is Fraction or type(value) is int:
         w = value
     elif isinstance(value, float):
@@ -60,15 +64,17 @@ def _as_weight(value) -> Fraction | int:
         except (TypeError, ValueError) as exc:
             raise InvalidWeightError(f"cannot interpret weight {_brief(value)}") from exc
     if w.numerator < 0:
-        raise InvalidWeightError(f"negative weight {_rational_text(w)}")
+        raise InvalidWeightError(f"negative weight {_rational_text(Fraction(w, den))}")
     return w
 
 
-def _exact_weights(entries, key: Callable) -> tuple[dict, int]:
+def _exact_weights(entries, key: Callable, den: int = 1) -> tuple[dict, int]:
     """Outside (key, weight) entries as integer numerators over the least
     common denominator of the weights: keys are coerced by ``key`` and
-    weights by :func:`_as_weight`, zero weights dropped and keys summed."""
-    weighted = [(key(k), _as_weight(w)) for k, w in entries]
+    weights by :func:`_as_weight`, zero weights dropped and keys summed.
+    ``den`` is the caller's denominator of the weights, used only to name a
+    negative one."""
+    weighted = [(key(k), _as_weight(w, den)) for k, w in entries]
     # unpack a list, not a generator: CPython builds the argument tuple from
     # a generator by resizing, which allocates outside the tuple free list
     # but frees into it, so the free list would fill with dead tuples
@@ -78,6 +84,36 @@ def _exact_weights(entries, key: Callable) -> tuple[dict, int]:
         if w:
             nums[k] = nums.get(k, 0) + w.numerator * (den // w.denominator)
     return nums, den
+
+
+def _plain_points(entries: list, dim: int) -> dict[Point, int] | None:
+    """The integer weights of ``entries`` summed by point, in one pass, if
+    every entry is plain: (x, n) with x a tuple of ``dim`` ints and n a
+    nonnegative int; zero weights are dropped.  None if any entry is not
+    plain, so that it goes through the coercing path and its checks."""
+    nums: dict[Point, int] = {}
+    try:
+        # only the unpacking of an entry can raise
+        for x, n in entries:
+            if not (type(x) is tuple and len(x) == dim and type(n) is int and n >= 0):
+                return None
+            for c in x:
+                if type(c) is not int:
+                    return None
+            if n:
+                nums[x] = nums.get(x, 0) + n
+    except (TypeError, ValueError):
+        return None
+    return nums
+
+
+def _check_den(den) -> None:
+    """``den``, the denominator a constructor reads its weights over, must
+    be a positive int."""
+    if type(den) is not int:
+        raise InvalidWeightError(f"den must be an int, got {type(den).__name__}")
+    if den < 1:
+        raise InvalidWeightError(f"den must be positive, got {_rational_text(den)}")
 
 
 def _reduced(nums: dict, den: int) -> tuple[dict, int]:
@@ -136,17 +172,27 @@ class FiniteMeasure:
     The constructor validates its input: points are coerced by
     :func:`as_point`, weights must be exact and nonnegative, zero-weight
     entries are dropped, duplicate points are summed, and the resulting
-    support must be nonempty.  The weight of ``p`` is stored as
+    support must be nonempty.  Each given weight is read as a multiple of
+    ``1/den``: callers holding integer numerators over a denominator pass
+    them with ``den``, a positive int, and others keep ``den=1``.  If every
+    entry is plain, a tuple of ``dim`` ints with a nonnegative int weight,
+    the entries are checked and summed in one pass; otherwise the whole
+    input is coerced entry by entry.  The weight of ``p`` is stored as
     ``_atoms[p] / _den`` in lowest common terms (see the module
     docstring).
     """
 
     __slots__ = ("dim", "_atoms", "_den", "_families")
 
-    def __init__(self, dim: int, entries: Iterable[tuple[object, object]]):
+    def __init__(self, dim: int, entries: Iterable[tuple[object, object]], *, den: int = 1):
         if dim < 1:
             raise DomainError("measure dimension must be >= 1")
-        nums, den = _exact_weights(entries, lambda p: as_point(p, dim))
+        _check_den(den)
+        entries = list(entries)
+        nums = _plain_points(entries, dim)
+        if nums is None:
+            nums, wden = _exact_weights(entries, lambda p: as_point(p, dim), den)
+            den *= wden
         if not nums:
             raise EmptySupportError("measure has empty support")
         self._store(dim, nums, den)
@@ -219,8 +265,8 @@ class ProbabilityMeasure(FiniteMeasure):
 
     __slots__ = ()
 
-    def __init__(self, dim: int, entries: Iterable[tuple[object, object]]):
-        super().__init__(dim, entries)
+    def __init__(self, dim: int, entries: Iterable[tuple[object, object]], *, den: int = 1):
+        super().__init__(dim, entries, den=den)
         if sum(self._atoms.values()) != self._den:
             raise InvalidWeightError(
                 f"probability measure must have mass 1, got {_rational_text(self.total_mass)}"

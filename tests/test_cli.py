@@ -184,6 +184,22 @@ def test_couple_errors(tmp_path, capsys):
     assert len(err) == 1 and "error" in json.loads(err[0])
 
 
+def test_couple_refuses_the_order_under_knothe(tmp_path, capsys):
+    # --order was once ignored without a word under --mode knothe
+    mu = write(tmp_path, "mu.json", MEASURE_U2)
+    order = '{"dim":1,"perm":[1],"signs":[-1]}'
+    error = assert_input_error(capsys, ["couple", mu, mu, "--mode", "knothe", "--order", order])
+    assert error == "--order does not apply to --mode knothe"
+
+
+def test_couple_refuses_the_decomposition_under_monotone(tmp_path, capsys):
+    # --decomposition was once ignored without a word under --mode monotone
+    mu = write(tmp_path, "mu.json", MEASURE_U2)
+    blocks = '{"blocks":[{"dim":1,"order":{"dim":1,"perm":[1],"signs":[-1]}}]}'
+    error = assert_input_error(capsys, ["couple", mu, mu, "--decomposition", blocks])
+    assert error == "--decomposition does not apply to --mode monotone"
+
+
 def assert_input_error(capsys, argv) -> str:
     """Exit 2 within a second, nothing on stdout and one JSON error line;
     returns the error message."""
@@ -763,6 +779,22 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 4
+
+
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys):
+    checks = ["--checks", "pointwise,p-bound,entropy,fibers,marginals"]
+    product = '{"kind":"product","factors":[{"kind":"midpoint","dim":1},{"kind":"meet_join","dim":1}]}'
+    suites = [
+        ["random-suite", "--seed", "3", "--instances", "5", "--op", "midpoint", *checks],
+        ["random-suite", "--seed", "3", "--instances", "5", "--dim", "2", "--op", product, *checks],
+    ]
+    for i, argv in enumerate(suites):
+        code = main(argv)
+        stdout = capsys.readouterr().out.encode()
+        out = tmp_path / f"suite{i}.jsonl"
+        assert main([*argv, "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout
 
 
 def test_env_tolerance_default(tmp_path, capsys, monkeypatch):

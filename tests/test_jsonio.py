@@ -1,9 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import discretebm.coupling
+import discretebm.measures
 from discretebm import (
     Decomposition,
+    FiniteMeasure,
     FormatError,
     LatticeError,
     MarginalMismatch,
@@ -75,9 +80,10 @@ def test_parse_coupling_certifies_its_marginals(monkeypatch):
     )
     declared = jsonio.ProbabilityMeasure
 
-    def perturbed(dim, entries):
-        (x0, w0), *rest = entries
-        return declared(dim, [(x0, w0 / 2), ((7,), w0 / 2), *rest])
+    def perturbed(dim, entries, *, den):
+        # half of the first atom's weight moves to the point 7
+        (x0, n0), *rest = entries
+        return declared(dim, [(x0, n0), ((7,), n0), *[(x, 2 * n) for x, n in rest]], den=2 * den)
 
     monkeypatch.setattr(jsonio, "ProbabilityMeasure", perturbed)
     with pytest.raises(MarginalMismatch):
@@ -205,6 +211,72 @@ def test_weight_reading_keeps_its_outcomes(name):
     assert read_outcome(jsonio.parse_measure, doc, "measure") == measure
     assert read_outcome(jsonio.parse_probability_measure, doc, "measure") == probability
     assert read_outcome(jsonio.parse_coupling, as_coupling_doc(doc), "coupling") == coupling
+
+
+def test_reading_builds_no_fraction(monkeypatch):
+    mu, nu = uniform([0, 1, 2]), uniform([0, 5])
+    pi = monotone_coupling(mu, nu, standard_order(1))
+    mu_doc, pi_doc = jsonio.measure_to_json(mu), jsonio.coupling_to_json(pi)
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built on the read path")
+
+    for module in (jsonio, discretebm.measures, discretebm.coupling):
+        monkeypatch.setattr(module, "Fraction", no_fraction)
+    read_mu, read_pi = jsonio.parse_probability_measure(mu_doc), jsonio.parse_coupling(pi_doc)
+    monkeypatch.undo()
+    assert read_mu == mu and read_pi == pi
+    assert read_pi.left == mu and read_pi.right == nu
+
+
+def spelled(n: int, d: int, scale: int, zeros: int, plus: bool):
+    """The weight n/d as input may spell it: with its numerator and
+    denominator times ``scale``, leading zeros and an optional plus sign;
+    a JSON int when the spelled denominator is 1 and there is no spelling."""
+    if d * scale == 1 and not zeros and not plus:
+        return n
+    pad = "0" * zeros
+    text = f"{'+' if plus else ''}{pad}{n * scale}"
+    return text if d * scale == 1 else f"{text}/{pad}{d * scale}"
+
+
+WEIGHT = st.tuples(
+    st.integers(0, 40), st.integers(1, 24), st.integers(1, 5), st.integers(0, 3), st.booleans()
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    atoms=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), WEIGHT), min_size=1, max_size=8),
+)
+def test_spelled_weights_read_as_their_fractions(dim, atoms):
+    assume(any(w[0] for *_, w in atoms))
+    doc = {
+        "dim": dim,
+        "atoms": [{"x": [a, b][:dim], "w": spelled(*w)} for a, b, w in atoms],
+    }
+    read = jsonio.parse_measure(doc)
+    # duplicate points are summed, and zero weights dropped, as the constructor does
+    expected = FiniteMeasure(dim, [((a, b)[:dim], F(n, d)) for a, b, (n, d, *_) in atoms])
+    assert read == expected
+    assert [jsonio.parse_fraction(a["w"]) for a in doc["atoms"]] == [F(n, d) for *_, (n, d, *_) in atoms]
+    # parse(serialize(x)) == x for measures, probability measures and couplings
+    assert jsonio.parse_measure(jsonio.measure_to_json(read)) == read
+    mu = read.normalize()
+    assert jsonio.parse_probability_measure(jsonio.measure_to_json(mu)) == mu
+    pi = monotone_coupling(mu, uniform(mu.support()[::-1]), standard_order(dim))
+    assert jsonio.parse_coupling(jsonio.coupling_to_json(pi)) == pi
+    # a probability document spelled as the first atom is
+    *_, (_, _, scale, zeros, plus) = atoms[0]
+    mu_doc = {
+        "dim": dim,
+        "atoms": [
+            {"x": list(x), "w": spelled(w.numerator, w.denominator, scale, zeros, plus)}
+            for x, w in mu.items()
+        ],
+    }
+    assert jsonio.parse_probability_measure(mu_doc) == mu
 
 
 def test_parse_operation_names_and_product():

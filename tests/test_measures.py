@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import discretebm.measures
 from discretebm import (
     AdditiveTotalOrder,
     Coupling,
@@ -63,6 +64,34 @@ def test_make_measure_errors():
         ProbabilityMeasure(1, [(True, 1)])
     with pytest.raises(DomainError, match="^point coordinates must be integers, got False$"):
         ProbabilityMeasure(1, [((False,), 1)])
+
+
+def test_den_reads_every_weight_over_it(monkeypatch):
+    # plain entries take the one-pass path; a list point or a Fraction among
+    # them sends the whole input through the coercing path, with the same result
+    expected = FiniteMeasure(1, [(0, F(1, 4)), (1, F(3, 4))])
+    for entries in (
+        [((0,), 3), ((1,), 9)],
+        [((1,), 4), ((0,), 3), ((1,), 5), ((2,), 0)],
+        [([0], 3), ((1,), 9)],
+        [((0,), F(3)), ((1,), 9)],
+        [((0,), F(3, 2)), ((0,), F(3, 2)), ((1,), 9)],
+    ):
+        assert FiniteMeasure(1, entries, den=12) == expected
+        assert ProbabilityMeasure(1, iter(entries), den=12) == expected
+    with pytest.raises(InvalidWeightError, match="^probability measure must have mass 1, got 1/2$"):
+        ProbabilityMeasure(1, [((0,), 3)], den=6)
+    # a negative weight is named as the weight, not as its numerator
+    with pytest.raises(InvalidWeightError, match="^negative weight -1/2$"):
+        FiniteMeasure(1, [((1,), 9), ((0,), -3)], den=6)
+    with pytest.raises(InvalidWeightError, match="^negative weight -1/6$"):
+        FiniteMeasure(1, [((0,), F(-1, 3))], den=2)
+    for den in (0, -3, True, 2.0, F(1, 2)):
+        with pytest.raises(InvalidWeightError, match="^den must be"):
+            FiniteMeasure(1, [((0,), 1)], den=den)
+    # plain entries never reach the coercing path
+    monkeypatch.setattr(discretebm.measures, "_exact_weights", None)
+    assert FiniteMeasure(1, zip([(1,), (0,)], [9, 3]), den=12) == expected
 
 
 def test_atoms_stored_sorted():
