@@ -63,8 +63,12 @@ def _tolerance(flag: float | None, instance: float | None = None) -> float:
     return DEFAULT_TOLERANCE if raw is None else jsonio.parse_tolerance(raw, "DT_TOLERANCE")
 
 
+# json.dumps with non-default separators builds a new encoder on every call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -175,14 +179,14 @@ def cmd_couple(args) -> int:
     if args.mode == "monotone":
         order = (
             jsonio.parse_order(_json(args.order))
-            if args.order
+            if args.order is not None
             else standard_order(mu.dim)
         )
         pi = monotone_coupling(mu, nu, order)
     else:
         decomposition = (
             jsonio.parse_decomposition(_json(args.decomposition))
-            if args.decomposition
+            if args.decomposition is not None
             else singleton_decomposition(mu.dim)
         )
         pi = knothe_coupling(mu, nu, decomposition)

@@ -36,7 +36,11 @@ summed on those integers and built as trusted measures without a second
 validation.  The conditional block couplings of a coupling are computed
 and certified once per decomposition and kept on the coupling, as a
 measure keeps its disintegrations, so every check that walks them shares
-one read-only walk.
+one read-only walk.  Likewise the images (T-(x, y), T+(x, y)) of the
+support under an operation are computed once per coupling and difference
+map and kept on the coupling (:func:`_support_images`), so the transport,
+pointwise and fiber checks of one coupling share one read of ``t`` per
+support pair.
 
 For a coupling and a complementing operation pair,
 :func:`check_fiber_structure` verifies the following shape claims about
@@ -45,8 +49,8 @@ coupling on one ordered block.  On a single block it checks the coupling
 itself; on several it checks every conditional block coupling against
 the operation's block section at the same prefixes (one section object
 per prefix difference, kept on the operation).  The difference map is
-read once per support pair, and both fiber groupings and the clauses
-below read those images:
+read once per support pair per coupling and operation, and both fiber
+groupings and the clauses below read those images:
 
 * every fiber has at most two elements;
 * a two-element fiber is {(x0, y0), (x0, y0+u)} or {(x0, y0), (x0+u, y0)}
@@ -124,6 +128,8 @@ class Coupling:
     inner block merges of
     :func:`knothe_coupling` build no instance: they stay integer
     intermediates, and the coupling they assemble is certified once.
+    ``_images`` keeps the support images under each difference map
+    ``op.t`` that a check has read (see :func:`_support_images`).
 
     Each weight in ``atoms`` is read as a multiple of ``1/den``: callers
     holding integer numerators over a denominator pass them as they are,
@@ -131,7 +137,7 @@ class Coupling:
     themselves.  ``den`` must be a positive int.
     """
 
-    __slots__ = ("dim", "_atoms", "_den", "left", "right", "_conditionals")
+    __slots__ = ("dim", "_atoms", "_den", "left", "right", "_conditionals", "_images")
 
     def __init__(
         self,
@@ -161,6 +167,7 @@ class Coupling:
         self.left = left
         self.right = right
         self._conditionals = None
+        self._images = {}
         total = sum(xs.values())
         if total != den:
             raise InvalidWeightError(
@@ -378,6 +385,13 @@ def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition) -> tu
     conditional coupling at level i is the distribution of (x_i, y_i)
     given the prefixes, a coupling of the corresponding conditional block
     measures, certified by :class:`Coupling` from its integer weights.
+    At level 0 the declared marginals are the level-0 conditionals of
+    ``pi.left`` and ``pi.right`` (their first-block marginals; on one
+    block, ``pi.left`` and ``pi.right`` themselves), taken from the
+    measures' disintegrations rather than summed again from the bucket;
+    deeper levels normalize the bucket's two projections.  On one block
+    the single conditional coupling has ``pi``'s atoms over ``pi``'s
+    denominator, so it shares ``pi``'s support images.
 
     The tuple is computed once per decomposition and kept on ``pi``, so
     every caller of one coupling (the pointwise and fiber checks) shares
@@ -402,10 +416,17 @@ def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition) -> tu
             pair = (x[lo:hi], y[lo:hi])
             bucket[pair] = bucket.get(pair, 0) + n
         for (px, py), bucket in groups.items():
-            left = _normalized(bdim, _pair_projection(bucket.items(), 0))
-            right = _normalized(bdim, _pair_projection(bucket.items(), 1))
+            if level == 0:
+                left = pi.left.disintegrate(decomposition)[0][()]
+                right = pi.right.disintegrate(decomposition)[0][()]
+            else:
+                left = _normalized(bdim, _pair_projection(bucket.items(), 0))
+                right = _normalized(bdim, _pair_projection(bucket.items(), 1))
             cond = Coupling(bdim, bucket, left, right, den=sum(bucket.values()))
             walk.append((level, px, py, cond))
+    if decomposition.block_count == 1:
+        # same atoms, same order, same denominator: the same images
+        walk[0][3]._images = pi._images
     family = pi._conditionals[decomposition] = tuple(walk)
     return family
 
@@ -417,15 +438,20 @@ def check_support_monotone(pi: Coupling, order: AdditiveTotalOrder) -> Verificat
     above it in y.  Sorted by (x-key, y-key), the pairs have nondecreasing
     y-keys exactly when none cross, so the check costs O(n log n).  The
     witness is the first crossing pair in support order: the first pair
-    that crosses any other, with its first partner after it.
+    that crosses any other, with its first partner after it.  Under the
+    plain lexicographic order the stored support is already in
+    (x-key, y-key) order, so nothing is keyed or sorted.
     """
     if order.dim != pi.dim:
         raise DimensionMismatch(
             f"order on Z^{order.dim} does not match coupling on Z^{pi.dim}"
         )
     pairs = pi.support()
-    keys = [(order.key(x), order.key(y)) for x, y in pairs]
-    ranked = sorted(keys)
+    if order._plain:
+        keys = ranked = pairs
+    else:
+        keys = [(order.key(x), order.key(y)) for x, y in pairs]
+        ranked = sorted(keys)
     xk = [kx for kx, _ in ranked]
     yk = [ky for _, ky in ranked]
     if all(a <= b for a, b in zip(yk, yk[1:])):
@@ -468,21 +494,37 @@ def fibers(
     """
     if sign not in ("minus", "plus"):
         raise DomainError(f"sign must be 'minus' or 'plus', got {sign!r}")
-    return _fibers(_support_images(pi, op), sign == "plus")
+    return _fibers(pi, _support_images(pi, op))[sign == "plus"]
 
 
-def _support_images(pi: Coupling, op: LatticeOperation) -> dict:
-    """(T-(x, y), T+(x, y)) by support pair (x, y), in support order."""
-    return dict(zip(pi._atoms, _images(op, pi._atoms)))
+def _support_images(pi: Coupling, op: LatticeOperation) -> list[tuple[Point, Point]]:
+    """(T-(x, y), T+(x, y)) at every support pair (x, y), in support order.
+
+    The images depend on ``op`` only through its difference map, so they
+    are computed once per coupling and map and kept on ``pi``, keyed by
+    ``op.t``: every check of ``pi`` under ``op`` shares one read of ``t``
+    per support pair.  The cache holds one list per distinct map read, as
+    the operation's own caches grow with the differences read.  Treat the
+    list as read-only.
+    """
+    images = pi._images.get(op.t)
+    if images is None:
+        images = pi._images[op.t] = _images(op, pi._atoms)
+    return images
 
 
-def _fibers(images: dict, side: int) -> dict[Point, tuple[tuple[Point, Point], ...]]:
-    """Group the support pairs of ``images`` by their T- image (side 0) or
-    their T+ image (side 1), in support order."""
-    groups: dict[Point, list[tuple[Point, Point]]] = {}
-    for pair, image in images.items():
-        groups.setdefault(image[side], []).append(pair)
-    return {a: tuple(ps) for a, ps in groups.items()}
+def _fibers(pi: Coupling, images: list) -> tuple[dict, dict]:
+    """The support pairs of ``pi`` grouped by their T- image and by their
+    T+ image, in support order, in one pass over ``images``."""
+    minus: dict[Point, list[tuple[Point, Point]]] = {}
+    plus: dict[Point, list[tuple[Point, Point]]] = {}
+    for pair, (zm, zp) in zip(pi._atoms, images):
+        minus.setdefault(zm, []).append(pair)
+        plus.setdefault(zp, []).append(pair)
+    return (
+        {a: tuple(ps) for a, ps in minus.items()},
+        {a: tuple(ps) for a, ps in plus.items()},
+    )
 
 
 def _fiber_sorted(pairs, order: AdditiveTotalOrder):
@@ -533,10 +575,10 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
         )
     unit = order.unit()
     zero = zero_point(pi.dim)
-    # one read of t per support pair feeds both groupings and the alignment
+    # the support images (one read of t per support pair, shared with the
+    # other checks of pi under op) feed both groupings and the alignment
     images = _support_images(pi, op)
-    minus_fibers = _fibers(images, 0)
-    plus_fibers = _fibers(images, 1)
+    minus_fibers, plus_fibers = _fibers(pi, images)
     for sign, groups in (("minus", minus_fibers), ("plus", plus_fibers)):
         for a, pairs in groups.items():
             flaw = None
@@ -555,7 +597,7 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
                     detail=flaw,
                 )
     # alignment whenever both fibers through a support pair have two elements
-    for (x, y), (zm, zp) in images.items():
+    for (x, y), (zm, zp) in zip(pi._atoms, images):
         sm = minus_fibers[zm]
         sp = plus_fibers[zp]
         if len(sm) == 2 and len(sp) == 2:

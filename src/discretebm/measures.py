@@ -332,9 +332,10 @@ def cumulative_weights(
 
     The masses are integer numerators over ``den``, which must be a
     multiple of the measure's denominator: the cumulative mass up to and
-    including point i is Fraction(cums[i], den).
+    including point i is Fraction(cums[i], den).  The stored support is
+    already in the plain lexicographic order, so only other orders sort.
     """
-    pts = order.sorted_points(measure.support())
+    pts = measure.support() if order._plain else order.sorted_points(measure.support())
     atoms = measure._atoms
     scale = den // measure._den
     return pts, list(accumulate(atoms[p] * scale for p in pts))

@@ -19,11 +19,12 @@ with T+ the complement, so P1 and the complement identity hold by
 construction.  ``t`` must be pure: it is cached, and so are the block
 sections built from it, one per (level, prefix difference), kept on the
 operation; both caches grow with the distinct differences read.  The
-library's checks read t once per support pair and take both images from
-that value.  Z^n is infinite, so ``check_p2`` is a sound but incomplete
-certificate on a box; it reads t once per x - y.  A radius whose
-radius-r box of pairs holds more than ``MAX_BOX_PAIRS`` pairs is rejected
-by every check before any map is evaluated.
+library's checks read t once per support pair per coupling and
+operation, and take both images from that value.  Z^n is infinite, so
+``check_p2`` is a sound but incomplete certificate on a box; it reads t
+once per x - y.  A radius whose radius-r box of pairs holds more than
+``MAX_BOX_PAIRS`` pairs is rejected by every check before any map is
+evaluated.
 
 Both structure layers run in passes linear in what they read.
 ``check_p2`` reads t alone, as T+ = x + y - T-: it lists one step set
@@ -104,7 +105,7 @@ class LatticeOperation:
 
 def meet_join(dim: int) -> LatticeOperation:
     """Coordinatewise minimum and maximum: t(w) = min(w, 0)."""
-    return LatticeOperation(singleton_decomposition(dim), lambda w: tuple(min(c, 0) for c in w))
+    return LatticeOperation(singleton_decomposition(dim), lambda w: tuple([min(c, 0) for c in w]))
 
 
 def midpoint(dim: int) -> LatticeOperation:
@@ -113,7 +114,7 @@ def midpoint(dim: int) -> LatticeOperation:
     Floor is toward minus infinity (max {m in Z : m <= r}), matching
     Python's // on negative sums; the ceiling is the complement.
     """
-    return LatticeOperation(singleton_decomposition(dim), lambda w: tuple(c // 2 for c in w))
+    return LatticeOperation(singleton_decomposition(dim), lambda w: tuple([c // 2 for c in w]))
 
 
 def product(a: LatticeOperation, b: LatticeOperation) -> LatticeOperation:

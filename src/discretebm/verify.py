@@ -58,7 +58,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .coupling import Coupling, iter_conditional_couplings, knothe_coupling
+from .coupling import (
+    Coupling,
+    _pair_projection,
+    _support_images,
+    iter_conditional_couplings,
+    knothe_coupling,
+)
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -282,13 +288,15 @@ def _require_marginals(
 def _transport(pi: Coupling, op: LatticeOperation):
     """T- and T+ at every support pair of ``pi``, and both pushforwards.
 
-    The difference map is read once per support pair, and both images
-    come from that value.  Returns the image pairs (T-(x, y), T+(x, y)) in
-    ``pi``'s atom order, and kappa- and kappa+ in the stored weight form,
-    as (numerators by image, denominator), summed from ``pi``'s
-    numerators.
+    The difference map is read once per support pair per coupling and
+    operation: both images come from that value, and they are kept on
+    ``pi`` for its other checks under ``op``
+    (:func:`~discretebm.coupling._support_images`).  Returns the image
+    pairs (T-(x, y), T+(x, y)) in ``pi``'s atom order, and kappa- and
+    kappa+ in the stored weight form, as (numerators by image,
+    denominator), summed from ``pi``'s numerators.
     """
-    images = _images(op, pi._atoms)
+    images = _support_images(pi, op)
     minus: dict[Point, int] = {}
     plus: dict[Point, int] = {}
     for (zm, zp), n in zip(images, pi._atoms.values()):
@@ -449,21 +457,21 @@ def entropy_gap(
 def marginal_exactness(
     pi: Coupling, mu: ProbabilityMeasure, nu: ProbabilityMeasure
 ) -> VerificationReport:
-    """Exact equality of the coupling's projections with mu and nu."""
-    first = pi.marginal("first")
-    second = pi.marginal("second")
-    if first != mu:
-        return VerificationReport(
-            check="marginals",
-            outcome=VIOLATED,
-            witness={"side": "first", "expected": _measure_payload(mu), "got": _measure_payload(first)},
-        )
-    if second != nu:
-        return VerificationReport(
-            check="marginals",
-            outcome=VIOLATED,
-            witness={"side": "second", "expected": _measure_payload(nu), "got": _measure_payload(second)},
-        )
+    """Exact equality of the coupling's projections with mu and nu.
+
+    Each projection is summed from ``pi``'s numerators and compared, in
+    the stored weight form, with the measure's fields; the projected
+    measure is built only to name a mismatch.
+    """
+    for side, expected in (("first", mu), ("second", nu)):
+        nums, den = _reduced(_pair_projection(pi._atoms.items(), side == "second"), pi._den)
+        if pi.dim != expected.dim or den != expected._den or nums != expected._atoms:
+            got = _measure_payload(pi.marginal(side))
+            return VerificationReport(
+                check="marginals",
+                outcome=VIOLATED,
+                witness={"side": side, "expected": _measure_payload(expected), "got": got},
+            )
     return VerificationReport(check="marginals", outcome=VERIFIED)
 
 

@@ -200,6 +200,20 @@ def test_couple_refuses_the_decomposition_under_monotone(tmp_path, capsys):
     assert error == "--decomposition does not apply to --mode monotone"
 
 
+def test_couple_refuses_an_empty_order(tmp_path, capsys):
+    # an empty --order was once taken as absent, giving the standard order
+    mu = write(tmp_path, "mu.json", MEASURE_U2)
+    error = assert_input_error(capsys, ["couple", mu, mu, "--order", ""])
+    assert error == "Expecting value: line 1 column 1 (char 0)"
+
+
+def test_couple_refuses_an_empty_decomposition(tmp_path, capsys):
+    # an empty --decomposition was once taken as absent, giving singleton blocks
+    mu = write(tmp_path, "mu.json", MEASURE_U2)
+    argv = ["couple", mu, mu, "--mode", "knothe", "--decomposition", ""]
+    assert assert_input_error(capsys, argv) == "Expecting value: line 1 column 1 (char 0)"
+
+
 def assert_input_error(capsys, argv) -> str:
     """Exit 2 within a second, nothing on stdout and one JSON error line;
     returns the error message."""

@@ -4,12 +4,15 @@ from discretebm import (
     DomainError,
     block_section,
     from_difference_map,
+    iter_conditional_couplings,
+    knothe_coupling,
     meet_join,
     midpoint,
     product,
 )
 from discretebm.seeding import mix64, stream
 from discretebm.suite import (
+    SUITE_CHECKS,
     generate_instance,
     random_exponents,
     random_measure,
@@ -93,6 +96,45 @@ def test_a_suite_builds_each_block_section_once():
     assert len(sections) == 42
     for (level, p), section in sections.items():
         assert block_section(op, level, p, (0,) * len(p)) is section
+
+
+def t_reads(op):
+    info = op.t.cache_info()
+    return info.hits + info.misses
+
+
+def test_a_dim1_instance_reads_t_twice_per_support_pair():
+    # pointwise, p-bound and fibers share the images kept on the coupling;
+    # entropy builds its own Knothe coupling and reads them once more
+    for index in range(30):
+        inst = generate_instance(7, index, 1)
+        op = midpoint(1)
+        run_instance(inst, op, SUITE_CHECKS, 1e-9)
+        pi = knothe_coupling(inst.mu, inst.nu, op.decomposition)
+        assert t_reads(op) == 2 * len(pi)
+
+
+def test_a_dim2_instance_reads_each_section_once_per_conditional_pair():
+    # pointwise reads every conditional support pair through its block
+    # section, and fibers reads the images kept on the conditional coupling
+    verified = 0
+    for index in range(30):
+        inst = generate_instance(7, index, 2)
+        op = product(midpoint(1), meet_join(1))
+        pointwise = run_instance(inst, op, SUITE_CHECKS, 1e-9)[0]
+        pi = knothe_coupling(inst.mu, inst.nu, op.decomposition)
+        pairs = {}
+        for level, px, py, cond in iter_conditional_couplings(pi, op.decomposition):
+            key = (level, tuple(a - b for a, b in zip(px, py)))
+            pairs[key] = pairs.get(key, 0) + len(cond)
+        reads = {key: t_reads(section) for key, section in op._sections.items()}
+        if pointwise.ok:
+            assert reads == pairs
+        else:
+            # a violation stops the pointwise walk, and fibers reads the rest
+            assert all(n <= pairs[key] for key, n in reads.items())
+        verified += pointwise.ok
+    assert verified >= 25
 
 
 def test_run_suite_negative_control_fails():

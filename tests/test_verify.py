@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discretebm import (
+    Coupling,
     DimensionMismatch,
     check_fiber_structure,
     ExponentQuadruple,
@@ -570,9 +571,15 @@ def test_transport_reads_t_once_per_pair_and_gives_both_pushforwards(case):
         assert {z: F(n, den) for z, n in nums.items()} == oracle.pushforward(pi, lambda p: kappa(*p))
         assert math.gcd(den, *nums.values()) == 1
     if op.decomposition.block_count == 1:
+        # the fiber check reads the images _transport kept on pi
         reads = t_reads(op)
         rep = check_fiber_structure(pi, op)
-        # a support that is not a chain is reported before any map is read
+        assert t_reads(op) - reads == 0
+        # a fresh coupling reads them once, except that a support that is
+        # not a chain is reported before any map is read
+        fresh = Coupling(pi.dim, pi._atoms, pi.left, pi.right, den=pi._den)
+        reads = t_reads(op)
+        assert check_fiber_structure(fresh, op) == rep
         assert t_reads(op) - reads == (0 if rep.outcome == "inapplicable" else len(pi))
 
 
