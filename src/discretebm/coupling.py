@@ -118,7 +118,9 @@ class Coupling:
     ``_atoms[(x, y)] / _den`` in lowest common terms.  Every
     construction, also inside the library, validates every atom, then
     requires both projections to equal the declared marginals exactly; a
-    mismatch raises :class:`MarginalMismatch`.  Atoms that are already
+    mismatch raises :class:`MarginalMismatch`.  The declared marginals
+    must be :class:`ProbabilityMeasure` instances, as the checks that
+    disintegrate them require (:class:`DomainError` otherwise).  Atoms that are already
     plain, ((x, y), n) with x and y tuples of ``dim`` ints and n a
     nonnegative int, as the builders of this module pass them, are
     checked and summed, by pair and by both projections, in one pass.  If
@@ -148,6 +150,8 @@ class Coupling:
         *,
         den: int = 1,
     ):
+        if not (isinstance(left, ProbabilityMeasure) and isinstance(right, ProbabilityMeasure)):
+            raise DomainError("the marginals of a coupling must be probability measures")
         if left.dim != dim or right.dim != dim:
             raise DimensionMismatch("marginals must live on Z^dim of the coupling")
         _check_den(den)

@@ -117,6 +117,16 @@ def test_coupling_validation():
         monotone_coupling(uniform([(0, 0)]), uniform([0]), ORDER1)
 
 
+def test_coupling_marginals_must_be_probability_measures():
+    # a FiniteMeasure of mass 1 once passed certification, and the checks
+    # that disintegrate the marginals then raised AttributeError
+    one = FiniteMeasure(2, [((0, 0), 1)])
+    with pytest.raises(DomainError):
+        Coupling(2, [(((0, 0), (0, 0)), 1)], one, one.normalize())
+    with pytest.raises(DomainError):
+        monotone_coupling(one.normalize(), one, standard_order(2))
+
+
 def test_pushforward_by_pair_maps():
     pi = monotone_coupling(uniform([0, 1, 2]), uniform([0, 1]), ORDER1)
     km = pi.pushforward_by(midpoint(1).t_minus)
