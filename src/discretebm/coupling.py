@@ -120,12 +120,13 @@ class Coupling:
     requires both projections to equal the declared marginals exactly; a
     mismatch raises :class:`MarginalMismatch`.  The declared marginals
     must be :class:`ProbabilityMeasure` instances, as the checks that
-    disintegrate them require (:class:`DomainError` otherwise).  Atoms that are already
-    plain, ((x, y), n) with x and y tuples of ``dim`` ints and n a
-    nonnegative int, as the builders of this module pass them, are
-    checked and summed, by pair and by both projections, in one pass.  If
-    any atom is not plain, the whole input goes through the coercing path
-    :class:`FiniteMeasure` uses, with its coercions and error texts.  This
+    disintegrate them require (:class:`DomainError` otherwise).  Atoms
+    that are already plain, ((x, y), n) with x and y tuples of ``dim``
+    ints and n a nonnegative int, as the builders of this module pass
+    them, are checked and summed, by pair and by both projections, in one
+    pass.  If any atom is not plain, the whole input goes through the
+    coercing path :class:`FiniteMeasure` uses, with its coercions and
+    error texts.  This
     constructor is the one place where marginals are certified.  The
     inner block merges of
     :func:`knothe_coupling` build no instance: they stay integer
