@@ -16,31 +16,36 @@ inner block merges are integer intermediates, not couplings: only the
 first-block coupling and the assembled Knothe coupling are constructed,
 and the assembled one is certified once against both measures.
 
-Every :class:`Coupling` is certified when it is constructed, whether it
-comes from a caller, from JSON, or from this module: the constructor
-validates points and weights and requires the exact projections to equal
-the declared marginals.  Plain integer atoms, as this module passes
-them, are validated and projected in one pass; any other input is
-coerced entry by entry as a measure's is.  A coupling stores its
+Every :class:`Coupling` built by its constructor is certified, whether
+it comes from a caller, from JSON, or from a builder of this module: the
+constructor validates points and weights and requires the exact
+projections to equal the declared marginals.  The one exception is the
+conditional block couplings below level 0 in
+:func:`iter_conditional_couplings`: their declared marginals are their
+own projections, summed in the pass that sums their weights, so
+certifying them could not fail, and they are built by
+:meth:`Coupling._trusted`, which checks nothing.  Plain integer atoms,
+as this module passes them, are validated and projected in one pass;
+any other input is coerced entry by entry as a measure's is.  A coupling stores its
 weights in the form of a measure (see :mod:`discretebm.measures`):
 integer numerators keyed by
 (x, y) over one denominator, in lowest common terms, so certification
 is plain equality of a projection's fields with a marginal's.  The
 constructor's ``den`` keyword reads every given weight as a multiple of
 1/den, so the builders of this module (:func:`monotone_coupling`,
-:func:`knothe_coupling`, :func:`product_coupling` and
-:func:`iter_conditional_couplings`) pass their integer numerators and
-denominator straight in and build no ``Fraction``.  Marginals,
-pushforwards, and the marginals of conditional block couplings are
-summed on those integers and built as trusted measures without a second
-validation.  The conditional block couplings of a coupling are computed
-and certified once per decomposition and kept on the coupling, as a
-measure keeps its disintegrations, so every check that walks them shares
-one read-only walk.  Likewise the images (T-(x, y), T+(x, y)) of the
-support under an operation are computed once per coupling and difference
-map and kept on the coupling (:func:`_support_images`), so the transport,
-pointwise and fiber checks of one coupling share one read of ``t`` per
-support pair.
+:func:`knothe_coupling`, :func:`product_coupling` and the level-0
+coupling of :func:`iter_conditional_couplings`) pass their integer
+numerators and denominator straight in and build no ``Fraction``.
+Marginals, pushforwards, and the marginals of conditional block
+couplings are summed on those integers and built as trusted measures
+without a second validation.  The conditional block couplings of a
+coupling are computed once per decomposition and kept on the coupling,
+as a measure keeps its disintegrations, so every check that walks them
+shares one read-only walk.  Likewise the images (T-(x, y), T+(x, y))
+of the support under an operation are computed once per coupling and
+difference map and kept on the coupling (:func:`_support_images`), so
+the transport, pointwise and fiber checks of one coupling share one
+read of ``t`` per support pair.
 
 For a coupling and a complementing operation pair,
 :func:`check_fiber_structure` verifies the following shape claims about
@@ -102,7 +107,6 @@ from .measures import (
     _check_den,
     _exact_weights,
     _rational_text,
-    _normalized,
     _reduced,
     cumulative_weights,
 )
@@ -115,12 +119,16 @@ class Coupling:
 
     Atom keys are (x, y) pairs, stored in ascending order of the
     concatenated coordinates for determinism; the weight of a pair is
-    ``_atoms[(x, y)] / _den`` in lowest common terms.  Every
-    construction, also inside the library, validates every atom, then
-    requires both projections to equal the declared marginals exactly; a
-    mismatch raises :class:`MarginalMismatch`.  The declared marginals
-    must be :class:`ProbabilityMeasure` instances, as the checks that
-    disintegrate them require (:class:`DomainError` otherwise).  Atoms
+    ``_atoms[(x, y)] / _den`` in lowest common terms.  The constructor,
+    which every caller and every builder but one uses, validates every
+    atom, then requires both projections to equal the declared marginals
+    exactly; a mismatch raises :class:`MarginalMismatch`.  The exception
+    is :meth:`_trusted`, which builds the conditional block couplings
+    below level 0 of :func:`iter_conditional_couplings` unchecked, since
+    their declared marginals are their own projections.  The declared
+    marginals must be :class:`ProbabilityMeasure` instances, as the
+    checks that disintegrate them require (:class:`DomainError`
+    otherwise).  Atoms
     that are already plain, ((x, y), n) with x and y tuples of ``dim``
     ints and n a nonnegative int, as the builders of this module pass
     them, are checked and summed, by pair and by both projections, in one
@@ -165,14 +173,7 @@ class Coupling:
         nums, xs, ys = plain
         if not nums:
             raise EmptySupportError("coupling has empty support")
-        stored, stored_den = _reduced(nums, den)
-        self.dim = dim
-        self._atoms = {k: stored[k] for k in sorted(stored)}
-        self._den = stored_den
-        self.left = left
-        self.right = right
-        self._conditionals = None
-        self._images = {}
+        self._store(dim, nums, den, left, right)
         total = sum(xs.values())
         if total != den:
             raise InvalidWeightError(
@@ -182,6 +183,37 @@ class Coupling:
             projected, pden = _reduced(projection, den)
             if pden != declared._den or projected != declared._atoms:
                 raise MarginalMismatch("coupling projections do not match declared marginals")
+
+    @classmethod
+    def _trusted(
+        cls,
+        dim: int,
+        nums: dict[tuple[Point, Point], int],
+        den: int,
+        left: ProbabilityMeasure,
+        right: ProbabilityMeasure,
+    ):
+        """Coupling of weights nums[(x, y)] / den with the declared
+        marginals ``left`` and ``right``; nothing is checked.
+
+        ``nums`` maps pairs of points of Z^dim to positive integers, in any
+        order and not necessarily in lowest terms.  Only the library calls
+        this, on couplings whose declared marginals are by construction
+        their own projections, so certifying them could not fail.
+        """
+        pi = cls.__new__(cls)
+        pi._store(dim, nums, den, left, right)
+        return pi
+
+    def _store(self, dim: int, nums: dict, den: int, left, right) -> None:
+        nums, den = _reduced(nums, den)
+        self.dim = dim
+        self._atoms = {k: nums[k] for k in sorted(nums)}
+        self._den = den
+        self.left = left
+        self.right = right
+        self._conditionals = None
+        self._images = {}
 
     def __len__(self) -> int:
         return len(self._atoms)
@@ -389,14 +421,17 @@ def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition) -> tu
     one for every prefix pair of positive mass, level by level; the
     conditional coupling at level i is the distribution of (x_i, y_i)
     given the prefixes, a coupling of the corresponding conditional block
-    measures, certified by :class:`Coupling` from its integer weights.
-    At level 0 the declared marginals are the level-0 conditionals of
-    ``pi.left`` and ``pi.right`` (their first-block marginals; on one
-    block, ``pi.left`` and ``pi.right`` themselves), taken from the
-    measures' disintegrations rather than summed again from the bucket;
-    deeper levels normalize the bucket's two projections.  On one block
-    the single conditional coupling has ``pi``'s atoms over ``pi``'s
-    denominator, so it shares ``pi``'s support images.
+    measures.  At level 0 the declared marginals are the level-0
+    conditionals of ``pi.left`` and ``pi.right`` (their first-block
+    marginals; on one block, ``pi.left`` and ``pi.right`` themselves),
+    taken from the measures' disintegrations, and :class:`Coupling`
+    certifies the coupling against them.  On one block the single
+    conditional coupling has ``pi``'s atoms over ``pi``'s denominator,
+    so it shares ``pi``'s support images.  Deeper levels sum each bucket
+    and both of its projections in one grouping pass and declare the
+    normalized projections as the marginals.  Those are the coupling's
+    own projections, so certifying them could not fail, and these
+    couplings are built by :meth:`Coupling._trusted` without it.
 
     The tuple is computed once per decomposition and kept on ``pi``, so
     every caller of one coupling (the pointwise and fiber checks) shares
@@ -410,28 +445,41 @@ def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition) -> tu
         pi._conditionals = {}
     elif decomposition in pi._conditionals:
         return pi._conditionals[decomposition]
-    walk = []
-    for level in range(decomposition.block_count):
-        bdim = decomposition.block_dim(level)
-        lo = decomposition.offset(level)
-        hi = lo + bdim
-        groups: dict[tuple[Point, Point], dict[tuple[Point, Point], int]] = {}
-        for (x, y), n in pi._atoms.items():
-            bucket = groups.setdefault((x[:lo], y[:lo]), {})
-            pair = (x[lo:hi], y[lo:hi])
-            bucket[pair] = bucket.get(pair, 0) + n
-        for (px, py), bucket in groups.items():
-            if level == 0:
-                left = pi.left.disintegrate(decomposition)[0][()]
-                right = pi.right.disintegrate(decomposition)[0][()]
-            else:
-                left = _normalized(bdim, _pair_projection(bucket.items(), 0))
-                right = _normalized(bdim, _pair_projection(bucket.items(), 1))
-            cond = Coupling(bdim, bucket, left, right, den=sum(bucket.values()))
-            walk.append((level, px, py, cond))
+    # level 0: one bucket, certified against the first-block marginals
+    k = decomposition.block_dim(0)
+    head: dict[tuple[Point, Point], int] = {}
+    for (x, y), n in pi._atoms.items():
+        pair = (x[:k], y[:k])
+        head[pair] = head.get(pair, 0) + n
+    left = pi.left.disintegrate(decomposition)[0][()]
+    right = pi.right.disintegrate(decomposition)[0][()]
+    walk = [(0, (), (), Coupling(k, head, left, right, den=pi._den))]
     if decomposition.block_count == 1:
         # same atoms, same order, same denominator: the same images
         walk[0][3]._images = pi._images
+    for level in range(1, decomposition.block_count):
+        bdim = decomposition.block_dim(level)
+        lo = decomposition.offset(level)
+        hi = lo + bdim
+        # per prefix pair: the bucket's weights by block pair, by x and by y
+        groups: dict[tuple[Point, Point], tuple[dict, dict, dict]] = {}
+        for (x, y), n in pi._atoms.items():
+            prefix = (x[:lo], y[:lo])
+            sums = groups.get(prefix)
+            if sums is None:
+                sums = groups[prefix] = ({}, {}, {})
+            nums, xs, ys = sums
+            xb = x[lo:hi]
+            yb = y[lo:hi]
+            pair = (xb, yb)
+            nums[pair] = nums.get(pair, 0) + n
+            xs[xb] = xs.get(xb, 0) + n
+            ys[yb] = ys.get(yb, 0) + n
+        for (px, py), (nums, xs, ys) in groups.items():
+            den = sum(xs.values())
+            left = ProbabilityMeasure._trusted(bdim, xs, den)
+            right = ProbabilityMeasure._trusted(bdim, ys, den)
+            walk.append((level, px, py, Coupling._trusted(bdim, nums, den, left, right)))
     family = pi._conditionals[decomposition] = tuple(walk)
     return family
 
@@ -451,6 +499,18 @@ def check_support_monotone(pi: Coupling, order: AdditiveTotalOrder) -> Verificat
         raise DimensionMismatch(
             f"order on Z^{order.dim} does not match coupling on Z^{pi.dim}"
         )
+    witness = _crossing(pi, order)
+    if witness is None:
+        return VerificationReport(
+            check="support-monotone", outcome=VERIFIED, detail=f"{len(pi)} support pairs"
+        )
+    return VerificationReport(check="support-monotone", outcome=VIOLATED, witness=witness)
+
+
+def _crossing(pi: Coupling, order: AdditiveTotalOrder) -> dict | None:
+    """The witness of :func:`check_support_monotone`: the first crossing
+    pair in support order with its first partner after it, or None when
+    supp pi is a chain."""
     pairs = pi.support()
     if order._plain:
         keys = ranked = pairs
@@ -460,9 +520,7 @@ def check_support_monotone(pi: Coupling, order: AdditiveTotalOrder) -> Verificat
     xk = [kx for kx, _ in ranked]
     yk = [ky for _, ky in ranked]
     if all(a <= b for a, b in zip(yk, yk[1:])):
-        return VerificationReport(
-            check="support-monotone", outcome=VERIFIED, detail=f"{len(pairs)} support pairs"
-        )
+        return None
     # a pair crosses another iff some pair with a smaller x-key has a larger
     # y-key, or some pair with a larger x-key has a smaller y-key
     highest_y = list(accumulate(yk, max))
@@ -477,11 +535,7 @@ def check_support_monotone(pi: Coupling, order: AdditiveTotalOrder) -> Verificat
     i = next(i for i, (kx, ky) in enumerate(keys) if crosses_any(kx, ky))
     j = next(j for j in range(i + 1, len(keys)) if _cross(keys[i], keys[j]))
     (a, b), (c, d) = pairs[i], pairs[j]
-    return VerificationReport(
-        check="support-monotone",
-        outcome=VIOLATED,
-        witness={"pair1": {"x": a, "y": b}, "pair2": {"x": c, "y": d}},
-    )
+    return {"pair1": {"x": a, "y": b}, "pair2": {"x": c, "y": d}}
 
 
 def _cross(p, q) -> bool:
@@ -553,29 +607,49 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
         raise DimensionMismatch("operation and coupling dimensions differ")
     d = op.decomposition
     if d.block_count > 1:
-        checked = 0
-        for level, px, py, cond in iter_conditional_couplings(pi, d):
-            rep = check_fiber_structure(cond, block_section(op, level, px, py))
-            if rep.outcome == VIOLATED:
+        walk = iter_conditional_couplings(pi, d)
+        for level, px, py, cond in walk:
+            flaw = _fiber_flaw(cond, block_section(op, level, px, py), d.order(level))
+            if flaw is None:
+                continue
+            if flaw.outcome == VIOLATED:
                 return VerificationReport(
                     check="fibers",
                     outcome=VIOLATED,
-                    witness={**rep.witness, "block": level + 1, "prefix_x": px, "prefix_y": py},
-                    detail=rep.detail,
+                    witness={**flaw.witness, "block": level + 1, "prefix_x": px, "prefix_y": py},
+                    detail=flaw.detail,
                 )
-            if not rep.ok:
-                return rep
-            checked += 1
+            return flaw
         return VerificationReport(
-            check="fibers", outcome=VERIFIED, detail=f"{checked} conditional block couplings"
+            check="fibers", outcome=VERIFIED, detail=f"{len(walk)} conditional block couplings"
         )
-    order = d.order(0)
-    mono = check_support_monotone(pi, order)
-    if not mono.ok:
+    flaw = _fiber_flaw(pi, op, d.order(0))
+    if flaw is not None:
+        return flaw
+    images = _support_images(pi, op)
+    return VerificationReport(
+        check="fibers",
+        outcome=VERIFIED,
+        detail=(
+            f"{len({zm for zm, _ in images})} minus-fibers, "
+            f"{len({zp for _, zp in images})} plus-fibers"
+        ),
+    )
+
+
+def _fiber_flaw(
+    pi: Coupling, op: LatticeOperation, order: AdditiveTotalOrder
+) -> VerificationReport | None:
+    """The report of the first fiber clause that ``pi`` breaks under the
+    one-block operation ``op``, or ``inapplicable`` when supp pi is not a
+    chain; None when every clause holds, so a passing block builds no
+    report."""
+    crossing = _crossing(pi, order)
+    if crossing is not None:
         return VerificationReport(
             check="fibers",
             outcome=INAPPLICABLE,
-            witness=mono.witness,
+            witness=crossing,
             detail="support is not monotone; fiber shape is only claimed for monotone couplings",
         )
     unit = order.unit()
@@ -618,11 +692,7 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
                     },
                     detail="two-element fibers through a support pair are not aligned",
                 )
-    return VerificationReport(
-        check="fibers",
-        outcome=VERIFIED,
-        detail=f"{len(minus_fibers)} minus-fibers, {len(plus_fibers)} plus-fibers",
-    )
+    return None
 
 
 def _aligned(first, second, unit: Point) -> bool:

@@ -19,14 +19,18 @@ constructors check every point and weight and the total mass.  Entries
 that are already plain (int tuples of the measure's dimension with
 nonnegative int weights, as the JSON reader passes them with ``den=``)
 are checked and summed in one pass; any other input is coerced entry by
-entry through :func:`_exact_weights`.  Every
-:class:`~discretebm.coupling.Coupling` construction validates the same
+entry through :func:`_exact_weights`.  The
+:class:`~discretebm.coupling.Coupling` constructor validates the same
 way: plain integer pairs in one pass, any other input through the same
 :func:`_exact_weights`, so its coercions and error texts are a
 measure's.  Measures derived inside the library (normalizations,
 pushforwards, conditionals, coupling marginals) satisfy those invariants
 by construction and are built by :meth:`FiniteMeasure._trusted`, which
-checks nothing.
+checks nothing; so are the conditional block couplings below level 0
+(:meth:`~discretebm.coupling.Coupling._trusted`), whose declared
+marginals are their own projections.  Only :mod:`discretebm.measures`
+and :mod:`discretebm.coupling` build anything unchecked: outside input
+always reaches a validating constructor.
 """
 
 from __future__ import annotations
@@ -333,9 +337,16 @@ def cumulative_weights(
     The masses are integer numerators over ``den``, which must be a
     multiple of the measure's denominator: the cumulative mass up to and
     including point i is Fraction(cums[i], den).  The stored support is
-    already in the plain lexicographic order, so only other orders sort.
+    already in the plain lexicographic order, so only other orders sort,
+    and the plain order accumulates the stored weights as they are.
     """
-    pts = measure.support() if order._plain else order.sorted_points(measure.support())
     atoms = measure._atoms
+    if order._plain:
+        pts, weights = list(atoms), atoms.values()
+    else:
+        pts = order.sorted_points(atoms)
+        weights = [atoms[p] for p in pts]
     scale = den // measure._den
-    return pts, list(accumulate(atoms[p] * scale for p in pts))
+    if scale != 1:
+        weights = map(scale.__mul__, weights)
+    return pts, list(accumulate(weights))

@@ -538,7 +538,16 @@ def test_integer_built_couplings_equal_validated_ones(case):
     mu, nu, order, d = case
     pi = knothe_coupling(mu, nu, d)
     walk = iter_conditional_couplings(pi, d)
-    for c in (monotone_coupling(mu, nu, order), pi, *(cond for *_, cond in walk)):
+    # the conditional couplings below level 0 are built without
+    # certification; the validating constructor must accept their declared
+    # marginals, also where they are not monotone
+    independent = iter_conditional_couplings(product_coupling(mu, nu), d)
+    for c in (
+        monotone_coupling(mu, nu, order),
+        pi,
+        *(cond for *_, cond in walk),
+        *(cond for *_, cond in independent),
+    ):
         rebuilt = Coupling(c.dim, list(c.items()), c.left, c.right)
         assert rebuilt == c and rebuilt.support() == c.support()
         _assert_stored_numerators(c)
@@ -547,6 +556,53 @@ def test_integer_built_couplings_equal_validated_ones(case):
     fresh = Coupling(pi.dim, list(pi.items()), mu, nu)
     assert iter_conditional_couplings(pi, other) == iter_conditional_couplings(fresh, other)
     assert iter_conditional_couplings(pi, d) is walk
+
+
+def _walk_cases():
+    two, three = singleton_decomposition(2), singleton_decomposition(3)
+    # a 2-dim block under a non-plain order, then a 1-dim block
+    mixed = Decomposition(((2, AdditiveTotalOrder(2, (2, 1), (1, -1))), (1, ORDER1)))
+    cases = {"knothe-2-blocks": [], "knothe-2-dim-block": [], "knothe-3-blocks": []}
+    cases.update({"product-2-dim": [], "json-round-trip": []})
+    for i in range(12):
+        a, b = generate_instance(7, i, 2), generate_instance(7, i, 3)
+        cases["knothe-2-blocks"].append((knothe_coupling(a.mu, a.nu, two), two))
+        cases["knothe-2-dim-block"].append((knothe_coupling(b.mu, b.nu, mixed), mixed))
+        cases["knothe-3-blocks"].append((knothe_coupling(b.mu, b.nu, three), three))
+        cases["product-2-dim"].append((product_coupling(a.mu, a.nu), two))
+        text = jsonio.coupling_to_json(knothe_coupling(b.mu, b.nu, three))
+        cases["json-round-trip"].append((jsonio.parse_coupling(text), three))
+    return cases
+
+
+WALK_CASES = _walk_cases()
+
+
+@pytest.mark.parametrize("name", list(WALK_CASES))
+def test_conditional_couplings_match_the_oracle(name):
+    # every level of the walk, also the ones built without certification,
+    # holds the oracle's conditional law, and declares that law's two
+    # projections as its marginals
+    levels = set()
+    for pi, d in WALK_CASES[name]:
+        walk = iter_conditional_couplings(pi, d)
+        laws = oracle.conditional_couplings(pi, d)
+        assert [c[:3] for c in walk] == [c[:3] for c in laws]
+        for (level, *_, cond), (*_, law) in zip(walk, laws):
+            assert cond.dim == d.block_dim(level)
+            assert dict(cond.items()) == law
+            assert dict(cond.left.items()) == oracle.pushforward(law, lambda p: p[0])
+            assert dict(cond.right.items()) == oracle.pushforward(law, lambda p: p[1])
+            _assert_stored_numerators(cond)
+            levels.add(level)
+    assert levels == set(range(d.block_count))
+    if name == "product-2-dim":
+        # the independent coupling's conditionals are not chains
+        assert not all(
+            check_support_monotone(cond, d.order(level)).ok
+            for pi, d in WALK_CASES[name]
+            for level, *_, cond in iter_conditional_couplings(pi, d)
+        )
 
 
 def test_coupling_den_must_be_a_positive_int():

@@ -98,3 +98,23 @@ def test_the_oracle_reads_only_the_public_package():
     ] == []
     attributes = [n.attr for n in nodes if isinstance(n, ast.Attribute)]
     assert [a for a in attributes if a.startswith("_") or a in ("compare", "leq")] == []
+
+
+def test_outside_input_reaches_a_validating_constructor():
+    # ``_trusted`` builds a measure or coupling without a check, so only the
+    # modules that sum its weights themselves may call it; the readers of
+    # outside input (jsonio, cli) and verify, which checks what a caller
+    # passes, may not normalize weights unchecked either
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", None) or getattr(func, "id", None)
+                if name in ("_trusted", "_normalized"):
+                    calls.append((path.name, name))
+    trusted = {module for module, name in calls if name == "_trusted"}
+    normalized = {module for module, name in calls if name == "_normalized"}
+    assert trusted and trusted <= {"measures.py", "coupling.py"}
+    assert normalized & {"jsonio.py", "cli.py", "verify.py"} == set()
+    assert normalized  # the guard sees the calls it constrains

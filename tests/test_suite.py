@@ -1,6 +1,7 @@
 import pytest
 
 from discretebm import (
+    Coupling,
     DomainError,
     block_section,
     from_difference_map,
@@ -135,6 +136,30 @@ def test_a_dim2_instance_reads_each_section_once_per_conditional_pair():
             assert all(n <= pairs[key] for key, n in reads.items())
         verified += pointwise.ok
     assert verified >= 25
+
+
+@pytest.mark.parametrize(
+    "dim, op",
+    [(1, midpoint(1)), (2, product(midpoint(1), meet_join(1)))],
+    ids=["dim1", "dim2"],
+)
+def test_an_instance_certifies_five_couplings(dim, op, monkeypatch):
+    # two Knothe builds of two certifications each, and the level-0
+    # conditional coupling; the conditional couplings below level 0 are
+    # not certified, since their marginals are their own projections
+    certify = Coupling.__init__
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        certify(self, *args, **kwargs)
+
+    monkeypatch.setattr(Coupling, "__init__", counted)
+    rows, _summary = run_suite(7, 20, dim, op, SUITE_CHECKS, 1e-9)
+    monkeypatch.undo()
+    assert Coupling.__init__ is certify
+    assert len(rows) == 20
+    assert len(calls) == 5 * 20
 
 
 def test_run_suite_negative_control_fails():
