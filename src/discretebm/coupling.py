@@ -609,7 +609,7 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
     if d.block_count > 1:
         walk = iter_conditional_couplings(pi, d)
         for level, px, py, cond in walk:
-            flaw = _fiber_flaw(cond, block_section(op, level, px, py), d.order(level))
+            flaw, _, _ = _fiber_flaw(cond, block_section(op, level, px, py), d.order(level))
             if flaw is None:
                 continue
             if flaw.outcome == VIOLATED:
@@ -623,35 +623,33 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
         return VerificationReport(
             check="fibers", outcome=VERIFIED, detail=f"{len(walk)} conditional block couplings"
         )
-    flaw = _fiber_flaw(pi, op, d.order(0))
+    flaw, minus, plus = _fiber_flaw(pi, op, d.order(0))
     if flaw is not None:
         return flaw
-    images = _support_images(pi, op)
     return VerificationReport(
-        check="fibers",
-        outcome=VERIFIED,
-        detail=(
-            f"{len({zm for zm, _ in images})} minus-fibers, "
-            f"{len({zp for _, zp in images})} plus-fibers"
-        ),
+        check="fibers", outcome=VERIFIED, detail=f"{minus} minus-fibers, {plus} plus-fibers"
     )
 
 
 def _fiber_flaw(
     pi: Coupling, op: LatticeOperation, order: AdditiveTotalOrder
-) -> VerificationReport | None:
-    """The report of the first fiber clause that ``pi`` breaks under the
-    one-block operation ``op``, or ``inapplicable`` when supp pi is not a
-    chain; None when every clause holds, so a passing block builds no
-    report."""
+) -> tuple[VerificationReport | None, int, int]:
+    """The fiber clauses of ``pi`` under the one-block operation ``op``.
+
+    Returns the report of the first clause broken, or an ``inapplicable``
+    one when supp pi is not a chain, with zero counts; or None, so that a
+    passing block builds no report, with the numbers of minus- and
+    plus-fibers.
+    """
     crossing = _crossing(pi, order)
     if crossing is not None:
-        return VerificationReport(
+        inapplicable = VerificationReport(
             check="fibers",
             outcome=INAPPLICABLE,
             witness=crossing,
             detail="support is not monotone; fiber shape is only claimed for monotone couplings",
         )
+        return inapplicable, 0, 0
     unit = order.unit()
     zero = zero_point(pi.dim)
     # the support images (one read of t per support pair, shared with the
@@ -669,19 +667,20 @@ def _fiber_flaw(
                 if not ((dx == unit and dy == zero) or (dx == zero and dy == unit)):
                     flaw = "two-element fiber is not a single unit step in one argument"
             if flaw is not None:
-                return VerificationReport(
+                violated = VerificationReport(
                     check="fibers",
                     outcome=VIOLATED,
                     witness={"sign": sign, "image": a, "fiber": pairs},
                     detail=flaw,
                 )
+                return violated, 0, 0
     # alignment whenever both fibers through a support pair have two elements
     for (x, y), (zm, zp) in zip(pi._atoms, images):
         sm = minus_fibers[zm]
         sp = plus_fibers[zp]
         if len(sm) == 2 and len(sp) == 2:
             if not (_aligned(sm, sp, unit) and _aligned(sp, sm, unit)):
-                return VerificationReport(
+                violated = VerificationReport(
                     check="fibers",
                     outcome=VIOLATED,
                     witness={
@@ -692,7 +691,8 @@ def _fiber_flaw(
                     },
                     detail="two-element fibers through a support pair are not aligned",
                 )
-    return None
+                return violated, 0, 0
+    return None, len(minus_fibers), len(plus_fibers)
 
 
 def _aligned(first, second, unit: Point) -> bool:

@@ -347,6 +347,4 @@ def cumulative_weights(
         pts = order.sorted_points(atoms)
         weights = [atoms[p] for p in pts]
     scale = den // measure._den
-    if scale != 1:
-        weights = map(scale.__mul__, weights)
-    return pts, list(accumulate(weights))
+    return pts, list(accumulate(map(scale.__mul__, weights)))

@@ -558,33 +558,35 @@ def test_integer_built_couplings_equal_validated_ones(case):
     assert iter_conditional_couplings(pi, d) is walk
 
 
-def _walk_cases():
+WALK_CASES = ("knothe-2-blocks", "knothe-2-dim-block", "knothe-3-blocks", "product-2-dim", "json")
+
+
+def _walk_case(name, i):
+    """(pi, d) for the ``i``-th seed-7 instance: a Knothe coupling on 2 or
+    3 blocks, the independent coupling, or a coupling read back from JSON."""
     two, three = singleton_decomposition(2), singleton_decomposition(3)
-    # a 2-dim block under a non-plain order, then a 1-dim block
-    mixed = Decomposition(((2, AdditiveTotalOrder(2, (2, 1), (1, -1))), (1, ORDER1)))
-    cases = {"knothe-2-blocks": [], "knothe-2-dim-block": [], "knothe-3-blocks": []}
-    cases.update({"product-2-dim": [], "json-round-trip": []})
-    for i in range(12):
-        a, b = generate_instance(7, i, 2), generate_instance(7, i, 3)
-        cases["knothe-2-blocks"].append((knothe_coupling(a.mu, a.nu, two), two))
-        cases["knothe-2-dim-block"].append((knothe_coupling(b.mu, b.nu, mixed), mixed))
-        cases["knothe-3-blocks"].append((knothe_coupling(b.mu, b.nu, three), three))
-        cases["product-2-dim"].append((product_coupling(a.mu, a.nu), two))
-        text = jsonio.coupling_to_json(knothe_coupling(b.mu, b.nu, three))
-        cases["json-round-trip"].append((jsonio.parse_coupling(text), three))
-    return cases
+    if name == "knothe-2-dim-block":
+        # a 2-dim block under a non-plain order, then a 1-dim block
+        d = Decomposition(((2, AdditiveTotalOrder(2, (2, 1), (1, -1))), (1, ORDER1)))
+    else:
+        d = two if name in ("knothe-2-blocks", "product-2-dim") else three
+    inst = generate_instance(7, i, d.total_dim)
+    if name == "product-2-dim":
+        return product_coupling(inst.mu, inst.nu), d
+    pi = knothe_coupling(inst.mu, inst.nu, d)
+    if name == "json":
+        pi = jsonio.parse_coupling(jsonio.coupling_to_json(pi))
+    return pi, d
 
 
-WALK_CASES = _walk_cases()
-
-
-@pytest.mark.parametrize("name", list(WALK_CASES))
+@pytest.mark.parametrize("name", WALK_CASES)
 def test_conditional_couplings_match_the_oracle(name):
     # every level of the walk, also the ones built without certification,
     # holds the oracle's conditional law, and declares that law's two
     # projections as its marginals
     levels = set()
-    for pi, d in WALK_CASES[name]:
+    monotone = []
+    for pi, d in (_walk_case(name, i) for i in range(12)):
         walk = iter_conditional_couplings(pi, d)
         laws = oracle.conditional_couplings(pi, d)
         assert [c[:3] for c in walk] == [c[:3] for c in laws]
@@ -595,14 +597,10 @@ def test_conditional_couplings_match_the_oracle(name):
             assert dict(cond.right.items()) == oracle.pushforward(law, lambda p: p[1])
             _assert_stored_numerators(cond)
             levels.add(level)
+            monotone.append(check_support_monotone(cond, d.order(level)).ok)
     assert levels == set(range(d.block_count))
-    if name == "product-2-dim":
-        # the independent coupling's conditionals are not chains
-        assert not all(
-            check_support_monotone(cond, d.order(level)).ok
-            for pi, d in WALK_CASES[name]
-            for level, *_, cond in iter_conditional_couplings(pi, d)
-        )
+    # the independent coupling's conditionals are not all chains
+    assert all(monotone) == (name != "product-2-dim")
 
 
 def test_coupling_den_must_be_a_positive_int():
