@@ -397,21 +397,34 @@ def knothe_coupling(
         raise DimensionMismatch(
             f"measures on Z^{mu.dim}, Z^{nu.dim} and decomposition of Z^{decomposition.total_dim} do not agree"
         )
+    if decomposition.block_count == 1:
+        first = monotone_coupling(mu, nu, decomposition.order(0))
+        return Coupling(mu.dim, first._atoms.items(), mu, nu, den=first._den)
     fam_mu = mu.disintegrate(decomposition)
     fam_nu = nu.disintegrate(decomposition)
-    first = monotone_coupling(fam_mu[0][()], fam_nu[0][()], decomposition.order(0))
-    # (pair, numerator, denominator) of every support pair so far
-    frontier = [(pair, n, first._den) for pair, n in first._atoms.items()]
-    for level in range(1, decomposition.block_count):
+    # (prefix_x, prefix_y, numerator, denominator) of every prefix pair so far
+    frontier = [((), (), 1, 1)]
+    walk = []
+    for level in range(decomposition.block_count):
+        bdim = decomposition.block_dim(level)
         order = decomposition.order(level)
-        grown: list[tuple[tuple[Point, Point], int, int]] = []
-        for (px, py), wn, wd in frontier:
-            pairs, nums, den = _quantile_merge(fam_mu[level][px], fam_nu[level][py], order)
+        grown = []
+        merged = []
+        for px, py, wn, wd in frontier:
+            # the merge is the prefix pair's conditional block coupling
+            left, right = fam_mu[level][px], fam_nu[level][py]
+            pairs, nums, den = _quantile_merge(left, right, order)
+            cond = Coupling._trusted(bdim, dict(zip(pairs, nums)), den, left, right)
+            merged.append((level, px, py, cond))
             wd *= den
-            grown.extend(((px + xb, py + yb), wn * n, wd) for (xb, yb), n in zip(pairs, nums))
+            grown.extend((px + xb, py + yb, wn * n, wd) for (xb, yb), n in zip(pairs, nums))
         frontier = grown
-    den = math.lcm(*[d for _, _, d in frontier])
-    return Coupling(mu.dim, [(pair, n * (den // d)) for pair, n, d in frontier], mu, nu, den=den)
+        walk += sorted(merged, key=lambda c: c[1:3])
+    den = math.lcm(*[d for *_, d in frontier])
+    atoms = [((px, py), n * (den // d)) for px, py, n, d in frontier]
+    pi = Coupling(mu.dim, atoms, mu, nu, den=den)
+    pi._conditionals = {decomposition: tuple(walk)}
+    return pi
 
 
 def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition) -> tuple:
@@ -559,15 +572,15 @@ def fibers(
 def _support_images(pi: Coupling, op: LatticeOperation) -> list[tuple[Point, Point]]:
     """(T-(x, y), T+(x, y)) at every support pair (x, y), in support order.
 
-    The images depend on ``op`` only through its difference map, so they
-    are computed once per coupling and map and kept on ``pi``, keyed by
-    ``op.t``: every check of ``pi`` under ``op`` shares one read of ``t``
-    per support pair.  The cache holds one list per distinct map read, as
-    the operation's own caches grow with the differences read.  Treat the
-    list as read-only.
+    Kept on ``pi`` for the last difference map read, keyed by ``op.t``, so
+    every check of ``pi`` under ``op`` shares one read of ``t`` per support
+    pair; a read under another map replaces them.  Treat the list as
+    read-only.
     """
     images = pi._images.get(op.t)
     if images is None:
+        # cleared in place: a one-block level-0 coupling shares this dict
+        pi._images.clear()
         images = pi._images[op.t] = _images(op, pi._atoms)
     return images
 

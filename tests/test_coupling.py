@@ -537,6 +537,8 @@ def test_integer_built_couplings_equal_validated_ones(case):
     # constructor; the same atoms as Fractions with den=1 give the same coupling
     mu, nu, order, d = case
     pi = knothe_coupling(mu, nu, d)
+    # a multi-block build leaves its walk on pi; one block leaves none
+    assert (pi._conditionals is not None) == (d.block_count > 1)
     walk = iter_conditional_couplings(pi, d)
     # the conditional couplings below level 0 are built without
     # certification; the validating constructor must accept their declared
@@ -551,11 +553,36 @@ def test_integer_built_couplings_equal_validated_ones(case):
         rebuilt = Coupling(c.dim, list(c.items()), c.left, c.right)
         assert rebuilt == c and rebuilt.support() == c.support()
         _assert_stored_numerators(c)
+    # the walk the build left equals the one grouped from a validated copy,
+    # entry by entry, with equal declared marginals
+    fresh = Coupling(pi.dim, list(pi.items()), mu, nu)
+    grouped = iter_conditional_couplings(fresh, d)
+    assert len(walk) == len(grouped)
+    for (*at, cond), (*grouped_at, grouped_cond) in zip(walk, grouped):
+        assert at == grouped_at
+        assert cond == grouped_cond and cond.support() == grouped_cond.support()
+        assert cond.left == grouped_cond.left and cond.right == grouped_cond.right
+    assert dict(pi.items()) == oracle.knothe(mu, nu, d)
+    k = d.block_dim(0)
+    heads = [oracle.pushforward(m, lambda x: x[:k]) for m in (mu, nu)]
+    assert dict(walk[0][3].items()) == oracle.quantile_coupling(*heads, d.order(0))
     # the walk is kept on the coupling, per decomposition
     other = singleton_decomposition(mu.dim)
-    fresh = Coupling(pi.dim, list(pi.items()), mu, nu)
     assert iter_conditional_couplings(pi, other) == iter_conditional_couplings(fresh, other)
     assert iter_conditional_couplings(pi, d) is walk
+
+
+def test_support_images_are_kept_for_the_last_map_read():
+    # a check under a freshly built equal operation replaces the kept
+    # images instead of adding a list; one block's level-0 coupling keeps
+    # sharing pi's images
+    inst = generate_instance(7, 0, 1)
+    pi = monotone_coupling(inst.mu, inst.nu, ORDER1)
+    head = iter_conditional_couplings(pi, singleton_decomposition(1))[0][3]
+    reports = [check_fiber_structure(pi, midpoint(1)) for _ in range(100)]
+    assert all(rep == reports[0] for rep in reports)
+    assert len(pi._images) == 1
+    assert head._images is pi._images
 
 
 WALK_CASES = ("knothe-2-blocks", "knothe-2-dim-block", "knothe-3-blocks", "product-2-dim", "json")

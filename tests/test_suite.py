@@ -11,6 +11,7 @@ from discretebm import (
     midpoint,
     product,
 )
+from discretebm import suite, verify
 from discretebm.seeding import mix64, stream
 from discretebm.suite import (
     SUITE_CHECKS,
@@ -139,27 +140,38 @@ def test_a_dim2_instance_reads_each_section_once_per_conditional_pair():
 
 
 @pytest.mark.parametrize(
-    "dim, op",
-    [(1, midpoint(1)), (2, product(midpoint(1), meet_join(1)))],
+    "dim, op, certified",
+    [(1, midpoint(1), 5), (2, product(midpoint(1), meet_join(1)), 2)],
     ids=["dim1", "dim2"],
 )
-def test_an_instance_certifies_five_couplings(dim, op, monkeypatch):
-    # two Knothe builds of two certifications each, and the level-0
-    # conditional coupling; the conditional couplings below level 0 are
-    # not certified, since their marginals are their own projections
+def test_knothe_builds_and_certifications_per_instance(dim, op, certified, monkeypatch):
+    # the suite's Knothe coupling and entropy_gap's own; on several blocks
+    # each build certifies only the coupling it assembles, and its
+    # conditional walk is its construction, so the checks certify nothing
+    # more; on one block each build certifies twice, plus the level-0
+    # conditional coupling
     certify = Coupling.__init__
     calls = []
+    built = []
 
     def counted(self, *args, **kwargs):
         calls.append(self)
         certify(self, *args, **kwargs)
 
+    def knothe(*args):
+        built.append(args)
+        return knothe_coupling(*args)
+
     monkeypatch.setattr(Coupling, "__init__", counted)
+    monkeypatch.setattr(suite, "knothe_coupling", knothe)
+    monkeypatch.setattr(verify, "knothe_coupling", knothe)
     rows, _summary = run_suite(7, 20, dim, op, SUITE_CHECKS, 1e-9)
     monkeypatch.undo()
     assert Coupling.__init__ is certify
+    assert suite.knothe_coupling is verify.knothe_coupling is knothe_coupling
     assert len(rows) == 20
-    assert len(calls) == 5 * 20
+    assert len(built) == 2 * 20
+    assert len(calls) == certified * 20
 
 
 def test_run_suite_negative_control_fails():
