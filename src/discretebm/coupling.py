@@ -11,41 +11,38 @@ the result is a chain in the product order and has at most
 
 The Knothe coupling relative to a block decomposition couples the first
 block marginals monotonically, then recurses on the conditional measures
-of each support prefix pair, block by block in decomposition order.  The
-inner block merges are integer intermediates, not couplings: only the
-first-block coupling and the assembled Knothe coupling are constructed,
-and the assembled one is certified once against both measures.
+of each support prefix pair, block by block in decomposition order.
 
-Every :class:`Coupling` built by its constructor is certified, whether
-it comes from a caller, from JSON, or from a builder of this module: the
-constructor validates points and weights and requires the exact
-projections to equal the declared marginals.  The one exception is the
-conditional block couplings below level 0 in
-:func:`iter_conditional_couplings`: their declared marginals are their
-own projections, summed in the pass that sums their weights, so
-certifying them could not fail, and they are built by
-:meth:`Coupling._trusted`, which checks nothing.  Plain integer atoms,
-as this module passes them, are validated and projected in one pass;
-any other input is coerced entry by entry as a measure's is.  A coupling stores its
-weights in the form of a measure (see :mod:`discretebm.measures`):
-integer numerators keyed by
-(x, y) over one denominator, in lowest common terms, so certification
-is plain equality of a projection's fields with a marginal's.  The
-constructor's ``den`` keyword reads every given weight as a multiple of
-1/den, so the builders of this module (:func:`monotone_coupling`,
-:func:`knothe_coupling`, :func:`product_coupling` and the level-0
-coupling of :func:`iter_conditional_couplings`) pass their integer
-numerators and denominator straight in and build no ``Fraction``.
-Marginals, pushforwards, and the marginals of conditional block
-couplings are summed on those integers and built as trusted measures
-without a second validation.  The conditional block couplings of a
-coupling are computed once per decomposition and kept on the coupling,
-as a measure keeps its disintegrations, so every check that walks them
-shares one read-only walk.  Likewise the images (T-(x, y), T+(x, y))
-of the support under an operation are computed once per coupling and
-difference map and kept on the coupling (:func:`_support_images`), so
-the transport, pointwise and fiber checks of one coupling share one
-read of ``t`` per support pair.
+Which couplings are certified.  Certifying a coupling means requiring
+its exact projections to equal its declared marginals; the
+:class:`Coupling` constructor does it, after validating every atom, and
+is the only place that does.  Certified are every coupling a caller or
+:mod:`discretebm.jsonio` constructs, :func:`monotone_coupling`,
+:func:`product_coupling`, the coupling :func:`knothe_coupling` assembles
+(on one block also the monotone coupling it is assembled from), and
+level 0 of a walk that :func:`iter_conditional_couplings` groups (on one
+block, the coupling itself).  :meth:`Coupling._trusted` checks nothing
+and builds the two other kinds of coupling, whose marginals hold by
+construction: the walk of a multi-block Knothe build, which is the
+construction of the certified coupling (each entry is the quantile merge
+of the two conditionals it declares, and the assembled coupling is the
+product of those merges along each prefix path); and the levels below 0
+of a grouped walk, whose declared marginals are their own projections,
+summed in the pass that sums their weights.
+
+A coupling stores its weights in the form of a measure (see
+:mod:`discretebm.measures`): integer numerators keyed by (x, y) over one
+denominator, in lowest terms, so certification is plain equality of a
+projection's fields with a marginal's.  The builders of this module pass
+integer numerators with the constructor's ``den`` keyword and build no
+``Fraction``; plain integer atoms are validated and projected in one
+pass, and any other input is coerced entry by entry as a measure's is.
+Marginals and pushforwards are summed on those integers and built as
+trusted measures.  Two things are computed once and kept on a coupling,
+so that the transport, pointwise and fiber checks share them: its walk
+of conditional block couplings per decomposition, and the images
+(T-(x, y), T+(x, y)) of its support under the last difference map read,
+one read of ``t`` per support pair.
 
 For a coupling and a complementing operation pair,
 :func:`check_fiber_structure` verifies the following shape claims about
@@ -53,9 +50,8 @@ the fibers S(a) = {(x, y) in supp pi : T(x, y) = a} of a monotone
 coupling on one ordered block.  On a single block it checks the coupling
 itself; on several it checks every conditional block coupling against
 the operation's block section at the same prefixes (one section object
-per prefix difference, kept on the operation).  The difference map is
-read once per support pair per coupling and operation, and both fiber
-groupings and the clauses below read those images:
+per prefix difference, kept on the operation).  Both fiber groupings
+and the clauses below read the kept support images:
 
 * every fiber has at most two elements;
 * a two-element fiber is {(x0, y0), (x0, y0+u)} or {(x0, y0), (x0+u, y0)}
@@ -118,34 +114,14 @@ class Coupling:
     """Probability measure on Z^n x Z^n with certified marginals.
 
     Atom keys are (x, y) pairs, stored in ascending order of the
-    concatenated coordinates for determinism; the weight of a pair is
-    ``_atoms[(x, y)] / _den`` in lowest common terms.  The constructor,
-    which every caller and every builder but one uses, validates every
-    atom, then requires both projections to equal the declared marginals
-    exactly; a mismatch raises :class:`MarginalMismatch`.  The exception
-    is :meth:`_trusted`, which builds the conditional block couplings
-    below level 0 of :func:`iter_conditional_couplings` unchecked, since
-    their declared marginals are their own projections.  The declared
-    marginals must be :class:`ProbabilityMeasure` instances, as the
-    checks that disintegrate them require (:class:`DomainError`
-    otherwise).  Atoms
-    that are already plain, ((x, y), n) with x and y tuples of ``dim``
-    ints and n a nonnegative int, as the builders of this module pass
-    them, are checked and summed, by pair and by both projections, in one
-    pass.  If any atom is not plain, the whole input goes through the
-    coercing path :class:`FiniteMeasure` uses, with its coercions and
-    error texts.  This
-    constructor is the one place where marginals are certified.  The
-    inner block merges of
-    :func:`knothe_coupling` build no instance: they stay integer
-    intermediates, and the coupling they assemble is certified once.
-    ``_images`` keeps the support images under each difference map
-    ``op.t`` that a check has read (see :func:`_support_images`).
-
-    Each weight in ``atoms`` is read as a multiple of ``1/den``: callers
-    holding integer numerators over a denominator pass them as they are,
-    and outside callers keep the default ``den=1`` and pass the weights
-    themselves.  ``den`` must be a positive int.
+    concatenated coordinates; the weight of a pair is
+    ``_atoms[(x, y)] / _den`` in lowest terms.  The constructor validates
+    every atom and requires both projections to equal the declared
+    marginals exactly (:class:`MarginalMismatch` otherwise), which must be
+    :class:`ProbabilityMeasure` instances (:class:`DomainError`
+    otherwise).  Each weight in ``atoms`` is read as a multiple of
+    ``1/den``, a positive int.  The module docstring says which couplings
+    are certified.
     """
 
     __slots__ = ("dim", "_atoms", "_den", "left", "right", "_conditionals", "_images")
@@ -197,9 +173,8 @@ class Coupling:
         marginals ``left`` and ``right``; nothing is checked.
 
         ``nums`` maps pairs of points of Z^dim to positive integers, in any
-        order and not necessarily in lowest terms.  Only the library calls
-        this, on couplings whose declared marginals are by construction
-        their own projections, so certifying them could not fail.
+        order and not necessarily in lowest terms.  Only this module calls
+        it, on the couplings its docstring names as trusted.
         """
         pi = cls.__new__(cls)
         pi._store(dim, nums, den, left, right)
@@ -384,14 +359,10 @@ def knothe_coupling(
     """Triangular coupling along the blocks of ``decomposition``.
 
     Couples the first-block marginals monotonically, then for every
-    support pair of prefixes couples the conditional block measures, in
-    decomposition order.  The inner block merges are not certified one by
-    one: each multiplies its prefix pair's integer weight by the merge's
-    numerators and its denominator by the merge's, and the assembled
-    coupling, over the least common multiple of those denominators, is
-    certified once against ``mu`` and ``nu``.  The
-    conditionals come from the measures' cached disintegrations.  For a
-    single block this is exactly :func:`monotone_coupling`.
+    support pair of prefixes couples the conditional block measures of
+    the measures' disintegrations, in decomposition order.  For a single
+    block this is exactly :func:`monotone_coupling`; on several, the
+    result carries its walk for :func:`iter_conditional_couplings`.
     """
     if mu.dim != nu.dim or decomposition.total_dim != mu.dim:
         raise DimensionMismatch(
@@ -419,6 +390,8 @@ def knothe_coupling(
             wd *= den
             grown.extend((px + xb, py + yb, wn * n, wd) for (xb, yb), n in zip(pairs, nums))
         frontier = grown
+        # the x-points under a prefix pair are all of mu's points with its
+        # prefix_x, so prefix order is first occurrence in pi's support
         walk += sorted(merged, key=lambda c: c[1:3])
     den = math.lcm(*[d for *_, d in frontier])
     atoms = [((px, py), n * (den // d)) for px, py, n, d in frontier]
@@ -431,24 +404,15 @@ def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition) -> tu
     """Conditional block couplings of ``pi`` along ``decomposition``.
 
     Returns a tuple of (level, prefix_x, prefix_y, conditional coupling),
-    one for every prefix pair of positive mass, level by level; the
-    conditional coupling at level i is the distribution of (x_i, y_i)
-    given the prefixes, a coupling of the corresponding conditional block
-    measures.  At level 0 the declared marginals are the level-0
-    conditionals of ``pi.left`` and ``pi.right`` (their first-block
-    marginals; on one block, ``pi.left`` and ``pi.right`` themselves),
-    taken from the measures' disintegrations, and :class:`Coupling`
-    certifies the coupling against them.  On one block the single
-    conditional coupling has ``pi``'s atoms over ``pi``'s denominator,
-    so it shares ``pi``'s support images.  Deeper levels sum each bucket
-    and both of its projections in one grouping pass and declare the
-    normalized projections as the marginals.  Those are the coupling's
-    own projections, so certifying them could not fail, and these
-    couplings are built by :meth:`Coupling._trusted` without it.
-
-    The tuple is computed once per decomposition and kept on ``pi``, so
-    every caller of one coupling (the pointwise and fiber checks) shares
-    one walk: treat it and its couplings as read-only.
+    one for every prefix pair of positive mass, level by level, each level
+    in the order in which its prefix pairs first occur in ``pi``'s support.
+    The conditional coupling at level i is the distribution of (x_i, y_i)
+    given the prefixes; it declares its two projections as its marginals,
+    and at level 0 the first-block marginals of ``pi.left`` and
+    ``pi.right``.  On one block the single coupling has ``pi``'s atoms and
+    shares its support images.  The tuple is computed once per
+    decomposition and kept on ``pi`` (a multi-block Knothe build leaves it
+    there): treat it and its couplings as read-only.
     """
     if decomposition.total_dim != pi.dim:
         raise DimensionMismatch(
@@ -572,10 +536,8 @@ def fibers(
 def _support_images(pi: Coupling, op: LatticeOperation) -> list[tuple[Point, Point]]:
     """(T-(x, y), T+(x, y)) at every support pair (x, y), in support order.
 
-    Kept on ``pi`` for the last difference map read, keyed by ``op.t``, so
-    every check of ``pi`` under ``op`` shares one read of ``t`` per support
-    pair; a read under another map replaces them.  Treat the list as
-    read-only.
+    Kept on ``pi`` for the last difference map read, keyed by ``op.t``; a
+    read under another map replaces them.  Treat the list as read-only.
     """
     images = pi._images.get(op.t)
     if images is None:

@@ -26,9 +26,8 @@ way: plain integer pairs in one pass, any other input through the same
 measure's.  Measures derived inside the library (normalizations,
 pushforwards, conditionals, coupling marginals) satisfy those invariants
 by construction and are built by :meth:`FiniteMeasure._trusted`, which
-checks nothing; so are the conditional block couplings below level 0
-(:meth:`~discretebm.coupling.Coupling._trusted`), whose declared
-marginals are their own projections.  Only :mod:`discretebm.measures`
+checks nothing; :mod:`discretebm.coupling` names the couplings it builds
+unchecked the same way.  Only :mod:`discretebm.measures`
 and :mod:`discretebm.coupling` build anything unchecked: outside input
 always reaches a validating constructor.
 """
