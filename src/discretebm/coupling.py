@@ -104,7 +104,6 @@ from .measures import (
     _exact_weights,
     _rational_text,
     _reduced,
-    cumulative_weights,
 )
 from .operations import LatticeOperation, _images, block_section
 from .report import INAPPLICABLE, VERIFIED, VIOLATED, VerificationReport
@@ -300,30 +299,37 @@ def _pair_projection(weighted_pairs, side: int) -> dict[Point, int]:
 
 def _quantile_merge(
     mu: ProbabilityMeasure, nu: ProbabilityMeasure, order: AdditiveTotalOrder
-) -> tuple[list[tuple[Point, Point]], list[int], int]:
-    """Support pairs of the quantile coupling with their integer weights.
+) -> tuple[dict[tuple[Point, Point], int], int]:
+    """The quantile coupling of mu and nu as integer numerators over L.
 
-    Returns (pairs, numerators, den): the pair pairs[i] carries the exact
-    mass numerators[i] / den, where den is the least common multiple of
-    both measures' denominators.  The pairs are distinct, and each
-    coordinate is nondecreasing along ``order`` from one pair to the next.
+    Returns (atoms, L), where L is the least common multiple of both
+    measures' denominators and atoms[(x, y)] / L is the mass of (x, y).
+    The pairs are inserted in chain order: each coordinate is
+    nondecreasing along ``order`` from one pair to the next.
     """
     den = math.lcm(mu._den, nu._den)
-    xs, cx = cumulative_weights(mu, order, den)
-    ys, cy = cumulative_weights(nu, order, den)
-    pairs: list[tuple[Point, Point]] = []
-    nums: list[int] = []
-    i = j = prev = 0
-    while i < len(xs) and j < len(ys):
-        breakpoint_ = min(cx[i], cy[j])
-        pairs.append((xs[i], ys[j]))
-        nums.append(breakpoint_ - prev)
-        if cx[i] == breakpoint_:
-            i += 1
-        if cy[j] == breakpoint_:
-            j += 1
-        prev = breakpoint_
-    return pairs, nums, den
+    a, b = mu._atoms, nu._atoms
+    # the stored support is already in the plain order
+    xs = iter(a if order._plain else order.sorted_points(a))
+    ys = iter(b if order._plain else order.sorted_points(b))
+    sx, sy = den // mu._den, den // nu._den
+    x, y = next(xs), next(ys)
+    # the cumulative masses up to and including x and y, over den
+    cx, cy = a[x] * sx, b[y] * sy
+    atoms: dict[tuple[Point, Point], int] = {}
+    prev = 0
+    while True:
+        cut = cx if cx < cy else cy
+        atoms[(x, y)] = cut - prev
+        if cut == den:
+            return atoms, den
+        prev = cut
+        if cx == cut:
+            x = next(xs)
+            cx += a[x] * sx
+        if cy == cut:
+            y = next(ys)
+            cy += b[y] * sy
 
 
 def monotone_coupling(
@@ -332,17 +338,17 @@ def monotone_coupling(
     """Quantile coupling of mu and nu with respect to ``order``.
 
     Mass of (x_i, y_j) is the exact overlap length of their half-open
-    cumulative intervals, computed by a single merge over the sorted
-    supports.  The merge runs on integer cumulative numerators over L,
-    the least common multiple of both measures' denominators, and the
-    coupling is built from those numerators over L.
+    cumulative intervals, computed by one merge over the supports in
+    ``order`` with two running integer sums over L, the least common
+    multiple of both measures' denominators.  The coupling is built from
+    the merged numerators over L and certified.
     """
     if mu.dim != nu.dim or order.dim != mu.dim:
         raise DimensionMismatch(
             f"measures on Z^{mu.dim}, Z^{nu.dim} and order on Z^{order.dim} do not agree"
         )
-    pairs, nums, den = _quantile_merge(mu, nu, order)
-    return Coupling(mu.dim, zip(pairs, nums), mu, nu, den=den)
+    atoms, den = _quantile_merge(mu, nu, order)
+    return Coupling(mu.dim, atoms, mu, nu, den=den)
 
 
 def product_coupling(mu: ProbabilityMeasure, nu: ProbabilityMeasure) -> Coupling:
@@ -384,11 +390,10 @@ def knothe_coupling(
         for px, py, wn, wd in frontier:
             # the merge is the prefix pair's conditional block coupling
             left, right = fam_mu[level][px], fam_nu[level][py]
-            pairs, nums, den = _quantile_merge(left, right, order)
-            cond = Coupling._trusted(bdim, dict(zip(pairs, nums)), den, left, right)
-            merged.append((level, px, py, cond))
+            atoms, den = _quantile_merge(left, right, order)
+            merged.append((level, px, py, Coupling._trusted(bdim, atoms, den, left, right)))
             wd *= den
-            grown.extend((px + xb, py + yb, wn * n, wd) for (xb, yb), n in zip(pairs, nums))
+            grown.extend((px + xb, py + yb, wn * n, wd) for (xb, yb), n in atoms.items())
         frontier = grown
         # the x-points under a prefix pair are all of mu's points with its
         # prefix_x, so prefix order is first occurrence in pi's support
@@ -625,12 +630,15 @@ def _fiber_flaw(
             detail="support is not monotone; fiber shape is only claimed for monotone couplings",
         )
         return inapplicable, 0, 0
-    unit = order.unit()
-    zero = zero_point(pi.dim)
     # the support images (one read of t per support pair, shared with the
     # other checks of pi under op) feed both groupings and the alignment
     images = _support_images(pi, op)
     minus_fibers, plus_fibers = _fibers(pi, images)
+    if len(minus_fibers) == len(plus_fibers) == len(pi):
+        # every fiber is a single pair, so no clause can fail
+        return None, len(pi), len(pi)
+    unit = order.unit()
+    zero = zero_point(pi.dim)
     for sign, groups in (("minus", minus_fibers), ("plus", plus_fibers)):
         for a, pairs in groups.items():
             flaw = None

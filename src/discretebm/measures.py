@@ -3,13 +3,12 @@
 A measure stores its weights in one exact form: integer numerators
 ``_atoms[p]`` over one denominator ``_den``, in lowest common terms
 (``gcd(_den, *numerators) == 1``), so two equal measures have equal
-fields.  Masses, cumulative weights, normalizations and
-disintegrations are integer sums over that denominator, and
-:func:`_reduced` restores the form wherever one is made.  ``Fraction``
-stays the public weight type: it is built only where a weight leaves the
-library (``items``, ``weight_at``, ``total_mass``).  The only quantities
-that leave the rational world are entropies, which are accumulated in
-double precision from exact atoms.
+fields.  Masses, normalizations and disintegrations are integer sums
+over that denominator, and :func:`_reduced` restores the form wherever
+one is made.  ``Fraction`` stays the public weight type: it is built only
+where a weight leaves the library (``items``, ``weight_at``,
+``total_mass``).  The only quantities that leave the rational world are
+entropies, which are accumulated in double precision from exact atoms.
 
 Atoms are stored sorted by the ambient lexicographic order, so iteration,
 equality, and serialization are deterministic.
@@ -37,7 +36,6 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -47,7 +45,7 @@ from .errors import (
     InvalidWeightError,
     _brief,
 )
-from .lattice import AdditiveTotalOrder, Decomposition, Point, as_point
+from .lattice import Decomposition, Point, as_point
 
 ZERO = Fraction(0)
 
@@ -326,24 +324,3 @@ class ProbabilityMeasure(FiniteMeasure):
 def _normalized(dim: int, nums: dict[Point, int]) -> ProbabilityMeasure:
     """The probability measure proportional to positive integer weights."""
     return ProbabilityMeasure._trusted(dim, nums, sum(nums.values()))
-
-
-def cumulative_weights(
-    measure: ProbabilityMeasure, order: AdditiveTotalOrder, den: int
-) -> tuple[list[Point], list[int]]:
-    """Support sorted by ``order`` with exact running cumulative masses.
-
-    The masses are integer numerators over ``den``, which must be a
-    multiple of the measure's denominator: the cumulative mass up to and
-    including point i is Fraction(cums[i], den).  The stored support is
-    already in the plain lexicographic order, so only other orders sort,
-    and the plain order accumulates the stored weights as they are.
-    """
-    atoms = measure._atoms
-    if order._plain:
-        pts, weights = list(atoms), atoms.values()
-    else:
-        pts = order.sorted_points(atoms)
-        weights = [atoms[p] for p in pts]
-    scale = den // measure._den
-    return pts, list(accumulate(map(scale.__mul__, weights)))

@@ -364,31 +364,59 @@ def test_dominated_cdf_implies_diagonal_ordering(mu, nu):
 
 
 orders_1d = st.sampled_from([AdditiveTotalOrder(1, (1,), (1,)), AdditiveTotalOrder(1, (1,), (-1,))])
-
-# weights are gaps between cut points on a grid of twelfths, so the two
-# measures' cumulative masses often share breakpoints
-grid_measures_1d = st.lists(st.integers(-6, 6), min_size=1, max_size=6, unique=True).flatmap(
-    lambda xs: st.lists(
-        st.integers(1, 11), min_size=len(xs) - 1, max_size=len(xs) - 1, unique=True
-    ).map(
-        lambda cuts: ProbabilityMeasure(
-            1,
-            [
-                ((x,), F(b - a, 12))
-                for x, a, b in zip(xs, [0, *sorted(cuts)], [*sorted(cuts), 12])
-            ],
-        )
-    )
+# 2-dim blocks under permuted, negated, and permuted and negated orders
+orders_2d = st.sampled_from(
+    [
+        AdditiveTotalOrder(2, (2, 1), (1, 1)),
+        AdditiveTotalOrder(2, (1, 2), (-1, -1)),
+        AdditiveTotalOrder(2, (2, 1), (1, -1)),
+    ]
 )
 
+measures_2d = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 9)),
+    min_size=1,
+    max_size=7,
+).map(lambda e: FiniteMeasure(2, [((a, b), F(w)) for a, b, w in e]).normalize())
 
-@given(st.one_of(measures_1d, grid_measures_1d), st.one_of(measures_1d, grid_measures_1d), orders_1d)
-@settings(max_examples=200)
-def test_monotone_coupling_is_the_quantile_coupling(mu, nu, order):
-    # the integer merge yields the coupling's support pairs and their weights
+
+def grid_measures(points):
+    # weights are gaps between cut points on a grid of twelfths, so the two
+    # measures' cumulative masses often share breakpoints
+    return st.lists(points, min_size=1, max_size=6, unique=True).flatmap(
+        lambda xs: st.lists(
+            st.integers(1, 11), min_size=len(xs) - 1, max_size=len(xs) - 1, unique=True
+        ).map(
+            lambda cuts: ProbabilityMeasure(
+                len(xs[0]),
+                [(x, F(b - a, 12)) for x, a, b in zip(xs, [0, *sorted(cuts)], [*sorted(cuts), 12])],
+            )
+        )
+    )
+
+
+def merge_inputs(measures, points, orders):
+    either = st.one_of(measures, grid_measures(points))
+    return st.tuples(either, either, orders)
+
+
+@given(
+    st.one_of(
+        merge_inputs(measures_1d, st.tuples(st.integers(-6, 6)), orders_1d),
+        merge_inputs(measures_2d, st.tuples(st.integers(-2, 2), st.integers(-2, 2)), orders_2d),
+    )
+)
+@settings(max_examples=300)
+def test_monotone_coupling_is_the_quantile_coupling(inputs):
+    # the integer merge yields the coupling's atoms over the lcm of the two
+    # denominators, inserted along a chain of ``order``
+    mu, nu, order = inputs
     coupling = oracle.quantile_coupling(mu, nu, order)
-    pairs, nums, den = _quantile_merge(mu, nu, order)
-    assert len(pairs) == len(coupling) and dict(zip(pairs, (F(n, den) for n in nums))) == coupling
+    atoms, den = _quantile_merge(mu, nu, order)
+    assert den == math.lcm(mu._den, nu._den)
+    assert {pair: F(n, den) for pair, n in atoms.items()} == coupling
+    keys = [(order.key(x), order.key(y)) for x, y in atoms]
+    assert all(kx <= lx and ky <= ly for (kx, ky), (lx, ly) in zip(keys, keys[1:]))
     assert dict(monotone_coupling(mu, nu, order).items()) == coupling
 
 
@@ -426,13 +454,6 @@ def _assert_validated_equal(m):
     assert m == rebuilt
     assert m.support() == rebuilt.support()
     assert m.total_mass == rebuilt.total_mass == 1
-
-
-measures_2d = st.lists(
-    st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 9)),
-    min_size=1,
-    max_size=7,
-).map(lambda e: FiniteMeasure(2, [((a, b), F(w)) for a, b, w in e]).normalize())
 
 
 @given(measures_2d, measures_2d)
