@@ -48,10 +48,10 @@ For a coupling and a complementing operation pair,
 :func:`check_fiber_structure` verifies the following shape claims about
 the fibers S(a) = {(x, y) in supp pi : T(x, y) = a} of a monotone
 coupling on one ordered block.  On a single block it checks the coupling
-itself; on several it checks every conditional block coupling against
-the operation's block section at the same prefixes (one section object
-per prefix difference, kept on the operation).  Both fiber groupings
-and the clauses below read the kept support images:
+itself; on several it checks every conditional block coupling of two or
+more pairs against the operation's block section at the same prefixes
+(one section object per prefix difference, kept on the operation).  Both
+fiber groupings and the clauses below read the kept support images:
 
 * every fiber has at most two elements;
 * a two-element fiber is {(x0, y0), (x0, y0+u)} or {(x0, y0), (x0+u, y0)}
@@ -70,6 +70,11 @@ consecutive sums) but fails for min/max, where min(x, y) ignores however
 far y rises above x; the alignment clause can fail even for the
 floor-average pair when both fibers step in the same argument.
 Violations are reported with the offending fiber as witness.
+
+Point-mass blocks are counted and not evaluated.  A one-pair block has
+single-pair fibers, which break no clause.  If the block conditionals of
+mu and nu (not only the block coupling) are point masses, so are the
+coupling and its pushforwards, and the term is 1^c 1^d / (1^a 1^b) = 1.
 """
 
 from __future__ import annotations
@@ -577,11 +582,11 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
     blocks it is checked on every conditional block coupling of ``pi``
     along ``op.decomposition`` (the walk :func:`iter_conditional_couplings`
     keeps on ``pi``), against the block section of ``op`` at the matching
-    prefixes; a violation adds ``block``, ``prefix_x`` and
-    ``prefix_y`` to its witness.  Preconditions: ``op`` is a complementing
-    pair passing the P2 check (caller's responsibility).  A coupling, or
-    conditional block coupling, whose support is not monotone yields an
-    ``inapplicable`` report, not a shape violation.
+    prefixes; a violation adds ``block``, ``prefix_x`` and ``prefix_y``
+    to its witness, and a one-pair block is counted, not evaluated.
+    Preconditions: ``op`` is a complementing pair passing the P2 check.  A
+    coupling, or conditional block coupling, whose support is not monotone
+    yields an ``inapplicable`` report, not a shape violation.
     """
     if op.dim != pi.dim:
         raise DimensionMismatch("operation and coupling dimensions differ")
@@ -589,6 +594,8 @@ def check_fiber_structure(pi: Coupling, op: LatticeOperation) -> VerificationRep
     if d.block_count > 1:
         walk = iter_conditional_couplings(pi, d)
         for level, px, py, cond in walk:
+            if len(cond) == 1:
+                continue
             flaw, _, _ = _fiber_flaw(cond, block_section(op, level, px, py), d.order(level))
             if flaw is None:
                 continue

@@ -338,7 +338,8 @@ def pointwise_term_bound(
     powers and the weights as integer ratios, a term exceeds 1 iff the
     cross-multiplied numerators exceed the cross-multiplied denominators.
     For a single-block operation this is the plain statement with the
-    global pushforwards and the unconditioned measures.
+    global pushforwards and the unconditioned measures.  A point-mass
+    block (see :mod:`discretebm.coupling`) is counted, not evaluated.
 
     The bound holds on many instances, with equality on tight ones, but
     it is not universally valid (see the module docstring); a failing
@@ -353,16 +354,18 @@ def pointwise_term_bound(
     fam_nu = nu.disintegrate(d)
     terms = 0
     for level, px, py, cond in iter_conditional_couplings(pi, d):
-        images, (minus, minus_den), (plus, plus_den) = _transport(
-            cond, block_section(op, level, px, py)
-        )
+        terms += len(cond)
         mu_block = fam_mu[level][px]
         nu_block = fam_nu[level][py]
         mu_atoms, nu_atoms = mu_block._atoms, nu_block._atoms
+        if len(mu_atoms) == len(nu_atoms) == 1:
+            continue
+        images, (minus, minus_den), (plus, plus_den) = _transport(
+            cond, block_section(op, level, px, py)
+        )
         scales = (mu_block._den**a_n * nu_block._den**b_n, minus_den**c_n * plus_den**d_n)
         for (xb, yb), (zm, zp) in zip(cond._atoms, images):
             km, kp, mw, nw = minus[zm], plus[zp], mu_atoms[xb], nu_atoms[yb]
-            terms += 1
             top, bottom = _term(km, kp, mw, nw, powers, scales)
             if top > bottom:
                 return VerificationReport(

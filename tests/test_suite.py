@@ -90,12 +90,13 @@ def test_run_suite_dim2_product_op():
 
 
 def test_a_suite_builds_each_block_section_once():
-    # the pointwise and fiber walks of 1000 instances read 42 distinct
-    # (level, prefix difference) keys; each section is built once and kept
+    # the pointwise and fiber walks of 1000 instances read 41 distinct
+    # (level, prefix difference) keys, point-mass blocks reading none; each
+    # section is built once and kept
     op = product(midpoint(1), meet_join(1))
     run_suite(7, 1000, 2, op, ["pointwise", "fibers"], 1e-9)
     sections = op._sections
-    assert len(sections) == 42
+    assert len(sections) == 41
     for (level, p), section in sections.items():
         assert block_section(op, level, p, (0,) * len(p)) is section
 
@@ -118,15 +119,20 @@ def test_a_dim1_instance_reads_t_twice_per_support_pair():
 
 def test_a_dim2_instance_reads_each_section_once_per_conditional_pair():
     # pointwise reads every conditional support pair through its block
-    # section, and fibers reads the images kept on the conditional coupling
+    # section, and fibers reads the images kept on the conditional coupling;
+    # neither reads a block whose two block conditionals are point masses
     verified = 0
     for index in range(30):
         inst = generate_instance(7, index, 2)
         op = product(midpoint(1), meet_join(1))
         pointwise = run_instance(inst, op, SUITE_CHECKS, 1e-9)[0]
         pi = knothe_coupling(inst.mu, inst.nu, op.decomposition)
+        fam_mu = inst.mu.disintegrate(op.decomposition)
+        fam_nu = inst.nu.disintegrate(op.decomposition)
         pairs = {}
         for level, px, py, cond in iter_conditional_couplings(pi, op.decomposition):
+            if len(fam_mu[level][px]) == len(fam_nu[level][py]) == 1:
+                continue
             key = (level, tuple(a - b for a, b in zip(px, py)))
             pairs[key] = pairs.get(key, 0) + len(cond)
         reads = {key: t_reads(section) for key, section in op._sections.items()}

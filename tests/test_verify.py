@@ -15,6 +15,7 @@ from discretebm import (
     ProbabilityMeasure,
     entropy_gap,
     from_difference_map,
+    iter_conditional_couplings,
     knothe_coupling,
     log_laplace_gap,
     marginal_exactness,
@@ -210,6 +211,23 @@ def test_pointwise_bound_admits_organic_counterexample():
     log_p, prep = p_value(mu, nu, pi, midpoint(1), UNIT)
     assert prep.ok
     assert math.isclose(log_p, math.log(21 / 25), abs_tol=1e-12)
+
+
+def test_a_one_pair_conditional_coupling_can_break_the_pointwise_bound():
+    # off a Knothe coupling, a conditional coupling with one pair need not
+    # sit on point-mass block conditionals: given x_1 = 0 and y_1 = 0, pi
+    # moves (0, 0) to (0, 5), while mu's second block given 0 is 1/2 (0) +
+    # 1/2 (1), so the term there is 1 / (1/2)
+    mu = uniform([(0, 0), (0, 1)])
+    nu = uniform([(0, 5), (1, 5)])
+    pi = Coupling(2, {((0, 0), (0, 5)): F(1, 2), ((0, 1), (1, 5)): F(1, 2)}, mu, nu)
+    op = product(midpoint(1), meet_join(1))
+    walk = iter_conditional_couplings(pi, op.decomposition)
+    assert [len(cond) for level, *_, cond in walk if level == 1] == [1, 1]
+    rep = pointwise_term_bound(mu, nu, pi, op, UNIT)
+    assert rep.outcome == "violated"
+    assert rep.witness == {"block": 2, "x": (0, 0), "y": (0, 5)}
+    assert (rep.lhs, rep.rhs) == (1, F(1, 2))
 
 
 def test_p_value_equality_instance():
@@ -468,7 +486,15 @@ def term_cases(draw):
     op = draw(st.sampled_from(TERM_OPS[dim]))
     seed = draw(st.integers(0, 2**32))
     exponents = STEEP if draw(st.booleans()) else random_exponents(stream(seed, 0))
-    pi = knothe_coupling(mu, nu, op.decomposition) if draw(st.booleans()) else product_coupling(mu, nu)
+    # a monotone coupling off the Knothe one has one-pair conditional
+    # couplings whose block conditionals of mu and nu are not point masses
+    kind = draw(st.sampled_from(("knothe", "product", "monotone")))
+    if kind == "knothe":
+        pi = knothe_coupling(mu, nu, op.decomposition)
+    elif kind == "product":
+        pi = product_coupling(mu, nu)
+    else:
+        pi = monotone_coupling(mu, nu, standard_order(dim))
     return mu, nu, pi, op, exponents
 
 
