@@ -3,12 +3,15 @@
 Stream ``j`` of master seed ``s`` is an independent ``random.Random``
 seeded with a mixed 64-bit value, so any instance of a batch can be
 regenerated in isolation and parallel runs reproduce serial output
-bit for bit.
+bit for bit.  :func:`stream` rejects a seed outside [0, 2^64), which
+:func:`mix64` would alias to one inside, with :class:`DomainError`.
 """
 
 from __future__ import annotations
 
 import random
+
+from .errors import DomainError, _brief
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -26,4 +29,6 @@ def mix64(seed: int, counter: int) -> int:
 
 def stream(seed: int, counter: int) -> random.Random:
     """Independent deterministic RNG for stream ``counter`` of ``seed``."""
+    if not 0 <= seed <= _MASK64:
+        raise DomainError(f"seed must lie in [0, 2^64), got {_brief(seed)}")
     return random.Random(mix64(seed, counter))

@@ -556,6 +556,20 @@ def test_random_suite_empty(capsys):
     assert lines[-1]["summary"]["instances"] == 0
 
 
+def test_a_seed_outside_64_bits_exits_2(tmp_path, capsys):
+    # the streams read a seed modulo 2^64, so -5 and 2^64 - 5 once printed
+    # the same rows under different summaries
+    for seed in (-1, 2**64):
+        expected = f"seed must lie in [0, 2^64), got {seed}"
+        argv = ["random-suite", "--seed", str(seed), "--instances", "3"]
+        assert assert_input_error(capsys, argv) == expected
+        inst = write(tmp_path, "inst.json", {"phi": PHI, "seed": seed})
+        assert assert_input_error(capsys, ["verify", inst, "--check", "log-laplace"]) == expected
+    for seed in (0, 2**64 - 1):
+        code, lines = run(capsys, ["random-suite", "--seed", str(seed), "--instances", "3"])
+        assert code in (0, 1) and lines[-1]["summary"]["seed"] == seed
+
+
 def test_random_suite_rejects_bad_checks(capsys):
     assert main(["random-suite", "--instances", "1", "--checks", "bogus"]) == 2
     capsys.readouterr()
