@@ -486,7 +486,7 @@ def term_cases(draw):
     op = draw(st.sampled_from(TERM_OPS[dim]))
     seed = draw(st.integers(0, 2**32))
     exponents = STEEP if draw(st.booleans()) else random_exponents(stream(seed, 0))
-    # a monotone coupling off the Knothe one has one-pair conditional
+    # a monotone coupling off the Knothe one can have one-pair conditional
     # couplings whose block conditionals of mu and nu are not point masses
     kind = draw(st.sampled_from(("knothe", "product", "monotone")))
     if kind == "knothe":
