@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -33,8 +35,9 @@ from discretebm import (
     verify_dbm,
     verify_hypothesis,
 )
+from discretebm import operations
 from discretebm.operations import image_sets
-from discretebm.suite import generate_instance, random_exponents, random_quadruple
+from discretebm.suite import generate_instance, random_exponents, random_points, random_quadruple
 from discretebm.seeding import stream
 from discretebm.verify import DEFAULT_TOLERANCE, _term, _transport
 from helpers import dirac, uniform
@@ -142,19 +145,52 @@ _IMAGE_MAPS = (
 )
 
 
+def _box(dim, low, high):
+    return list(itertools.product(range(low, high + 1), repeat=dim))
+
+
+# dense sets, on which image_sets takes its bit pass
+_DENSE_CASES = (
+    (_box(2, 0, 3), _box(2, 0, 3), midpoint(2)),
+    (_box(2, 0, 3), _box(2, 0, 3), meet_join(2)),
+    (_box(1, -5, 5), _box(1, 0, 9), midpoint(1)),
+    (_box(3, -2, 2), _box(3, 0, 1), product(midpoint(1), meet_join(2))),
+    (_box(3, 0, 2), _box(3, 0, 2), from_difference_map(3, None, _IMAGE_MAPS[2])),
+    # 37 points of [-3, 3]^2 against 13 of [-2, 2]^2
+    (
+        [p for p in _box(2, -3, 3) if (3 * p[0] + p[1]) % 4],
+        _box(2, -2, 2)[::2],
+        product(meet_join(1), midpoint(1)),
+    ),
+)
+
+
 @st.composite
 def image_cases(draw):
     dim = draw(st.integers(1, 3))
-    points = st.lists(st.tuples(*[st.integers(-6, 6)] * dim), min_size=1, max_size=7, unique=True)
+    sparse = st.lists(st.tuples(*[st.integers(-6, 6)] * dim), min_size=1, max_size=7, unique=True)
+    box = _box(dim, -2, 2)
+    dense = st.lists(st.booleans(), min_size=len(box), max_size=len(box)).map(
+        lambda keep: [p for p, k in zip(box, keep) if k] or box[:1]
+    )
+    points = draw(st.sampled_from((sparse, dense)))
     exponents = draw(st.sampled_from((UNIT, ExponentQuadruple(F(1, 2), F(1, 3), F(3, 4), F(1)))))
     t = draw(st.sampled_from(_IMAGE_MAPS))
     return draw(points), draw(points), from_difference_map(dim, None, t), exponents
+
+
+def _with_dense_examples(test):
+    for set_a, set_b, op in _DENSE_CASES:
+        test = example((set_a, set_b, op, UNIT))(test)
+    return test
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(image_cases())
 @example(([(0, 0)], [(-3, 5)], from_difference_map(2, None, _IMAGE_MAPS[3]), UNIT))
 @example(([(-6,), (6,)], [(6,), (-6,), (0,)], from_difference_map(1, None, _IMAGE_MAPS[4]), UNIT))
+@example((_box(2, 0, 3), _box(2, 0, 3), from_difference_map(2, None, _IMAGE_MAPS[3]), UNIT))
+@_with_dense_examples
 def test_image_sets_and_set_dbm_follow_the_definition(case):
     set_a, set_b, op, exponents = case
     minus = {op.t_minus(x, y) for x in set_a for y in set_b}
@@ -166,6 +202,55 @@ def test_image_sets_and_set_dbm_follow_the_definition(case):
     rep = set_dbm(set_a, set_b, op, exponents)
     expected = (lhs <= rhs, lhs, rhs, None if lhs <= rhs else cards)
     assert (rep.ok, rep.lhs, rep.rhs, rep.witness) == expected
+
+
+@pytest.fixture
+def bit_passes(monkeypatch):
+    """The answers of the cost rule of image_sets, in call order; the last
+    answer of a call picks its pass."""
+    answers = []
+    rule = operations._bits_pay
+
+    def spy(*args):
+        answers.append(rule(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(operations, "_bits_pay", spy)
+    return answers
+
+
+# the shape of the benchmark's set_dbm items, and a sparse one
+_BENCH_RNG = random.Random(7)
+_BENCH_SETS = [random_points(_BENCH_RNG, 2, 200, 15) for _ in range(4)]
+_SPARSE_RNG = random.Random(8)
+_SPARSE_SETS = [random_points(_SPARSE_RNG, 2, 30, 10**6) for _ in range(2)]
+
+
+@pytest.mark.parametrize(
+    "set_a, set_b, op, bits",
+    [
+        (_BENCH_SETS[0], _BENCH_SETS[1], midpoint(2), True),
+        (_BENCH_SETS[2], _BENCH_SETS[3], meet_join(2), True),
+        *[(a, b, op, True) for a, b, op in _DENSE_CASES],
+        (_SPARSE_SETS[0], _SPARSE_SETS[1], midpoint(2), False),
+        (_box(2, 0, 3), _box(2, 0, 3), from_difference_map(2, None, _IMAGE_MAPS[3]), False),
+    ],
+)
+def test_the_cost_rule_takes_the_bit_pass_on_dense_boxes_only(bit_passes, set_a, set_b, op, bits):
+    image_sets(op, set_a, set_b)
+    assert bit_passes[-1] is bits
+
+
+def test_the_cube_subsets_of_criterion_2_take_the_pair_pass(bit_passes):
+    # the rule's fixed cost alone, 6000 |D| > 2000 |A| |B|, refuses every
+    # pair with a set of at most 4 of the 8 points, as |D| >= |A| + |B| - 1
+    op = meet_join(3)
+    cube = _box(3, 0, 1)
+    subsets = [s for k in range(5, 9) for s in itertools.combinations(cube, k)]
+    for set_a in subsets:
+        for set_b in subsets:
+            image_sets(op, set_a, set_b)
+    assert len(bit_passes) == 2 * len(subsets) ** 2 and not any(bit_passes)
 
 
 # -- pointwise bound and P -------------------------------------------------------
