@@ -29,6 +29,7 @@ from .errors import FormatError, LatticeError
 from .lattice import singleton_decomposition, standard_order
 from .operations import check_operation
 from .report import INAPPLICABLE, VERIFIED, VIOLATED, VerificationReport
+from .seeding import check_seed
 from .suite import SUITE_CHECKS, run_suite
 from .verify import (
     DEFAULT_TOLERANCE,
@@ -241,6 +242,7 @@ def cmd_verify(args) -> int:
 def cmd_random_suite(args) -> int:
     if args.instances < 0 or not 1 <= args.dim <= jsonio.MAX_DIM:
         raise LatticeError(f"--instances must be >= 0 and --dim between 1 and {jsonio.MAX_DIM}")
+    check_seed(args.seed)
     op = _parse_op_args(args)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in checks if c not in SUITE_CHECKS]

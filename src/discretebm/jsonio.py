@@ -39,6 +39,7 @@ from .operations import (
     midpoint,
     product,
 )
+from .seeding import check_seed
 
 # the largest operation dimension, and random-suite --dim, read from input;
 # checked before one block per coordinate is built (tests, README examples
@@ -398,7 +399,7 @@ def parse_instance(obj) -> InstanceSpec:
     if "tolerance" in obj:
         spec.tolerance = parse_tolerance(obj["tolerance"], "tolerance")
     if "seed" in obj:
-        spec.seed = _integer(obj["seed"], "seed")
+        spec.seed = check_seed(_integer(obj["seed"], "seed"))
     if "radius" in obj:
         spec.radius = _integer(obj["radius"], "radius")
     return spec

@@ -3,8 +3,9 @@
 Stream ``j`` of master seed ``s`` is an independent ``random.Random``
 seeded with a mixed 64-bit value, so any instance of a batch can be
 regenerated in isolation and parallel runs reproduce serial output
-bit for bit.  :func:`stream` rejects a seed outside [0, 2^64), which
-:func:`mix64` would alias to one inside, with :class:`DomainError`.
+bit for bit.  :func:`check_seed` rejects a seed outside [0, 2^64), which
+:func:`mix64` would alias to one inside, with :class:`DomainError`;
+:func:`stream` and every reader of a seed call it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,13 @@ def mix64(seed: int, counter: int) -> int:
     return z ^ (z >> 31)
 
 
-def stream(seed: int, counter: int) -> random.Random:
-    """Independent deterministic RNG for stream ``counter`` of ``seed``."""
+def check_seed(seed: int) -> int:
+    """``seed``, if it lies in [0, 2^64)."""
     if not 0 <= seed <= _MASK64:
         raise DomainError(f"seed must lie in [0, 2^64), got {_brief(seed)}")
-    return random.Random(mix64(seed, counter))
+    return seed
+
+
+def stream(seed: int, counter: int) -> random.Random:
+    """Independent deterministic RNG for stream ``counter`` of ``seed``."""
+    return random.Random(mix64(check_seed(seed), counter))

@@ -565,6 +565,13 @@ def test_a_seed_outside_64_bits_exits_2(tmp_path, capsys):
         assert assert_input_error(capsys, argv) == expected
         inst = write(tmp_path, "inst.json", {"phi": PHI, "seed": seed})
         assert assert_input_error(capsys, ["verify", inst, "--check", "log-laplace"]) == expected
+        # checked where it is read: with no instance, and with a gap that
+        # fails before a competitor stream is drawn
+        argv = ["random-suite", "--seed", str(seed), "--instances", "0"]
+        assert assert_input_error(capsys, argv) == expected
+        phi = {"dim": 1, "points": [{"x": [0], "v": 0.4}, {"x": [1], "v": 1.8}]}
+        inst = write(tmp_path, "inst.json", {"phi": phi, "seed": seed, "tolerance": 0})
+        assert assert_input_error(capsys, ["verify", inst, "--check", "log-laplace"]) == expected
     for seed in (0, 2**64 - 1):
         code, lines = run(capsys, ["random-suite", "--seed", str(seed), "--instances", "3"])
         assert code in (0, 1) and lines[-1]["summary"]["seed"] == seed
