@@ -37,8 +37,6 @@ MAX_ATOMS = 8
 COORD_BOUND = 10
 MAX_WEIGHT = 20
 EXPONENT_MAX_DENOMINATOR = 4
-PHI_MAX_POINTS = 10
-PHI_VALUE_BOUND = 3.0
 MAXIMAL_GRID = 1024
 
 SUITE_CHECKS = ("pointwise", "p-bound", "entropy", "fibers", "marginals")
@@ -90,15 +88,6 @@ def random_exponents(rng: random.Random) -> ExponentQuadruple:
     gamma = max(rng.choice(EXPONENT_PALETTE), alpha, beta)
     delta = max(rng.choice(EXPONENT_PALETTE), alpha, beta)
     return ExponentQuadruple(alpha, beta, gamma, delta)
-
-
-def random_phi(rng: random.Random) -> dict[Point, float]:
-    """Random finitely supported real-valued function on Z for the
-    log-Laplace check: at most PHI_MAX_POINTS points, values in
-    [-PHI_VALUE_BOUND, PHI_VALUE_BOUND]."""
-    count = rng.randint(1, PHI_MAX_POINTS)
-    points = random_points(rng, 1, count)
-    return {p: rng.uniform(-PHI_VALUE_BOUND, PHI_VALUE_BOUND) for p in points}
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
 """Shared builders for the test suite."""
 
+import random
 from fractions import Fraction
 
 from discretebm import FiniteMeasure, ProbabilityMeasure, as_point
+from discretebm.suite import random_points
+
+PHI_MAX_POINTS = 10
+PHI_VALUE_BOUND = 3.0
 
 
 def uniform(points):
@@ -24,3 +29,12 @@ def prob(dim, entries):
 
 
 F = Fraction
+
+
+def random_phi(rng: random.Random) -> dict:
+    """Random finitely supported real-valued function on Z for the
+    log-Laplace check: at most PHI_MAX_POINTS points, values in
+    [-PHI_VALUE_BOUND, PHI_VALUE_BOUND]."""
+    count = rng.randint(1, PHI_MAX_POINTS)
+    points = random_points(rng, 1, count)
+    return {p: rng.uniform(-PHI_VALUE_BOUND, PHI_VALUE_BOUND) for p in points}

@@ -43,7 +43,7 @@ from discretebm import (
     standard_order,
 )
 from discretebm.suite import generate_instance
-from helpers import uniform
+from helpers import random_phi, uniform
 
 UNIT = ExponentQuadruple.unit()
 ORDER1 = standard_order(1)
@@ -275,7 +275,6 @@ def test_criterion_9_log_laplace():
     """200 seeded random functions satisfy the variational identity."""
     from discretebm import log_laplace_gap
     from discretebm.seeding import stream
-    from discretebm.suite import random_phi
 
     start = time.time()
     bad = 0

@@ -18,10 +18,10 @@ from discretebm.suite import (
     generate_instance,
     random_exponents,
     random_measure,
-    random_phi,
     run_instance,
     run_suite,
 )
+from helpers import random_phi
 
 
 def test_mix64_is_deterministic_and_spread():
