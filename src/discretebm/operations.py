@@ -32,10 +32,15 @@ per block straight from the carry vectors of the block order, at most
 k (4r+1)^k steps on a block of dim k, and checks each
 prefix difference against it, with one rule for every block dimension;
 only a prefix difference that breaks the rule is scanned pair by pair,
-to name the witness.  Its triangularity pass reads 2 (n - hi) neighbours
-per difference.  ``image_sets`` reads t once per distinct difference w
-of A - B; by a stated cost rule it then takes int arithmetic per pair of
-A x B or, on dense boxes, a few big-int operations per w on bitsets.
+to name the witness.  Its triangularity pass reads t on the difference
+box once, compares each block's list of values with itself one unit step
+on, one slice per run of the box, and reads t off the box only at the
+steps out of it; only a block that fails a comparison is scanned step by
+step, to name the witness.  ``image_sets`` reads t once per distinct
+difference w of A - B; by a stated cost rule it then takes int
+arithmetic per pair of A x B or, on dense boxes, a few big-int
+operations per w on bitsets, reusing the codes of A, B and A - B when
+the images fit the radix of A - B.
 """
 
 from __future__ import annotations
@@ -263,7 +268,10 @@ def image_sets(
     far-reaching images and on small sets.  When the rule holds already
     with R0, the radix of A - B, for R and R0^dim for |D|, D is listed by
     bits too, as B reflected and shifted by each x, for less than the
-    |A| |B| subtractions.
+    |A| |B| subtractions.  When R = R0, the bit pass takes its codes from
+    those already computed: A and B, coded from low_a and high_b, moved by
+    the code of high_b - low_b, and the codes of w - low_d, which D is
+    listed as.
     """
     if not points_a or not points_b:
         return set(), set()
@@ -292,11 +300,18 @@ def image_sets(
     t_codes = image_code.pack(values, low_t)
     if _bits_pay(len(ws), radix, dim, pairs):
         # x at the code of x - low_d - low_b, moved by s to that of x - w - low_b
-        bits_a = sum(1 << c for c in image_code.pack(points_a, tuple(map(add, low_d, low_b))))
-        bits_b = sum(1 << c for c in image_code.pack(points_b, low_b))
         kb, kt = image_code.pack([spread_b, spread_t], (0,) * dim)
+        if radix == code.radix:
+            # low_d + low_b = low_a - spread_b and low_b = high_b - spread_b
+            bits_a = sum(1 << c for c in codes_a) << kb
+            bits_b = sum(1 << c + kb for c in codes_b)
+            shifts = differences
+        else:
+            bits_a = sum(1 << c for c in image_code.pack(points_a, tuple(map(add, low_d, low_b))))
+            bits_b = sum(1 << c for c in image_code.pack(points_b, low_b))
+            shifts = image_code.pack(ws, low_d)
         minus_bits = plus_bits = 0
-        for s, c in zip(image_code.pack(ws, low_d), t_codes):
+        for s, c in zip(shifts, t_codes):
             both = bits_a >> s & bits_b
             minus_bits |= both << c
             plus_bits |= both << s + kt - c
@@ -485,6 +500,53 @@ def _block_steps(order: AdditiveTotalOrder, r: int) -> tuple[list[int], list[int
     return tails, heads
 
 
+def _triangularity_break(t, differences: list[Point], lo: int, hi: int, r: int) -> dict | None:
+    """The first break of triangularity of block [lo, hi) of t, or None.
+
+    ``differences`` is the lexicographic difference box [-2r, 2r]^n, and
+    ``rows[k]`` below is t(w)[lo:hi] at its k-th point w.  The block must
+    be unchanged by every unit step in a later coordinate from a point of
+    the box, also by the steps out of it.  A step in coordinate j moves
+    the index by s = (4r+1)^(n-1-j), within a run of s (4r+1) indices
+    that agree before j; in a run, index k below its last s pairs with
+    k + s.  So the in-box steps of a run are one comparison of two slices,
+    and t is read only at the outward steps, from the faces w_j = 2r and
+    w_j = -2r: the same differences a scan step by step reads.  Only a
+    block that fails a comparison is scanned so, in box order, to name
+    its first break.
+    """
+    n = len(differences[0])
+    side = 4 * r + 1
+    rows = [t(w)[lo:hi] for w in differences]
+    for j in range(hi, n):
+        s = side ** (n - 1 - j)
+        run = s * side
+        for start in range(0, len(rows), run):
+            end = start + run
+            if rows[start : end - s] != rows[start + s : end] or any(
+                rows[face] != [t(w[:j] + (w[j] + delta,) + w[j + 1 :])[lo:hi] for w in differences[face]]
+                for face, delta in ((slice(end - s, end), 1), (slice(start, start + s), -1))
+            ):
+                return _first_break(differences, t, lo, hi)
+    return None
+
+
+def _first_break(differences: list[Point], t, lo: int, hi: int) -> dict:
+    """The witness fields of the first unit step, in box order, that
+    changes block [lo, hi) of t; :func:`_triangularity_break` calls it
+    only where one exists."""
+    n = len(differences[0])
+    for w in differences:
+        base = t(w)[lo:hi]
+        for j in range(hi, n):
+            head, wj, tail = w[:j], w[j], w[j + 1 :]
+            for delta in (1, -1):
+                if t(head + (wj + delta,) + tail)[lo:hi] != base:
+                    y = tuple(-(c // 2) for c in w)  # x = w + y: both in the box
+                    return {"x": point_add(w, y), "y": y, "coordinate": j + 1, "delta": delta}
+    raise AssertionError("a unit step changes the block, so a first one does")
+
+
 def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
     """Blockwise Knothe-monotonicity and triangularity check on the box.
 
@@ -508,7 +570,11 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
 
     Triangularity requires block i of t to be unchanged by a unit step in
     any later coordinate, over the whole difference box, at any block
-    count; block i of w - t(w) then is too.
+    count; block i of w - t(w) then is too.  t is read on the box once,
+    and block i of every value is checked by :func:`_triangularity_break`
+    with slice comparisons; t is read off the box only at the steps out
+    of it, so the detail counts the same differences as a scan of every
+    step would.
     """
     _check_box_radius(op.dim, box_radius)
     n, d = op.dim, op.decomposition
@@ -544,28 +610,13 @@ def check_p2(op: LatticeOperation, box_radius: int = 4) -> VerificationReport:
                             **_scan_section(t, order, box_radius, a, b, suffix, lo, hi),
                         },
                     )
-        # triangularity: block i must ignore coordinates of later blocks
-        for w in differences if hi < n else ():
-            base = t(w)[lo:hi]
-            for j in range(hi, n):
-                head, wj, tail = w[:j], w[j], w[j + 1 :]
-                for delta in (1, -1):
-                    if t(head + (wj + delta,) + tail)[lo:hi] != base:
-                        y = tuple(-(c // 2) for c in w)  # x = w + y: both in the box
-                        return VerificationReport(
-                            check="p2",
-                            outcome=VIOLATED,
-                            witness={
-                                "kind": "triangularity",
-                                "map": "minus",
-                                "block": i + 1,
-                                "argument": "first",
-                                "x": point_add(w, y),
-                                "y": y,
-                                "coordinate": j + 1,
-                                "delta": delta,
-                            },
-                        )
+        broken = _triangularity_break(t, differences, lo, hi, box_radius) if hi < n else None
+        if broken is not None:
+            return VerificationReport(
+                check="p2",
+                outcome=VIOLATED,
+                witness={"kind": "triangularity", "map": "minus", "block": i + 1, "argument": "first", **broken},
+            )
     evaluations = 2 * t.cache_info().currsize
     return VerificationReport(check="p2", outcome=VERIFIED, detail=f"{evaluations} evaluations")
 

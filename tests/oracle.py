@@ -346,3 +346,23 @@ def p2_holds(op: LatticeOperation, box_radius: int) -> bool:
                             if tmap(x2, y)[lo:hi] != value or tmap(x, y2)[lo:hi] != value:
                                 return False
     return True
+
+
+def triangularity_break(t, n: int, lo: int, hi: int, box_radius: int):
+    """The first unit step, in scan order, that changes block [lo, hi) of
+    the difference map ``t`` on Z^n, as the witness fields of a P2
+    triangularity violation; None if there is none.
+
+    The scan reads every difference w of the box [-2r, 2r]^n in
+    lexicographic order, and then w moved by +1 and by -1 in each later
+    coordinate j >= hi, in that order, also where the move leaves the box.
+    The witness pair is x = w + y, y = -(w // 2), both in the radius-r box.
+    """
+    for w in box_points(n, 2 * box_radius):
+        base = t(w)[lo:hi]
+        for j in range(hi, n):
+            for delta in (1, -1):
+                if t(w[:j] + (w[j] + delta,) + w[j + 1 :])[lo:hi] != base:
+                    y = tuple(-(c // 2) for c in w)
+                    return {"x": point_add(w, y), "y": y, "coordinate": j + 1, "delta": delta}
+    return None

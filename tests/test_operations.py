@@ -29,7 +29,7 @@ from discretebm import (
     singleton_decomposition,
     standard_order,
 )
-from discretebm import jsonio
+from discretebm import jsonio, operations
 from discretebm.lattice import basis_point
 from discretebm.operations import _BY_CONSTRUCTION, MAX_BOX_PAIRS, _block_steps
 import oracle
@@ -715,6 +715,68 @@ def test_check_p2_counts_its_own_evaluations():
         op.t(w)
     assert check_p2(op, 2).detail == check_p2(op, 2).detail == fresh.detail
     assert fresh.detail.endswith(" evaluations")
+
+
+@pytest.mark.parametrize(
+    "op, radius, evaluations",
+    [
+        (midpoint(2), 3, 390),
+        (product(midpoint(1), meet_join(1)), 3, 390),
+        (product(midpoint(2), meet_join(1)), 2, 2106),
+        (midpoint(3), 4, 12138),
+        (meet_join(3), 5, 22050),
+    ],
+)
+def test_check_p2_reads_the_box_and_its_outward_steps(op, radius, evaluations):
+    # the (4r+1)^n differences of the box and, for each coordinate of a
+    # later block, the steps out of the box along it; 2 per difference
+    assert check_p2(op, radius).detail == f"{evaluations} evaluations"
+
+
+def _reference_triangularity(t, differences, lo, hi, r):
+    return oracle.triangularity_break(t, len(differences[0]), lo, hi, r)
+
+
+def _assert_the_reference_scan_gives_the_same_report(op, radius):
+    fast = check_p2(op, radius)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operations, "_triangularity_break", _reference_triangularity)
+        reference = check_p2(op, radius)
+    assert (fast.outcome, fast.witness, fast.detail) == (reference.outcome, reference.witness, reference.detail)
+    return fast
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(difference_map_ops(), builtin_ops))
+@example((midpoint(3), 2))
+@example((three_block_op(), 2))
+def test_triangularity_pass_gives_the_report_of_the_reference_scan(case):
+    _assert_the_reference_scan_gives_the_same_report(*case)
+
+
+@pytest.mark.parametrize(
+    "dim, t, radius, block, coordinate, delta",
+    [
+        # block 1 reads w_2 inside the difference box [-4, 4]^2: at one
+        # value, and only at the last or the first step inside the box
+        (2, lambda w: (w[0] // 2 + (w[1] == 1), w[1] // 2), 2, 1, 2, 1),
+        (2, lambda w: (w[0] // 2 + (w[1] >= 4), w[1] // 2), 2, 1, 2, 1),
+        (2, lambda w: (w[0] // 2 - (w[1] > -4), w[1] // 2), 2, 1, 2, 1),
+        # only one step past its +2r face, and only one past its -2r face
+        (2, lambda w: (w[0] // 2 + (w[1] > 4), w[1] // 2), 2, 1, 2, 1),
+        (2, lambda w: (w[0] // 2 - (w[1] < -4), w[1] // 2), 2, 1, 2, -1),
+        # three blocks: block 2 reads w_3 at one value only
+        (3, lambda w: (w[0] // 2, w[1] // 2 + (w[2] == -3), w[2] // 2), 2, 2, 3, 1),
+        # and block 1 reads w_3 only past its -2r face
+        (3, lambda w: (w[0] // 2 - (w[2] < -6), min(w[1], 0), w[2] // 2), 3, 1, 3, -1),
+    ],
+)
+def test_triangularity_breaks_match_the_reference_scan(dim, t, radius, block, coordinate, delta):
+    op = from_difference_map(dim, None, t)
+    rep = _assert_the_reference_scan_gives_the_same_report(op, radius)
+    w = rep.witness
+    assert (w["kind"], w["block"], w["coordinate"], w["delta"]) == ("triangularity", block, coordinate, delta)
+    _assert_witness_reproduces(op, w)
 
 
 def test_section_of_a_single_block_is_the_operation():

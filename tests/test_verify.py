@@ -253,6 +253,29 @@ def test_the_cube_subsets_of_criterion_2_take_the_pair_pass(bit_passes):
     assert len(bit_passes) == 2 * len(subsets) ** 2 and not any(bit_passes)
 
 
+def test_the_dense_cases_take_the_bit_pass_at_both_radices(monkeypatch):
+    # the rule is asked first with the radix R0 of A - B and last with the
+    # image radix R; the bit pass reuses the codes of D when R = R0
+    calls = []
+    rule = operations._bits_pay
+
+    def spy(differences, radix, dim, pairs):
+        calls.append((radix, rule(differences, radix, dim, pairs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(operations, "_bits_pay", spy)
+    radices = []
+    for set_a, set_b, op in _DENSE_CASES:
+        del calls[:]
+        image_sets(op, set_a, set_b)
+        (r0, _), (r, bits) = calls[0], calls[-1]
+        assert bits
+        radices.append((r0, r))
+    # midpoint(2) on {0..3}^2, and the negation map on {0, 1, 2}^3
+    assert radices[0] == (7, 7) and radices[4] == (5, 7)
+    assert {r0 == r for r0, r in radices} == {True, False}
+
+
 # -- pointwise bound and P -------------------------------------------------------
 
 
