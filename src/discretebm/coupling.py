@@ -26,9 +26,10 @@ and builds the two other kinds of coupling, whose marginals hold by
 construction: the walk of a multi-block Knothe build, which is the
 construction of the certified coupling (each entry is the quantile merge
 of the two conditionals it declares, and the assembled coupling is the
-product of those merges along each prefix path); and the levels below 0
-of a grouped walk, whose declared marginals are their own projections,
-summed in the pass that sums their weights.
+product of those merges along each prefix path), built from the kept
+merges when the walk is first read; and the levels below 0 of a grouped
+walk, whose declared marginals are their own projections, summed in the
+pass that sums their weights.
 
 A coupling stores its weights in the form of a measure (see
 :mod:`discretebm.measures`): integer numerators keyed by (x, y) over one
@@ -40,9 +41,9 @@ pass, and any other input is coerced entry by entry as a measure's is.
 Marginals and pushforwards are summed on those integers and built as
 trusted measures.  Two things are computed once and kept on a coupling,
 so that the transport, pointwise and fiber checks share them: its walk
-of conditional block couplings per decomposition, and the images
-(T-(x, y), T+(x, y)) of its support under the last difference map read,
-one read of ``t`` per support pair.
+of conditional block couplings per decomposition, built on first read,
+and the images (T-(x, y), T+(x, y)) of its support under the last
+difference map read, one read of ``t`` per support pair.
 
 For a coupling and a complementing operation pair,
 :func:`check_fiber_structure` verifies the following shape claims about
@@ -373,7 +374,10 @@ def knothe_coupling(
     support pair of prefixes couples the conditional block measures of
     the measures' disintegrations, in decomposition order.  For a single
     block this is exactly :func:`monotone_coupling`; on several, the
-    result carries its walk for :func:`iter_conditional_couplings`.
+    result keeps each merge (prefix pair, atoms, denominator and the two
+    block conditionals), from which :func:`iter_conditional_couplings`
+    builds its walk on first read; a caller that never reads the walk
+    builds none of it.
     """
     if mu.dim != nu.dim or decomposition.total_dim != mu.dim:
         raise DimensionMismatch(
@@ -386,27 +390,22 @@ def knothe_coupling(
     fam_nu = nu.disintegrate(decomposition)
     # (prefix_x, prefix_y, numerator, denominator) of every prefix pair so far
     frontier = [((), (), 1, 1)]
-    walk = []
+    merges = []
     for level in range(decomposition.block_count):
-        bdim = decomposition.block_dim(level)
         order = decomposition.order(level)
         grown = []
-        merged = []
         for px, py, wn, wd in frontier:
             # the merge is the prefix pair's conditional block coupling
             left, right = fam_mu[level][px], fam_nu[level][py]
             atoms, den = _quantile_merge(left, right, order)
-            merged.append((level, px, py, Coupling._trusted(bdim, atoms, den, left, right)))
+            merges.append((level, px, py, atoms, den, left, right))
             wd *= den
             grown.extend((px + xb, py + yb, wn * n, wd) for (xb, yb), n in atoms.items())
         frontier = grown
-        # the x-points under a prefix pair are all of mu's points with its
-        # prefix_x, so prefix order is first occurrence in pi's support
-        walk += sorted(merged, key=lambda c: c[1:3])
     den = math.lcm(*[d for *_, d in frontier])
     atoms = [((px, py), n * (den // d)) for px, py, n, d in frontier]
     pi = Coupling(mu.dim, atoms, mu, nu, den=den)
-    pi._conditionals = {decomposition: tuple(walk)}
+    pi._conditionals = {decomposition: merges}
     return pi
 
 
@@ -421,8 +420,9 @@ def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition) -> tu
     and at level 0 the first-block marginals of ``pi.left`` and
     ``pi.right``.  On one block the single coupling has ``pi``'s atoms and
     shares its support images.  The tuple is computed once per
-    decomposition and kept on ``pi`` (a multi-block Knothe build leaves it
-    there): treat it and its couplings as read-only.
+    decomposition, on first read, and kept on ``pi`` (from a multi-block
+    Knothe build, out of the merges the build kept): treat it and its
+    couplings as read-only.
     """
     if decomposition.total_dim != pi.dim:
         raise DimensionMismatch(
@@ -430,8 +430,17 @@ def iter_conditional_couplings(pi: Coupling, decomposition: Decomposition) -> tu
         )
     if pi._conditionals is None:
         pi._conditionals = {}
-    elif decomposition in pi._conditionals:
-        return pi._conditionals[decomposition]
+    family = pi._conditionals.get(decomposition)
+    if type(family) is list:
+        # the merges a multi-block Knothe build kept; the x-points under a
+        # prefix pair are all of mu's points with its prefix_x, so prefix
+        # order is first occurrence in pi's support
+        family = pi._conditionals[decomposition] = tuple(
+            (level, px, py, Coupling._trusted(decomposition.block_dim(level), atoms, den, left, right))
+            for level, px, py, atoms, den, left, right in sorted(family, key=lambda m: m[:3])
+        )
+    if family is not None:
+        return family
     # level 0: one bucket, certified against the first-block marginals
     k = decomposition.block_dim(0)
     head: dict[tuple[Point, Point], int] = {}

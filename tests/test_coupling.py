@@ -30,7 +30,7 @@ from discretebm import (
     singleton_decomposition,
     standard_order,
 )
-from discretebm import coupling, jsonio
+from discretebm import coupling, jsonio, suite, verify
 from discretebm.coupling import _quantile_merge
 from discretebm.suite import generate_instance
 from helpers import dirac, uniform
@@ -558,7 +558,7 @@ def test_integer_built_couplings_equal_validated_ones(case):
     # constructor; the same atoms as Fractions with den=1 give the same coupling
     mu, nu, order, d = case
     pi = knothe_coupling(mu, nu, d)
-    # a multi-block build leaves its walk on pi; one block leaves none
+    # a multi-block build keeps its merges on pi; one block keeps none
     assert (pi._conditionals is not None) == (d.block_count > 1)
     walk = iter_conditional_couplings(pi, d)
     # the conditional couplings below level 0 are built without
@@ -591,6 +591,28 @@ def test_integer_built_couplings_equal_validated_ones(case):
     other = singleton_decomposition(mu.dim)
     assert iter_conditional_couplings(pi, other) == iter_conditional_couplings(fresh, other)
     assert iter_conditional_couplings(pi, d) is walk
+
+
+def test_a_suite_builds_the_walk_of_the_couplings_it_reads_only(monkeypatch):
+    # the suite reads the walk of the coupling it holds; entropy_gap builds
+    # its own Knothe coupling and never reads that one's walk
+    counts = {"trusted": 0, "init": 0, "knothe": 0}
+    trusted, init = Coupling._trusted.__func__, Coupling.__init__
+
+    def counting(name, f):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(Coupling, "_trusted", classmethod(counting("trusted", trusted)))
+    monkeypatch.setattr(Coupling, "__init__", counting("init", init))
+    for module in (suite, verify):
+        monkeypatch.setattr(module, "knothe_coupling", counting("knothe", module.knothe_coupling))
+    suite.run_suite(7, 1000, 2, product(midpoint(1), meet_join(1)), suite.SUITE_CHECKS, 1e-9)
+    # 16,036 trusted couplings when every Knothe build built its walk
+    assert counts == {"trusted": 8018, "init": 2000, "knothe": 2000}
 
 
 def test_support_images_are_kept_for_the_last_map_read():
