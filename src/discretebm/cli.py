@@ -244,6 +244,8 @@ def cmd_random_suite(args) -> int:
         raise LatticeError(f"--instances must be >= 0 and --dim between 1 and {jsonio.MAX_DIM}")
     check_seed(args.seed)
     op = _parse_op_args(args)
+    if op.dim != args.dim:
+        raise LatticeError(f"--op acts on Z^{op.dim} but --dim is {args.dim}; they must agree")
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in checks if c not in SUITE_CHECKS]
     if not checks or unknown:

@@ -14,9 +14,11 @@ block marginals monotonically, then recurses on the conditional measures
 of each support prefix pair, block by block in decomposition order.
 
 Which couplings are certified.  Certifying a coupling means requiring
-its exact projections to equal its declared marginals; the
-:class:`Coupling` constructor does it, after validating every atom, and
-is the only place that does.  Certified are every coupling a caller or
+its exact projections to equal its declared marginals.  One function,
+:func:`_mismatched_side`, compares them: the :class:`Coupling`
+constructor calls it after validating every atom, and
+:func:`discretebm.verify.marginal_exactness` calls it to name the side
+that differs.  Certified are every coupling a caller or
 :mod:`discretebm.jsonio` constructs, :func:`monotone_coupling`,
 :func:`product_coupling`, the coupling :func:`knothe_coupling` assembles
 (on one block also the monotone coupling it is assembled from), and
@@ -31,19 +33,17 @@ merges when the walk is first read; and the levels below 0 of a grouped
 walk, whose declared marginals are their own projections, summed in the
 pass that sums their weights.
 
-A coupling stores its weights in the form of a measure (see
-:mod:`discretebm.measures`): integer numerators keyed by (x, y) over one
-denominator, in lowest terms, so certification is plain equality of a
-projection's fields with a marginal's.  The builders of this module pass
-integer numerators with the constructor's ``den`` keyword and build no
-``Fraction``; plain integer atoms are validated and projected in one
-pass, and any other input is coerced entry by entry as a measure's is.
-Marginals and pushforwards are summed on those integers and built as
-trusted measures.  Two things are computed once and kept on a coupling,
-so that the transport, pointwise and fiber checks share them: its walk
-of conditional block couplings per decomposition, built on first read,
-and the images (T-(x, y), T+(x, y)) of its support under the last
-difference map read, one read of ``t`` per support pair.
+A coupling reads its atoms and stores its weights as a measure does (see
+:mod:`discretebm.measures`), keyed by (x, y) pairs, so certification is
+plain equality of a projection's fields with a marginal's.  The builders
+of this module pass integer numerators with the constructor's ``den``
+keyword and build no ``Fraction``.  Marginals and pushforwards are
+summed on those integers and built as trusted measures.  Two things are
+computed once and kept on a coupling, so that the transport, pointwise
+and fiber checks share them: its walk of conditional block couplings per
+decomposition, built on first read, and the images (T-(x, y), T+(x, y))
+of its support under the last difference map read, one read of ``t`` per
+support pair.
 
 For a coupling and a complementing operation pair,
 :func:`check_fiber_structure` verifies the following shape claims about
@@ -84,7 +84,6 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator
 
 from .errors import (
     DimensionMismatch,
@@ -106,8 +105,10 @@ from .lattice import (
 from .measures import (
     ZERO,
     ProbabilityMeasure,
+    _Atoms,
+    _as_weight,
     _check_den,
-    _exact_weights,
+    _integer_sums,
     _rational_text,
     _reduced,
 )
@@ -115,21 +116,19 @@ from .operations import LatticeOperation, _images, block_section
 from .report import INAPPLICABLE, VERIFIED, VIOLATED, VerificationReport
 
 
-class Coupling:
+class Coupling(_Atoms):
     """Probability measure on Z^n x Z^n with certified marginals.
 
-    Atom keys are (x, y) pairs, stored in ascending order of the
-    concatenated coordinates; the weight of a pair is
-    ``_atoms[(x, y)] / _den`` in lowest terms.  The constructor validates
-    every atom and requires both projections to equal the declared
+    The constructor reads ``atoms``, ((x, y), weight) pairs or a mapping
+    of them, with each weight a multiple of ``1/den``, by the input rule
+    of :mod:`discretebm.measures`, which also gives the stored form.  It
+    requires total mass 1 and both projections to equal the declared
     marginals exactly (:class:`MarginalMismatch` otherwise), which must be
     :class:`ProbabilityMeasure` instances (:class:`DomainError`
-    otherwise).  Each weight in ``atoms`` is read as a multiple of
-    ``1/den``, a positive int.  The module docstring says which couplings
-    are certified.
+    otherwise).  The module docstring says which couplings are certified.
     """
 
-    __slots__ = ("dim", "_atoms", "_den", "left", "right", "_conditionals", "_images")
+    __slots__ = ("left", "right", "_conditionals", "_images")
 
     def __init__(
         self,
@@ -145,13 +144,44 @@ class Coupling:
         if left.dim != dim or right.dim != dim:
             raise DimensionMismatch("marginals must live on Z^dim of the coupling")
         _check_den(den)
-        entries = list(atoms.items() if hasattr(atoms, "items") else atoms)
-        plain = _plain_pairs(entries, dim)
-        if plain is None:
-            nums, wden = _exact_weights(entries, lambda pair: _as_pair(pair, dim), den)
-            den *= wden
-            plain = nums, _pair_projection(nums.items(), 0), _pair_projection(nums.items(), 1)
-        nums, xs, ys = plain
+        nums: dict[tuple[Point, Point], int] = {}
+        xs: dict[Point, int] = {}
+        ys: dict[Point, int] = {}
+        coerced = []
+        for entry in atoms.items() if hasattr(atoms, "items") else atoms:
+            try:
+                pair, n = entry
+            except (TypeError, ValueError):
+                raise DomainError(
+                    f"cannot interpret {_brief(entry)} as a (pair, weight) entry"
+                ) from None
+            try:
+                x, y = pair
+            except (TypeError, ValueError):
+                raise DomainError(f"cannot interpret {_brief(pair)} as a pair of points") from None
+            if (
+                type(pair) is tuple
+                and type(x) is tuple
+                and type(y) is tuple
+                and len(x) == dim
+                and len(y) == dim
+            ):
+                for c in x + y:
+                    if type(c) is not int:
+                        pair = x, y = as_point(x, dim), as_point(y, dim)
+                        break
+            else:
+                pair = x, y = as_point(x, dim), as_point(y, dim)
+            if type(n) is not int or n < 0:
+                coerced.append((pair, _as_weight(n, den)))
+            elif n:
+                nums[pair] = nums.get(pair, 0) + n
+                xs[x] = xs.get(x, 0) + n
+                ys[y] = ys.get(y, 0) + n
+        if coerced:
+            nums, scale = _integer_sums(nums, coerced)
+            den *= scale
+            xs, ys = _pair_projection(nums.items(), 0), _pair_projection(nums.items(), 1)
         if not nums:
             raise EmptySupportError("coupling has empty support")
         self._store(dim, nums, den, left, right)
@@ -160,10 +190,8 @@ class Coupling:
             raise InvalidWeightError(
                 f"coupling must have total mass 1, got {_rational_text(Fraction(total, den))}"
             )
-        for declared, projection in ((left, xs), (right, ys)):
-            projected, pden = _reduced(projection, den)
-            if pden != declared._den or projected != declared._atoms:
-                raise MarginalMismatch("coupling projections do not match declared marginals")
+        if _mismatched_side(dim, den, xs, ys, left, right) is not None:
+            raise MarginalMismatch("coupling projections do not match declared marginals")
 
     @classmethod
     def _trusted(
@@ -195,27 +223,8 @@ class Coupling:
         self._conditionals = None
         self._images = {}
 
-    def __len__(self) -> int:
-        return len(self._atoms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Coupling):
-            return NotImplemented
-        return (
-            self.dim == other.dim and self._den == other._den and self._atoms == other._atoms
-        )
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"Coupling(dim={self.dim}, atoms={len(self._atoms)})"
-
-    def items(self) -> Iterator[tuple[tuple[Point, Point], Fraction]]:
-        den = self._den
-        return ((pair, Fraction(n, den)) for pair, n in self._atoms.items())
-
-    def support(self) -> list[tuple[Point, Point]]:
-        return list(self._atoms)
 
     def weight_at(self, x, y) -> Fraction:
         """Exact weight of the pair (x, y) (0 off the support)."""
@@ -248,52 +257,6 @@ class Coupling:
         return ProbabilityMeasure._trusted(out_dim, out, self._den)
 
 
-def _as_pair(pair, dim: int) -> tuple[Point, Point]:
-    try:
-        x, y = pair
-    except (TypeError, ValueError):
-        raise DomainError(f"cannot interpret {_brief(pair)} as a pair of points") from None
-    return as_point(x, dim), as_point(y, dim)
-
-
-def _plain_pairs(entries: list, dim: int) -> tuple[dict, dict, dict] | None:
-    """The integer weights of ``entries`` summed by (x, y), by x and by y,
-    in one pass, if every entry is plain: ((x, y), n) with x and y tuples
-    of ``dim`` ints and n a nonnegative int; zero weights are dropped.
-    None if any entry is not plain, so that it goes through the
-    coercing path and its checks."""
-    nums: dict[tuple[Point, Point], int] = {}
-    xs: dict[Point, int] = {}
-    ys: dict[Point, int] = {}
-    try:
-        # only the unpacking of an entry or of its key can raise
-        for pair, n in entries:
-            x, y = pair
-            if not (
-                type(pair) is tuple
-                and type(x) is tuple
-                and type(y) is tuple
-                and len(x) == dim
-                and len(y) == dim
-                and type(n) is int
-                and n >= 0
-            ):
-                return None
-            for c in x:
-                if type(c) is not int:
-                    return None
-            for c in y:
-                if type(c) is not int:
-                    return None
-            if n:
-                nums[pair] = nums.get(pair, 0) + n
-                xs[x] = xs.get(x, 0) + n
-                ys[y] = ys.get(y, 0) + n
-    except (TypeError, ValueError):
-        return None
-    return nums, xs, ys
-
-
 def _pair_projection(weighted_pairs, side: int) -> dict[Point, int]:
     """Sum integer weights of ((x, y), n) items by x (side 0) or y (side 1)."""
     out: dict[Point, int] = {}
@@ -301,6 +264,21 @@ def _pair_projection(weighted_pairs, side: int) -> dict[Point, int]:
         p = pair[side]
         out[p] = out.get(p, 0) + n
     return out
+
+
+def _mismatched_side(
+    dim: int, den: int, xs: dict, ys: dict, left: ProbabilityMeasure, right: ProbabilityMeasure
+) -> str | None:
+    """The first side, "first" or "second", whose projection differs from
+    its declared marginal, or None if both agree: the one certificate of a
+    coupling's marginals.  ``xs`` and ``ys`` are the projections of a
+    coupling on Z^dim as integer sums over ``den``; each is compared in the
+    stored weight form."""
+    for side, projection, declared in (("first", xs, left), ("second", ys, right)):
+        nums, pden = _reduced(projection, den)
+        if declared.dim != dim or pden != declared._den or nums != declared._atoms:
+            return side
+    return None
 
 
 def _quantile_merge(

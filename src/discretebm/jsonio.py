@@ -34,6 +34,7 @@ from .measures import FiniteMeasure, ProbabilityMeasure, _rational_text, _ratio_
 from .operations import (
     ExponentQuadruple,
     LatticeOperation,
+    _floor_half,
     from_difference_map,
     meet_join,
     midpoint,
@@ -55,7 +56,7 @@ MAX_EXPONENT_POWER = 1000
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 _DIFFERENCE_DEFAULTS = {
-    "floor_half": lambda w: tuple(c // 2 for c in w),
+    "floor_half": _floor_half,
     "negate": lambda w: tuple(-c for c in w),
     "identity": lambda w: w,
     "zero": lambda w: tuple(0 for _ in w),

@@ -1,33 +1,41 @@
 """Exact finitely supported measures on Z^n.
 
-A measure stores its weights in one exact form: integer numerators
-``_atoms[p]`` over one denominator ``_den``, in lowest common terms
-(``gcd(_den, *numerators) == 1``), so two equal measures have equal
-fields.  Masses, normalizations and disintegrations are integer sums
-over that denominator, and :func:`_reduced` restores the form wherever
-one is made.  ``Fraction`` stays the public weight type: it is built only
-where a weight leaves the library (``items``, ``weight_at``,
-``total_mass``).  The only quantities that leave the rational world are
-entropies, which are accumulated in double precision from exact atoms.
+Stored form.  A measure stores its weights in one exact form: integer
+numerators ``_atoms[p]`` over one denominator ``_den``, in lowest common
+terms (``gcd(_den, *numerators) == 1``), keyed in ascending lexicographic
+order, so two equal measures have equal fields, and iteration, equality
+and serialization are deterministic.  Masses, normalizations and
+disintegrations are integer sums over that denominator, and
+:func:`_reduced` restores the form wherever one is made.  ``Fraction``
+stays the public weight type: it is built only where a weight leaves the
+library (``items``, ``weight_at``, ``total_mass``).  The only quantities
+that leave the rational world are entropies, which are accumulated in
+double precision from exact atoms.  A
+:class:`~discretebm.coupling.Coupling` stores its weights in the same
+form, keyed by (x, y) pairs of points; the container methods the two
+share are on :class:`_Atoms`.
 
-Atoms are stored sorted by the ambient lexicographic order, so iteration,
-equality, and serialization are deterministic.
+Input rule.  Validation happens once, where outside input enters, and
+the public constructors of measures and couplings read their entries in
+one loop.  Every entry must be a (key, weight) pair, and each weight is
+read as a multiple of ``1/den``, a positive int: callers holding integer
+numerators over a denominator pass it, others keep ``den=1``.  A plain
+entry, whose key is a tuple of ``dim`` ints (for a coupling, a tuple of
+two such tuples) and whose weight is a nonnegative int, is taken as it
+is; only a non-plain entry is coerced, its points by :func:`as_point`
+and its weight by :func:`_as_weight` (exact and nonnegative; floats are
+refused).  Zero weights are dropped, duplicate keys are summed, and the
+support must be nonempty.  A coerced weight is a ``Fraction``; if there
+are any, :func:`_integer_sums` rescales the integer sums to their least
+common denominator and adds them.  The coupling constructor sums both
+projections in the same loop.
 
-Validation happens once, where outside input enters: the public
-constructors check every point and weight and the total mass.  Entries
-that are already plain (int tuples of the measure's dimension with
-nonnegative int weights, as the JSON reader passes them with ``den=``)
-are checked and summed in one pass; any other input is coerced entry by
-entry through :func:`_exact_weights`.  The
-:class:`~discretebm.coupling.Coupling` constructor validates the same
-way: plain integer pairs in one pass, any other input through the same
-:func:`_exact_weights`, so its coercions and error texts are a
-measure's.  Measures derived inside the library (normalizations,
-pushforwards, conditionals, coupling marginals) satisfy those invariants
-by construction and are built by :meth:`FiniteMeasure._trusted`, which
+Measures derived inside the library (normalizations, pushforwards,
+conditionals, coupling marginals) satisfy those invariants by
+construction and are built by :meth:`FiniteMeasure._trusted`, which
 checks nothing; :mod:`discretebm.coupling` names the couplings it builds
-unchecked the same way.  Only :mod:`discretebm.measures`
-and :mod:`discretebm.coupling` build anything unchecked: outside input
+unchecked the same way.  Only :mod:`discretebm.measures` and
+:mod:`discretebm.coupling` build anything unchecked: outside input
 always reaches a validating constructor.
 """
 
@@ -36,7 +44,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import (
     DimensionMismatch,
@@ -69,43 +77,20 @@ def _as_weight(value, den: int = 1) -> Fraction | int:
     return w
 
 
-def _exact_weights(entries, key: Callable, den: int = 1) -> tuple[dict, int]:
-    """Outside (key, weight) entries as integer numerators over the least
-    common denominator of the weights: keys are coerced by ``key`` and
-    weights by :func:`_as_weight`, zero weights dropped and keys summed.
-    ``den`` is the caller's denominator of the weights, used only to name a
-    negative one."""
-    weighted = [(key(k), _as_weight(w, den)) for k, w in entries]
+def _integer_sums(nums: dict, coerced: list) -> tuple[dict, int]:
+    """The integer sums ``nums`` of the plain weights plus the coerced
+    (key, ``Fraction``) entries, as integer numerators over L, the least
+    common denominator of the coerced weights, and L.  Zero weights are
+    dropped."""
     # unpack a list, not a generator: CPython builds the argument tuple from
     # a generator by resizing, which allocates outside the tuple free list
     # but frees into it, so the free list would fill with dead tuples
-    den = math.lcm(*[w.denominator for _, w in weighted])
-    nums: dict = {}
-    for k, w in weighted:
+    den = math.lcm(*[w.denominator for _, w in coerced])
+    nums = {k: n * den for k, n in nums.items()}
+    for k, w in coerced:
         if w:
             nums[k] = nums.get(k, 0) + w.numerator * (den // w.denominator)
     return nums, den
-
-
-def _plain_points(entries: list, dim: int) -> dict[Point, int] | None:
-    """The integer weights of ``entries`` summed by point, in one pass, if
-    every entry is plain: (x, n) with x a tuple of ``dim`` ints and n a
-    nonnegative int; zero weights are dropped.  None if any entry is not
-    plain, so that it goes through the coercing path and its checks."""
-    nums: dict[Point, int] = {}
-    try:
-        # only the unpacking of an entry can raise
-        for x, n in entries:
-            if not (type(x) is tuple and len(x) == dim and type(n) is int and n >= 0):
-                return None
-            for c in x:
-                if type(c) is not int:
-                    return None
-            if n:
-                nums[x] = nums.get(x, 0) + n
-    except (TypeError, ValueError):
-        return None
-    return nums
 
 
 def _check_den(den) -> None:
@@ -167,33 +152,69 @@ def _rational_text(q: Fraction | int) -> str:
         )
 
 
-class FiniteMeasure:
+class _Atoms:
+    """The container protocol of measures and couplings: ``dim``, and the
+    stored weights ``_atoms`` over ``_den`` (see the module docstring)."""
+
+    __slots__ = ("dim", "_atoms", "_den")
+
+    def __len__(self) -> int:
+        return len(self._atoms)
+
+    def __eq__(self, other) -> bool:
+        # a measure's keys are points and a coupling's are pairs of points,
+        # so a measure never equals a coupling
+        if not isinstance(other, _Atoms):
+            return NotImplemented
+        return self.dim == other.dim and self._den == other._den and self._atoms == other._atoms
+
+    __hash__ = None  # mutable-by-content semantics are not wanted as dict keys
+
+    def items(self) -> Iterator[tuple[object, Fraction]]:
+        den = self._den
+        return ((key, Fraction(n, den)) for key, n in self._atoms.items())
+
+    def support(self) -> list:
+        return list(self._atoms)
+
+
+class FiniteMeasure(_Atoms):
     """Finitely supported measure with positive rational weights.
 
-    The constructor validates its input: points are coerced by
-    :func:`as_point`, weights must be exact and nonnegative, zero-weight
-    entries are dropped, duplicate points are summed, and the resulting
-    support must be nonempty.  Each given weight is read as a multiple of
-    ``1/den``: callers holding integer numerators over a denominator pass
-    them with ``den``, a positive int, and others keep ``den=1``.  If every
-    entry is plain, a tuple of ``dim`` ints with a nonnegative int weight,
-    the entries are checked and summed in one pass; otherwise the whole
-    input is coerced entry by entry.  The weight of ``p`` is stored as
-    ``_atoms[p] / _den`` in lowest common terms (see the module
-    docstring).
+    The constructor reads ``entries``, (point, weight) pairs with each
+    weight a multiple of ``1/den``, by the input rule of the module
+    docstring, which also gives the stored form.
     """
 
-    __slots__ = ("dim", "_atoms", "_den", "_families")
+    __slots__ = ("_families",)
 
     def __init__(self, dim: int, entries: Iterable[tuple[object, object]], *, den: int = 1):
         if dim < 1:
             raise DomainError("measure dimension must be >= 1")
         _check_den(den)
-        entries = list(entries)
-        nums = _plain_points(entries, dim)
-        if nums is None:
-            nums, wden = _exact_weights(entries, lambda p: as_point(p, dim), den)
-            den *= wden
+        nums: dict[Point, int] = {}
+        coerced = []
+        for entry in entries:
+            try:
+                x, n = entry
+            except (TypeError, ValueError):
+                raise DomainError(
+                    f"cannot interpret {_brief(entry)} as a (point, weight) entry"
+                ) from None
+            if type(x) is tuple and len(x) == dim:
+                for c in x:
+                    if type(c) is not int:
+                        x = as_point(x, dim)
+                        break
+            else:
+                x = as_point(x, dim)
+            if type(n) is not int or n < 0:
+                coerced.append((x, _as_weight(n, den)))
+            elif n:
+                nums[x] = nums.get(x, 0) + n
+        if coerced:
+            nums, scale = _integer_sums(nums, coerced)
+            den *= scale
         if not nums:
             raise EmptySupportError("measure has empty support")
         self._store(dim, nums, den)
@@ -219,20 +240,8 @@ class FiniteMeasure:
 
     # -- container protocol ------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._atoms)
-
     def __contains__(self, point) -> bool:
         return as_point(point, self.dim) in self._atoms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiniteMeasure):
-            return NotImplemented
-        return (
-            self.dim == other.dim and self._den == other._den and self._atoms == other._atoms
-        )
-
-    __hash__ = None  # mutable-by-content semantics are not wanted as dict keys
 
     def __repr__(self) -> str:
         kind = type(self).__name__
@@ -241,13 +250,6 @@ class FiniteMeasure:
     @property
     def total_mass(self) -> Fraction:
         return Fraction(sum(self._atoms.values()), self._den)
-
-    def items(self) -> Iterator[tuple[Point, Fraction]]:
-        den = self._den
-        return ((pt, Fraction(n, den)) for pt, n in self._atoms.items())
-
-    def support(self) -> list[Point]:
-        return list(self._atoms)
 
     def weight_at(self, point) -> Fraction:
         """Exact weight of ``point`` (0 off the support)."""

@@ -117,13 +117,19 @@ def meet_join(dim: int) -> LatticeOperation:
     return LatticeOperation(singleton_decomposition(dim), lambda w: tuple([min(c, 0) for c in w]))
 
 
+def _floor_half(w: Point) -> Point:
+    """floor(w/2) coordinatewise: the difference map of :func:`midpoint`,
+    and the ``floor_half`` default of a JSON difference map."""
+    return tuple([c // 2 for c in w])
+
+
 def midpoint(dim: int) -> LatticeOperation:
     """Coordinatewise floor and ceiling of the average: t(w) = floor(w/2).
 
     Floor is toward minus infinity (max {m in Z : m <= r}), matching
     Python's // on negative sums; the ceiling is the complement.
     """
-    return LatticeOperation(singleton_decomposition(dim), lambda w: tuple([c // 2 for c in w]))
+    return LatticeOperation(singleton_decomposition(dim), _floor_half)
 
 
 def product(a: LatticeOperation, b: LatticeOperation) -> LatticeOperation:
@@ -351,6 +357,10 @@ class ExponentQuadruple:
         names = ("alpha", "beta", "gamma", "delta")
         for name in names:
             value = getattr(self, name)
+            if isinstance(value, float):
+                raise DomainError(
+                    f"float exponent {name}={value!r} is not exact; pass a Fraction or an int"
+                )
             if not isinstance(value, Fraction):
                 object.__setattr__(self, name, Fraction(value))
         values = (self.alpha, self.beta, self.gamma, self.delta)

@@ -60,6 +60,7 @@ from typing import Iterable, Mapping
 
 from .coupling import (
     Coupling,
+    _mismatched_side,
     _pair_projection,
     _support_images,
     iter_conditional_couplings,
@@ -462,20 +463,18 @@ def marginal_exactness(
 ) -> VerificationReport:
     """Exact equality of the coupling's projections with mu and nu.
 
-    Each projection is summed from ``pi``'s numerators and compared, in
-    the stored weight form, with the measure's fields; the projected
+    The projections are summed from ``pi``'s numerators and compared by
+    the certificate the :class:`Coupling` constructor uses; the projected
     measure is built only to name a mismatch.
     """
-    for side, expected in (("first", mu), ("second", nu)):
-        nums, den = _reduced(_pair_projection(pi._atoms.items(), side == "second"), pi._den)
-        if pi.dim != expected.dim or den != expected._den or nums != expected._atoms:
-            got = _measure_payload(pi.marginal(side))
-            return VerificationReport(
-                check="marginals",
-                outcome=VIOLATED,
-                witness={"side": side, "expected": _measure_payload(expected), "got": got},
-            )
-    return VerificationReport(check="marginals", outcome=VERIFIED)
+    atoms = pi._atoms.items()
+    xs, ys = _pair_projection(atoms, 0), _pair_projection(atoms, 1)
+    side = _mismatched_side(pi.dim, pi._den, xs, ys, mu, nu)
+    if side is None:
+        return VerificationReport(check="marginals", outcome=VERIFIED)
+    expected = _measure_payload(mu if side == "first" else nu)
+    witness = {"side": side, "expected": expected, "got": _measure_payload(pi.marginal(side))}
+    return VerificationReport(check="marginals", outcome=VIOLATED, witness=witness)
 
 
 def _measure_payload(m: FiniteMeasure) -> dict:

@@ -577,6 +577,17 @@ def test_a_seed_outside_64_bits_exits_2(tmp_path, capsys):
         assert code in (0, 1) and lines[-1]["summary"]["seed"] == seed
 
 
+def test_random_suite_rejects_an_op_of_another_dimension(capsys):
+    # checked before any instance is built: with no instance the run once
+    # exited 0, and with one it named neither flag
+    for dim, op_dim in ((2, 1), (1, 3)):
+        op = json.dumps({"kind": "midpoint", "dim": op_dim})
+        for instances in ("0", "1"):
+            argv = ["random-suite", "--dim", str(dim), "--op", op, "--instances", instances]
+            message = assert_input_error(capsys, argv)
+            assert message == f"--op acts on Z^{op_dim} but --dim is {dim}; they must agree"
+
+
 def test_random_suite_rejects_bad_checks(capsys):
     assert main(["random-suite", "--instances", "1", "--checks", "bogus"]) == 2
     capsys.readouterr()

@@ -775,17 +775,13 @@ def test_plain_atoms_give_the_coupling_of_their_coerced_forms(case):
     for atoms, scale in coerced:
         built = Coupling(dim, atoms, mu, nu, den=scale)
         assert built == pi and built.support() == pi.support()
-    # plain atoms are read in one pass: split in two (one part may be 0),
-    # padded with zero weights off the support, or passed as a zip iterator
+    # plain atoms split in two (one part may be 0), padded with zero weights
+    # off the support, as a dict, or passed as a zip iterator
     split = [(pair, n - n // 2) for pair, n in plain] + [(pair, n // 2) for pair, n in plain]
     padded = plain + [((x, x), 0) for x in mu.support()]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(coupling, "_exact_weights", None)
-        for atoms in (plain, dict(plain), split, padded, zip(pairs, nums)):
-            built = Coupling(dim, atoms, mu, nu, den=den)
-            assert built == pi and built.support() == pi.support()
-        with pytest.raises(TypeError):
-            Coupling(dim, coerced[0][0], mu, nu)
+    for atoms in (plain, dict(plain), split, padded, zip(pairs, nums)):
+        built = Coupling(dim, atoms, mu, nu, den=den)
+        assert built == pi and built.support() == pi.support()
 
 
 def test_malformed_atoms_keep_their_error_texts():
@@ -800,6 +796,9 @@ def test_malformed_atoms_keep_their_error_texts():
         ([(((0, 0), (0,)), 1)], DimensionMismatch, "expected a point of dimension 1, got 2"),
         ([plain, (((0,), (0, 1)), 0)], DimensionMismatch, "expected a point of dimension 1, got 2"),
         ([(((0,),), 1)], DomainError, "cannot interpret ((0,),) as a pair of points"),
+        # entries that are not (pair, weight) pairs once escaped as a bare TypeError
+        ([5], DomainError, "cannot interpret 5 as a (pair, weight) entry"),
+        ([plain, (((0,), (0,)),)], DomainError, "cannot interpret (((0,), (0,)),) as a (pair, weight) entry"),
         ([((([0],), (0,)), 1)], DomainError, "point coordinates must be integers, got [0]"),
         ([(((0,), (0,)), 2), (((0,), (0,)), -1)], InvalidWeightError, "negative weight -1"),
         (

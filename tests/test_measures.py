@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import discretebm.measures
 from discretebm import (
     AdditiveTotalOrder,
     Coupling,
@@ -64,11 +63,17 @@ def test_make_measure_errors():
         ProbabilityMeasure(1, [(True, 1)])
     with pytest.raises(DomainError, match="^point coordinates must be integers, got False$"):
         ProbabilityMeasure(1, [((False,), 1)])
+    # an entry that is not a (point, weight) pair is named; it once escaped
+    # as a bare TypeError or ValueError
+    for entries, entry in (([5], "5"), ([(0,)], "(0,)"), ({(0,): 1}, "(0,)"), ([((0,), 1), None], "None")):
+        with pytest.raises(DomainError) as caught:
+            FiniteMeasure(1, entries)
+        assert str(caught.value) == f"cannot interpret {entry} as a (point, weight) entry"
 
 
-def test_den_reads_every_weight_over_it(monkeypatch):
-    # plain entries take the one-pass path; a list point or a Fraction among
-    # them sends the whole input through the coercing path, with the same result
+def test_den_reads_every_weight_over_it():
+    # plain entries are taken as they are; a list point or a Fraction among
+    # them is coerced, with the same result
     expected = FiniteMeasure(1, [(0, F(1, 4)), (1, F(3, 4))])
     for entries in (
         [((0,), 3), ((1,), 9)],
@@ -79,6 +84,7 @@ def test_den_reads_every_weight_over_it(monkeypatch):
     ):
         assert FiniteMeasure(1, entries, den=12) == expected
         assert ProbabilityMeasure(1, iter(entries), den=12) == expected
+    assert FiniteMeasure(1, zip([(1,), (0,)], [9, 3]), den=12) == expected
     with pytest.raises(InvalidWeightError, match="^probability measure must have mass 1, got 1/2$"):
         ProbabilityMeasure(1, [((0,), 3)], den=6)
     # a negative weight is named as the weight, not as its numerator
@@ -89,9 +95,52 @@ def test_den_reads_every_weight_over_it(monkeypatch):
     for den in (0, -3, True, 2.0, F(1, 2)):
         with pytest.raises(InvalidWeightError, match="^den must be"):
             FiniteMeasure(1, [((0,), 1)], den=den)
-    # plain entries never reach the coercing path
-    monkeypatch.setattr(discretebm.measures, "_exact_weights", None)
-    assert FiniteMeasure(1, zip([(1,), (0,)], [9, 3]), den=12) == expected
+
+
+# (entries, den, expected): the weights of the result, or the error type and
+# text; plain and coerced entries in either order, each read as if all
+# entries had been coerced
+_MIXED_ENTRY_CASES = [
+    # a plain entry before a coerced one, and a coerced one before a plain one
+    ([((0,), 1), ((1,), F(3))], 4, {(0,): F(1, 4), (1,): F(3, 4)}),
+    ([((1,), F(3)), ((0,), 1)], 4, {(0,): F(1, 4), (1,): F(3, 4)}),
+    ([([1], 3), ((0,), 1)], 4, {(0,): F(1, 4), (1,): F(3, 4)}),
+    ([((0,), 1), ([1], 3)], 4, {(0,): F(1, 4), (1,): F(3, 4)}),
+    # plain and coerced weights summed on one point, a coerced zero dropped
+    ([((1,), 1), ((1,), F(1, 2)), ((0,), 2), ((1,), F(1, 2)), ((2,), F(0))], 4, {(0,): F(1, 2), (1,): F(1, 2)}),
+    ([((0,), F(1, 3)), ((1,), 1), ((0,), F(2, 3))], 2, {(0,): F(1, 2), (1,): F(1, 2)}),
+    # a Fraction before a negative int, and the reverse
+    ([((0,), F(1, 2)), ((1,), -1)], 1, (InvalidWeightError, "negative weight -1")),
+    ([((0,), F(1, 2)), ((1,), -1)], 2, (InvalidWeightError, "negative weight -1/2")),
+    ([((1,), -1), ((0,), F(1, 2))], 2, (InvalidWeightError, "negative weight -1/2")),
+    # a malformed zero-weight entry after a valid one, plain or coerced
+    ([((0,), 1), ((0.0,), 0)], 1, (DomainError, "point coordinates must be integers, got 0.0")),
+    ([((0,), F(1)), ((True,), 0)], 1, (DomainError, "point coordinates must be integers, got True")),
+    ([((0,), 1), ((0, 0), F(0))], 1, (DimensionMismatch, "expected a point of dimension 1, got 2")),
+    ([([0], 1), ((0,), 0.0)], 1, (InvalidWeightError, "float weight 0.0 is not exact; pass a Fraction or an int")),
+]
+
+
+@pytest.mark.parametrize("entries, den, expected", _MIXED_ENTRY_CASES)
+def test_plain_and_coerced_entries_in_any_order(entries, den, expected):
+    # the same entries as a measure, a probability measure, and the atoms
+    # (x, x) of a coupling on the diagonal
+    diagonal = [((x, x), w) for x, w in entries]
+    marginal = ProbabilityMeasure(1, expected.items()) if isinstance(expected, dict) else dirac(0)
+    builds = (
+        lambda: FiniteMeasure(1, entries, den=den),
+        lambda: ProbabilityMeasure(1, iter(entries), den=den),
+        lambda: Coupling(1, diagonal, marginal, marginal, den=den),
+    )
+    if isinstance(expected, dict):
+        pairs = {(x, x): w for x, w in expected.items()}
+        assert [dict(build().items()) for build in builds] == [expected, expected, pairs]
+    else:
+        error, message = expected
+        for build in builds:
+            with pytest.raises(error) as caught:
+                build()
+            assert str(caught.value) == message
 
 
 def test_atoms_stored_sorted():

@@ -207,6 +207,9 @@ _NAMES = ("alpha", "beta", "gamma", "delta")
 def _fraction_form(values):
     """What the exponents give on Fraction arithmetic: the first error
     text, or the common denominator and the integer exponents."""
+    for name, v in zip(_NAMES, values):
+        if isinstance(v, float):
+            return f"float exponent {name}={v!r} is not exact; pass a Fraction or an int"
     values = [F(v) for v in values]
     for name, v in zip(_NAMES, values):
         if v <= 0:
@@ -235,6 +238,9 @@ _EXPONENT_INPUTS = [
     (1, F(3, 2), F(5, 4), 2),
     ("1/3", "1/2", "1/2", "1/3"),
     (F(10**20 + 1, 10**20), 1, 1, 1),
+    # a float is refused: 0.3 once became a 55-bit binary Fraction
+    (0.5, 0.3, 0.7, 0.7),
+    (F(1, 2), "1/3", 1, 1.0),
 ]
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from discretebm import (
     Coupling,
     DimensionMismatch,
+    MarginalMismatch,
     check_fiber_structure,
     ExponentQuadruple,
     FiniteMeasure,
@@ -35,7 +36,7 @@ from discretebm import (
     verify_dbm,
     verify_hypothesis,
 )
-from discretebm import operations
+from discretebm import coupling, operations, verify
 from discretebm.operations import image_sets
 from discretebm.suite import generate_instance, random_exponents, random_points, random_quadruple
 from discretebm.seeding import stream
@@ -481,6 +482,27 @@ def test_marginal_exactness_names_the_second_side():
     assert w["side"] == "second"
     assert w["expected"] == {"atoms": [{"x": (0,), "w": F(1, 2)}, {"x": (2,), "w": F(1, 2)}]}
     assert w["got"] == {"atoms": [{"x": (0,), "w": F(1, 2)}, {"x": (1,), "w": F(1, 2)}]}
+
+
+def test_the_constructor_and_marginal_exactness_name_the_same_side(monkeypatch):
+    # both certify marginals by one function; record the side it names
+    named = []
+    certify = coupling._mismatched_side
+
+    def recording(*args):
+        named.append(certify(*args))
+        return named[-1]
+
+    monkeypatch.setattr(coupling, "_mismatched_side", recording)
+    monkeypatch.setattr(verify, "_mismatched_side", recording)
+    mu, nu, pi = equality_instance()
+    other = uniform([0, 2])
+    for left, right, side in ((other, nu, "first"), (mu, other, "second"), (other, other, "first")):
+        with pytest.raises(MarginalMismatch):
+            Coupling(pi.dim, pi._atoms.items(), left, right, den=pi._den)
+        assert marginal_exactness(pi, left, right).witness["side"] == side
+        assert named[-2:] == [side, side]
+    assert marginal_exactness(pi, mu, nu).ok and named[-1] is None
 
 
 def test_exact_checks_carry_zero_tolerance():
