@@ -17,8 +17,9 @@ share are on :class:`_Atoms`.
 
 Input rule.  Validation happens once, where outside input enters, and
 the public constructors of measures and couplings read their entries in
-one loop.  Every entry must be a (key, weight) pair, and each weight is
-read as a multiple of ``1/den``, a positive int: callers holding integer
+one loop.  Every entry must be a (key, weight) pair (a malformed entry
+raises :class:`DomainError` naming it), and each weight is read as a
+multiple of ``1/den``, a positive int: callers holding integer
 numerators over a denominator pass it, others keep ``den=1``.  A plain
 entry, whose key is a tuple of ``dim`` ints (for a coupling, a tuple of
 two such tuples) and whose weight is a nonnegative int, is taken as it
