@@ -7,17 +7,19 @@ Subcommands:
 * ``verify``        run one named verifier on an instance file
 * ``random-suite``  run seeded random instances through a set of checks
 
-Output is line-delimited JSON on stdout (or ``--out``); identical flags
-and seed produce byte-identical output.  Exit codes: 0 verified / all
-passed, 1 violated, 2 input or usage error (one JSON error line on
-stderr), 3 inapplicable.  The default floating tolerance is 1e-9,
-overridable per run with ``--tolerance`` or globally with the DT_TOLERANCE
-environment variable; any tolerance must be finite and >= 0.
+Output is line-delimited JSON on stdout (or ``--out``), written line by
+line as it is computed; identical flags and seed produce byte-identical
+output.  Exit codes: 0 verified / all passed, 1 violated, 2 input or
+usage error (one JSON error line on stderr), 3 inapplicable.  The default
+floating tolerance is 1e-9, overridable per run with ``--tolerance`` or
+globally with the DT_TOLERANCE environment variable; any tolerance must
+be finite and >= 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -30,14 +32,12 @@ from .lattice import singleton_decomposition, standard_order
 from .operations import check_operation
 from .report import INAPPLICABLE, VERIFIED, VIOLATED, VerificationReport
 from .seeding import check_seed
-from .suite import SUITE_CHECKS, run_suite
+from .suite import SUITE_CHECKS, SuiteInstance, run_instance, run_suite, seeded_instances
 from .verify import (
     DEFAULT_TOLERANCE,
     FunctionQuadruple,
     entropy_gap,
     log_laplace_gap,
-    p_value,
-    pointwise_term_bound,
     set_dbm,
     verify_dbm,
 )
@@ -65,20 +65,32 @@ def _tolerance(flag: float | None, instance: float | None = None) -> float:
 
 
 # json.dumps with non-default separators builds a new encoder on every call
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _dumps(obj) -> str:
-    return _ENCODER.encode(obj)
+@contextlib.contextmanager
+def _output(out: str | None):
+    """Yield a function that writes one JSON line to stdout or to the file
+    ``out``, which is line-buffered so that each line reaches it as it is
+    written.  A reader that closes stdout early drops the remaining lines:
+    they, and the last flush, go to the null device, so the command runs to
+    its end and keeps its exit code, with nothing on stderr."""
+    if out is not None and out != "stdout":
+        with open(out, "w", encoding="utf-8", buffering=1) as fh:
+            yield lambda obj: fh.write(_dumps(obj) + "\n")
+        return
+    stdout = sys.stdout
 
+    def guarded(call, *args) -> None:
+        try:
+            call(*args)
+        except BrokenPipeError:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, stdout.fileno())
+            os.close(null)
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None or out == "stdout":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    yield lambda obj: guarded(stdout.write, _dumps(obj) + "\n")
+    guarded(stdout.flush)
 
 
 def _json(text: str | bytes):
@@ -166,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_check_op(args) -> int:
     report = check_operation(_parse_op_args(args), args.radius)
-    _emit([_dumps(report.to_json_dict())], args.out)
+    with _output(args.out) as emit:
+        emit(report.to_json_dict())
     return EXIT_OK if report.ok else EXIT_VIOLATED
 
 
@@ -192,7 +205,8 @@ def cmd_couple(args) -> int:
         )
         pi = knothe_coupling(mu, nu, decomposition)
     # construction certifies the marginals exactly before anything is emitted
-    _emit([_dumps(jsonio.coupling_to_json(pi))], args.out)
+    with _output(args.out) as emit:
+        emit(jsonio.coupling_to_json(pi))
     return EXIT_OK
 
 
@@ -224,18 +238,16 @@ def _run_verify_check(args, spec: jsonio.InstanceSpec, tolerance: float) -> Veri
     if name == "entropy":
         _, report = entropy_gap(mu, nu, op, spec.decomposition, exponents, tolerance)
         return report
-    pi = knothe_coupling(mu, nu, op.decomposition)
-    if name == "pointwise":
-        return pointwise_term_bound(mu, nu, pi, op, exponents)
-    # p-bound: argparse admits only the names of VERIFY_CHECKS
-    _, report = p_value(mu, nu, pi, op, exponents, tolerance)
-    return report
+    # pointwise or p-bound, which the suite runs too: argparse admits only
+    # the names of VERIFY_CHECKS
+    return run_instance(SuiteInstance(0, mu, nu, exponents), op, [name], tolerance)[0]
 
 
 def cmd_verify(args) -> int:
     spec = jsonio.parse_instance(_load_json(args.instance))
     report = _run_verify_check(args, spec, _tolerance(args.tolerance, spec.tolerance))
-    _emit([_dumps(report.to_json_dict())], args.out)
+    with _output(args.out) as emit:
+        emit(report.to_json_dict())
     return _OUTCOME_CODES[report.outcome]
 
 
@@ -251,11 +263,12 @@ def cmd_random_suite(args) -> int:
     if not checks or unknown:
         raise LatticeError(f"--checks must name a subset of {SUITE_CHECKS}, got {args.checks!r}")
     tolerance = _tolerance(args.tolerance)
-    rows, summary = run_suite(args.seed, args.instances, args.dim, op, checks, tolerance)
-    lines = [_dumps(row) for row in rows]
-    lines.append(_dumps(summary))
-    _emit(lines, args.out)
-    return EXIT_OK if summary["summary"]["failed"] == 0 else EXIT_VIOLATED
+    instances = seeded_instances(args.seed, args.instances, args.dim)
+    # every input check above runs before --out is opened or a line written
+    with _output(args.out) as emit:
+        fields = run_suite(instances, op, checks, tolerance, emit)
+        emit({"summary": {"seed": args.seed, **fields}})
+    return EXIT_OK if fields["failed"] == 0 else EXIT_VIOLATED
 
 
 _COMMANDS = {

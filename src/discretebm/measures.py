@@ -17,9 +17,10 @@ share are on :class:`_Atoms`.
 
 Input rule.  Validation happens once, where outside input enters, and
 the public constructors of measures and couplings read their entries in
-one loop.  Every entry must be a (key, weight) pair (a malformed entry
-raises :class:`DomainError` naming it), and each weight is read as a
-multiple of ``1/den``, a positive int: callers holding integer
+one loop.  The entries are (key, weight) pairs, or a mapping of them
+whose items are read.  Every entry must be such a pair (a malformed
+entry raises :class:`DomainError` naming it), and each weight is read as
+a multiple of ``1/den``, a positive int: callers holding integer
 numerators over a denominator pass it, others keep ``den=1``.  A plain
 entry, whose key is a tuple of ``dim`` ints (for a coupling, a tuple of
 two such tuples) and whose weight is a nonnegative int, is taken as it
@@ -182,9 +183,9 @@ class _Atoms:
 class FiniteMeasure(_Atoms):
     """Finitely supported measure with positive rational weights.
 
-    The constructor reads ``entries``, (point, weight) pairs with each
-    weight a multiple of ``1/den``, by the input rule of the module
-    docstring, which also gives the stored form.
+    The constructor reads ``entries``, (point, weight) pairs or a mapping
+    of them with each weight a multiple of ``1/den``, by the input rule of
+    the module docstring, which also gives the stored form.
     """
 
     __slots__ = ("_families",)
@@ -195,7 +196,7 @@ class FiniteMeasure(_Atoms):
         _check_den(den)
         nums: dict[Point, int] = {}
         coerced = []
-        for entry in entries:
+        for entry in entries.items() if hasattr(entries, "items") else entries:
             try:
                 x, n = entry
             except (TypeError, ValueError):

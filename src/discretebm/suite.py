@@ -1,4 +1,4 @@
-"""Seeded random instances and the batch check runner.
+"""Seeded random instances and the suite runner.
 
 Instances are deterministic functions of (master seed, index): instance
 ``i`` draws from its own counter-derived stream, so batches can be
@@ -7,6 +7,12 @@ get at most 8 atoms with coordinates in [-10, 10] and weights obtained
 by normalizing random integers from [1, 20]; exponents are drawn from
 small rationals with denominators at most 4 and repaired to satisfy the
 admissibility condition by raising gamma and delta.
+
+:func:`run_suite` is the one runner: it checks any iterable of
+:class:`SuiteInstance`, seeded by :func:`seeded_instances` or built by
+hand, and hands each row on as soon as it is computed, keeping only a
+running summary, so its memory does not grow with the number of
+instances.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .coupling import check_fiber_structure, knothe_coupling
 from .errors import DomainError
@@ -115,53 +121,52 @@ def run_instance(
     tolerance: float,
 ) -> list[VerificationReport]:
     """Run the named checks on one instance's Knothe coupling."""
-    pi = knothe_coupling(instance.mu, instance.nu, op.decomposition)
+    mu, nu, exponents = instance.mu, instance.nu, instance.exponents
+    pi = knothe_coupling(mu, nu, op.decomposition)
     reports: list[VerificationReport] = []
     for name in checks:
         if name == "pointwise":
-            reports.append(
-                pointwise_term_bound(instance.mu, instance.nu, pi, op, instance.exponents)
-            )
+            reports.append(pointwise_term_bound(mu, nu, pi, op, exponents))
         elif name == "p-bound":
-            _, rep = p_value(
-                instance.mu, instance.nu, pi, op, instance.exponents, tolerance
-            )
+            _, rep = p_value(mu, nu, pi, op, exponents, tolerance)
             reports.append(rep)
         elif name == "entropy":
-            _, rep = entropy_gap(
-                instance.mu, instance.nu, op, None, instance.exponents, tolerance
-            )
+            _, rep = entropy_gap(mu, nu, op, None, exponents, tolerance)
             reports.append(rep)
         elif name == "fibers":
             reports.append(check_fiber_structure(pi, op))
         elif name == "marginals":
-            reports.append(marginal_exactness(pi, instance.mu, instance.nu))
+            reports.append(marginal_exactness(pi, mu, nu))
         else:
             raise DomainError(f"unknown check {name!r}; expected one of {SUITE_CHECKS}")
     return reports
 
 
+def seeded_instances(seed: int, count: int, dim: int) -> Iterator[SuiteInstance]:
+    """Instances ``0 .. count - 1`` of ``seed``, generated one at a time."""
+    return (generate_instance(seed, index, dim) for index in range(count))
+
+
 def run_suite(
-    seed: int,
-    instances: int,
-    dim: int,
+    instances: Iterable[SuiteInstance],
     op: LatticeOperation,
     checks: Sequence[str],
     tolerance: float,
-) -> tuple[list[dict], dict]:
-    """Run ``instances`` seeded instances; returns per-instance rows and a summary.
+    emit: Callable[[dict], object],
+) -> dict:
+    """Run the checks on each instance and hand its row to ``emit`` at once.
 
-    Rows and the summary are plain JSON-ready dicts.  The summary carries
+    A row is the JSON-ready dict ``{"instance": inst.index, "outcome",
+    "reports"}``.  The returned summary fields are a running fold over the
+    rows, which keeps no row but the first failing one: the instance and
     pass counts, the worst (largest) log P, the worst (smallest) entropy
-    gap, and the first failing report in full.
+    gap, and that first failing row in full.
     """
-    rows: list[dict] = []
-    passed = 0
+    count = failed = 0
     worst_log_p: float | None = None
     worst_gap: float | None = None
     first_failure: dict | None = None
-    for index in range(instances):
-        inst = generate_instance(seed, index, dim)
+    for count, inst in enumerate(instances, 1):
         reports = run_instance(inst, op, checks, tolerance)
         ok = all(r.ok for r in reports)
         for r in reports:
@@ -170,28 +175,23 @@ def run_suite(
             if r.gap is not None and r.check == "entropy":
                 worst_gap = r.gap if worst_gap is None else min(worst_gap, r.gap)
         row = {
-            "instance": index,
+            "instance": inst.index,
             "outcome": "verified" if ok else "failed",
             "reports": [r.to_json_dict() for r in reports],
         }
-        rows.append(row)
-        if ok:
-            passed += 1
-        elif first_failure is None:
-            first_failure = row
-    summary = {
-        "summary": {
-            "seed": seed,
-            "instances": instances,
-            "passed": passed,
-            "failed": instances - passed,
-            "checks": list(checks),
-            "worst_log_p": worst_log_p,
-            "worst_gap": worst_gap,
-            "first_failure": first_failure,
-        }
+        emit(row)
+        if not ok:
+            failed += 1
+            first_failure = first_failure or row
+    return {
+        "instances": count,
+        "passed": count - failed,
+        "failed": failed,
+        "checks": list(checks),
+        "worst_log_p": worst_log_p,
+        "worst_gap": worst_gap,
+        "first_failure": first_failure,
     }
-    return rows, summary
 
 
 # ---------------------------------------------------------------------------

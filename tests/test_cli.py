@@ -5,13 +5,19 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import discretebm
+from discretebm import jsonio, suite
 from discretebm.cli import build_parser, main
 
 MEASURE_U3 = {"dim": 1, "atoms": [{"x": [0], "w": "1/3"}, {"x": [1], "w": "1/3"}, {"x": [2], "w": "1/3"}]}
@@ -841,6 +847,88 @@ def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys):
         assert main([*argv, "--out", str(out)]) == code
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == stdout
+
+
+def test_random_suite_writes_each_row_before_the_next_instance(tmp_path, monkeypatch):
+    # the lines written when each instance is generated: every earlier row
+    # has reached stdout, or the --out file, and nothing is held back
+    argv = ["random-suite", "--seed", "7", "--instances", "6", "--checks", "pointwise,p-bound"]
+    generate = suite.generate_instance
+    out_file = tmp_path / "rows.jsonl"
+    for out in (None, out_file):
+        stdout = io.StringIO()
+        seen = []
+
+        def lines():
+            text = stdout.getvalue() if out is None else out_file.read_text()
+            return text.count("\n")
+
+        def generate_after_lines(*args):
+            seen.append(lines())
+            return generate(*args)
+
+        monkeypatch.setattr(suite, "generate_instance", generate_after_lines)
+        with contextlib.redirect_stdout(stdout):
+            assert main(argv if out is None else [*argv, "--out", str(out)]) == 0
+        assert seen == [0, 1, 2, 3, 4, 5]
+        assert lines() == 7
+
+
+def test_an_out_file_that_cannot_be_opened_runs_no_instance(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(suite, "generate_instance", lambda *args: calls.append(args))
+    out = tmp_path / "missing" / "x.jsonl"
+    assert main(["random-suite", "--instances", "3000", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert json.loads(captured.err) == {"error": f"[Errno 2] No such file or directory: '{out}'"}
+    assert calls == []
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "instances, checks, read, code",
+    [(2000, "p-bound", 1, 0), (2000, "pointwise,fibers", 1, 1), (3, "p-bound", 0, 0)],
+    ids=["verified", "violated", "closed-at-once"],
+)
+def test_a_closed_stdout_drops_the_rest_and_keeps_the_exit_code(instances, checks, read, code, unbuffered):
+    # a reader that stops early, as `| head -1` does: the suite runs to its
+    # end and exits with its verdict, writing nothing to stderr; a buffered
+    # stdout closed at once first fails at the last flush
+    src = str(Path(discretebm.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "discretebm", "random-suite", "--seed", "7",
+            "--instances", str(instances), "--op", "midpoint", "--checks", checks]
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("DT_TOLERANCE", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        lines = [proc.stdout.readline() for _ in range(read)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == code
+    assert err == b""
+    assert all(json.loads(line)["instance"] == i for i, line in enumerate(lines))
+
+
+def test_verify_pointwise_and_p_bound_print_the_suite_report(tmp_path, capsys):
+    # verify and the suite run one check dispatch, so an instance file of a
+    # suite instance prints the report of that instance's row, byte for byte
+    checks = ["pointwise", "p-bound"]
+    code, rows = run(capsys, ["random-suite", "--seed", "1", "--instances", "20",
+                              "--op", "midpoint", "--checks", ",".join(checks)])
+    assert code == 1 and rows[-1]["summary"]["passed"] < 20
+    for row in rows[:-1]:
+        inst = suite.generate_instance(1, row["instance"], 1)
+        exponents = {name: str(getattr(inst.exponents, name)) for name in ("alpha", "beta", "gamma", "delta")}
+        doc = {"op": {"kind": "midpoint", "dim": 1}, "mu": jsonio.measure_to_json(inst.mu),
+               "nu": jsonio.measure_to_json(inst.nu), **exponents}
+        path = write(tmp_path, "inst.json", doc)
+        for check, report in zip(checks, row["reports"]):
+            expected = json.dumps(report, separators=(",", ":")) + "\n"
+            assert main(["verify", path, "--check", check]) == (0 if report["outcome"] == "verified" else 1)
+            assert capsys.readouterr().out == expected
 
 
 def test_env_tolerance_default(tmp_path, capsys, monkeypatch):

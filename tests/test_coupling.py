@@ -610,7 +610,9 @@ def test_a_suite_builds_the_walk_of_the_couplings_it_reads_only(monkeypatch):
     monkeypatch.setattr(Coupling, "__init__", counting("init", init))
     for module in (suite, verify):
         monkeypatch.setattr(module, "knothe_coupling", counting("knothe", module.knothe_coupling))
-    suite.run_suite(7, 1000, 2, product(midpoint(1), meet_join(1)), suite.SUITE_CHECKS, 1e-9)
+    instances = suite.seeded_instances(7, 1000, 2)
+    op = product(midpoint(1), meet_join(1))
+    suite.run_suite(instances, op, suite.SUITE_CHECKS, 1e-9, lambda row: None)
     # 16,036 trusted couplings when every Knothe build built its walk
     assert counts == {"trusted": 8018, "init": 2000, "knothe": 2000}
 

@@ -44,6 +44,17 @@ def test_make_measure_basics():
     assert plain == FiniteMeasure(1, [([0], F(2)), (1, F(4, 2))])
     assert plain.support() == [(0,), (1,)]
 
+    # a mapping's items are read, as the coupling constructor reads them:
+    # its keys were once read as entries, so {(0,): 1} was refused and
+    # {(0, 1): 1} built the measure on (0,) in dimension 1
+    for cls in (FiniteMeasure, ProbabilityMeasure):
+        assert cls(1, {(0,): 1}) == cls(1, [((0,), 1)])
+        assert cls(1, {(1,): F(1, 4), (0,): F(3, 4)}) == cls(1, [((0,), F(3, 4)), ((1,), F(1, 4))])
+        with pytest.raises(DimensionMismatch, match="^expected a point of dimension 1, got 2$"):
+            cls(1, {(0, 1): 1})
+        with pytest.raises(DimensionMismatch, match="^expected a point of dimension 2, got 1$"):
+            cls(2, {(0,): 1})
+
 
 def test_make_measure_errors():
     with pytest.raises(EmptySupportError, match="^measure has empty support$"):
@@ -65,7 +76,7 @@ def test_make_measure_errors():
         ProbabilityMeasure(1, [((False,), 1)])
     # an entry that is not a (point, weight) pair is named; it once escaped
     # as a bare TypeError or ValueError
-    for entries, entry in (([5], "5"), ([(0,)], "(0,)"), ({(0,): 1}, "(0,)"), ([((0,), 1), None], "None")):
+    for entries, entry in (([5], "5"), ([(0,)], "(0,)"), ([((0,), 1), None], "None")):
         with pytest.raises(DomainError) as caught:
             FiniteMeasure(1, entries)
         assert str(caught.value) == f"cannot interpret {entry} as a (point, weight) entry"

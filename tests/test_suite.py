@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from discretebm import (
@@ -20,8 +22,16 @@ from discretebm.suite import (
     random_measure,
     run_instance,
     run_suite,
+    seeded_instances,
 )
 from helpers import random_phi
+
+
+def seeded_rows(seed, count, dim, op, checks, tolerance=1e-9):
+    """The rows and summary fields of ``run_suite`` over seeded instances."""
+    rows = []
+    fields = run_suite(seeded_instances(seed, count, dim), op, checks, tolerance, rows.append)
+    return rows, fields
 
 
 def test_mix64_is_deterministic_and_spread():
@@ -72,21 +82,21 @@ def test_run_instance_report_names():
 
 
 def test_run_suite_green_checks():
-    rows, summary = run_suite(7, 40, 1, midpoint(1), ["p-bound", "entropy", "marginals"], 1e-9)
+    rows, summary = seeded_rows(7, 40, 1, midpoint(1), ["p-bound", "entropy", "marginals"])
     assert len(rows) == 40
-    assert summary["summary"]["failed"] == 0
-    assert summary["summary"]["worst_log_p"] <= 1e-12
-    assert summary["summary"]["worst_gap"] >= -1e-9
-    assert summary["summary"]["first_failure"] is None
+    assert summary["failed"] == 0
+    assert summary["worst_log_p"] <= 1e-12
+    assert summary["worst_gap"] >= -1e-9
+    assert summary["first_failure"] is None
 
 
 def test_run_suite_dim2_product_op():
     op = product(midpoint(1), meet_join(1))
-    rows, summary = run_suite(7, 25, 2, op, ["p-bound", "entropy", "marginals", "fibers"], 1e-9)
-    assert summary["summary"]["instances"] == 25
+    rows, summary = seeded_rows(7, 25, 2, op, ["p-bound", "entropy", "marginals", "fibers"])
+    assert summary["instances"] == 25
     # fiber shape fails organically for the min/max block, and that is
     # recorded per instance rather than raised
-    assert summary["summary"]["passed"] + summary["summary"]["failed"] == 25
+    assert summary["passed"] + summary["failed"] == 25
 
 
 def test_a_suite_builds_each_block_section_once():
@@ -94,7 +104,7 @@ def test_a_suite_builds_each_block_section_once():
     # (level, prefix difference) keys, point-mass blocks reading none; each
     # section is built once and kept
     op = product(midpoint(1), meet_join(1))
-    run_suite(7, 1000, 2, op, ["pointwise", "fibers"], 1e-9)
+    seeded_rows(7, 1000, 2, op, ["pointwise", "fibers"])
     sections = op._sections
     assert len(sections) == 41
     for (level, p), section in sections.items():
@@ -171,7 +181,7 @@ def test_knothe_builds_and_certifications_per_instance(dim, op, certified, monke
     monkeypatch.setattr(Coupling, "__init__", counted)
     monkeypatch.setattr(suite, "knothe_coupling", knothe)
     monkeypatch.setattr(verify, "knothe_coupling", knothe)
-    rows, _summary = run_suite(7, 20, dim, op, SUITE_CHECKS, 1e-9)
+    rows, _summary = seeded_rows(7, 20, dim, op, SUITE_CHECKS)
     monkeypatch.undo()
     assert Coupling.__init__ is certify
     assert suite.knothe_coupling is verify.knothe_coupling is knothe_coupling
@@ -184,19 +194,46 @@ def test_run_suite_negative_control_fails():
     # the negated difference map only misbehaves on instances where its
     # plus-map collides, so a couple of dozen draws are needed
     neg = from_difference_map(1, None, lambda w: (-w[0],))
-    rows, summary = run_suite(0, 25, 1, neg, ["pointwise", "p-bound", "entropy"], 1e-9)
-    assert summary["summary"]["failed"] > 0
-    assert summary["summary"]["first_failure"] is not None
+    rows, summary = seeded_rows(0, 25, 1, neg, ["pointwise", "p-bound", "entropy"])
+    assert summary["failed"] > 0
+    assert summary["first_failure"] is not None
 
 
 def test_run_suite_empty():
-    rows, summary = run_suite(0, 0, 1, midpoint(1), ["p-bound"], 1e-9)
+    rows, summary = seeded_rows(0, 0, 1, midpoint(1), ["p-bound"])
     assert rows == []
-    assert summary["summary"]["instances"] == 0
-    assert summary["summary"]["failed"] == 0
+    assert summary["instances"] == 0
+    assert summary["failed"] == 0
 
 
 def test_run_suite_rows_are_deterministic():
-    r1, s1 = run_suite(99, 15, 1, meet_join(1), ["p-bound", "entropy"], 1e-9)
-    r2, s2 = run_suite(99, 15, 1, meet_join(1), ["p-bound", "entropy"], 1e-9)
+    r1, s1 = seeded_rows(99, 15, 1, meet_join(1), ["p-bound", "entropy"])
+    r2, s2 = seeded_rows(99, 15, 1, meet_join(1), ["p-bound", "entropy"])
     assert r1 == r2 and s1 == s2
+
+
+def test_run_suite_reads_any_iterable_of_instances():
+    # instances 5 and 2 of seed 7, in that order, give their seeded rows
+    checks = ["pointwise", "p-bound", "entropy"]
+    seeded, _ = seeded_rows(7, 6, 1, midpoint(1), checks)
+    rows = []
+    instances = [generate_instance(7, 5, 1), generate_instance(7, 2, 1)]
+    fields = run_suite(instances, midpoint(1), checks, 1e-9, rows.append)
+    assert rows == [seeded[5], seeded[2]]
+    assert fields["instances"] == 2
+
+
+def test_run_suite_memory_does_not_grow_with_the_instances():
+    # with an emit that drops each row, the suite keeps only its running
+    # summary: the traced peak over 400 instances stays within 64 KiB of the
+    # peak over 100, while the 400 rows alone take over 500 KiB
+    def peak(count):
+        tracemalloc.start()
+        try:
+            run_suite(seeded_instances(7, count, 1), midpoint(1), SUITE_CHECKS, 1e-9, lambda row: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(400)  # fill the caches that outlive one run
+    assert peak(400) <= peak(100) + 64 * 1024
